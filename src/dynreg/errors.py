@@ -34,7 +34,7 @@ class ResourceLimitError(DynregError, RuntimeError):
 
 
 class DivergenceError(DynregError, RuntimeError):
-    """Iteration residuals grew past the divergence guard."""
+    """Iteration residuals became non-finite or grew past the divergence guard."""
 
 
 class ConfigError(DynregError, ValueError):

@@ -30,6 +30,8 @@ from .operators import (
     ACCUMULATE_THEN_OBSERVE,
     DynamicForward,
     POINTWISE,
+    _anticausal_sum,
+    _causal_sum,
     _check_data,
     apply_adjoint,
     apply_forward,
@@ -408,6 +410,8 @@ def _estimate_omegas(
                 break
             lam = float(w @ v) / float(v @ v)
             v = w / norm
+        if not math.isfinite(lam):
+            raise DivergenceError(f"power iteration on sub-problem {idx} gave {lam}")
         omegas.append(0.9 / lam if lam > 0.0 else 1.0)
     return omegas
 
@@ -449,8 +453,8 @@ def landweber_kaczmarz(
     sweep (each at its own iterate, before its update) satisfied
     ||F_i x - y_i|| <= tau_i delta_i, the loop stops with reason
     "discrepancy"; otherwise it runs max_sweeps sweeps and reports
-    "max_iter".  A residual exceeding 1e6 times the worst initial residual
-    raises DivergenceError.
+    "max_iter".  A non-finite residual or step estimate, or a residual
+    exceeding 1e6 times the worst initial residual, raises DivergenceError.
 
     Parameters
     ----------
@@ -479,9 +483,9 @@ def landweber_kaczmarz(
         for i, sub in enumerate(subproblems):
             r = sub.residual(x)
             res = sub.residual_norm(r)
-            if res > 1e6 * guard:
+            if not math.isfinite(res) or res > 1e6 * guard:
                 raise DivergenceError(
-                    f"residual {res:.3e} exceeds 1e6 x initial worst residual {guard:.3e}"
+                    f"residual {res:.3e} is not below 1e6 x initial worst residual {guard:.3e}"
                 )
             residuals.append(res)
             trace.append((n, i, res, math.nan, math.nan))
@@ -543,9 +547,9 @@ def kaczmarz_multi_direction(
         for i, sub in enumerate(subproblems):
             r = sub.residual(x)
             res = sub.residual_norm(r)
-            if res > 1e6 * guard:
+            if not math.isfinite(res) or res > 1e6 * guard:
                 raise DivergenceError(
-                    f"residual {res:.3e} exceeds 1e6 x initial worst residual {guard:.3e}"
+                    f"residual {res:.3e} is not below 1e6 x initial worst residual {guard:.3e}"
                 )
             residuals.append(res)
             trace.append((n, i, res, math.nan, math.nan))
@@ -630,21 +634,7 @@ def time_subproblems(
                 return np.asarray(fam.adjoint_apply(i, r), dtype=float)
 
         elif forward.kind == ACCUMULATE_THEN_OBSERVE:
-
-            def apply(x: np.ndarray, i: int = i) -> np.ndarray:
-                acc = np.zeros(fam.n_out)
-                for j in range(i + 1):
-                    acc += dt * forward.kernel[i - j] * np.asarray(fam.apply(j, x), dtype=float)
-                return acc
-
-            def adjoint(r: np.ndarray, i: int = i) -> np.ndarray:
-                acc = np.zeros(fam.n_in)
-                for j in range(i + 1):
-                    acc += dt * forward.kernel[i - j] * np.asarray(
-                        fam.adjoint_apply(j, r), dtype=float
-                    )
-                return acc
-
+            apply, adjoint = _accumulated_block(forward, i, i + 1, 1.0)
         else:  # OBSERVE_THEN_ACCUMULATE: constant-in-time input collapses the sum
             scale = dt * float(np.sum(forward.kernel[: i + 1]))
 
@@ -671,16 +661,19 @@ def time_subproblems(
     subs = []
     for k, block in enumerate(np.array_split(np.arange(n_t), sections)):
         nodes = [int(i) for i in block]
+        if forward.kind == ACCUMULATE_THEN_OBSERVE:
+            apply, adjoint = _accumulated_block(forward, nodes[0], nodes[-1] + 1, dt)
+        else:
 
-        def apply(x: np.ndarray, nodes: list[int] = nodes) -> np.ndarray:
-            return np.concatenate([node_apply[i](x) for i in nodes])
+            def apply(x: np.ndarray, nodes: list[int] = nodes) -> np.ndarray:
+                return np.concatenate([node_apply[i](x) for i in nodes])
 
-        def adjoint(r: np.ndarray, nodes: list[int] = nodes) -> np.ndarray:
-            parts = np.asarray(r, dtype=float).reshape(len(nodes), fam.n_out)
-            acc = np.zeros(fam.n_in)
-            for row, i in zip(parts, nodes):
-                acc += node_adjoint[i](row)
-            return dt * acc
+            def adjoint(r: np.ndarray, nodes: list[int] = nodes) -> np.ndarray:
+                parts = np.asarray(r, dtype=float).reshape(len(nodes), fam.n_out)
+                acc = np.zeros(fam.n_in)
+                for row, i in zip(parts, nodes):
+                    acc += node_adjoint[i](row)
+                return dt * acc
 
         subs.append(
             LinearSubproblem(
@@ -693,3 +686,35 @@ def time_subproblems(
             )
         )
     return subs
+
+
+def _accumulated_block(
+    forward: DynamicForward, first: int, end: int, weight: float
+) -> tuple[Callable[[np.ndarray], np.ndarray], Callable[[np.ndarray], np.ndarray]]:
+    """Sub-problem maps of the accumulate-then-observe block of nodes [first, end).
+
+    apply evaluates A_j x once per node j < end and keeps rows [first, end)
+    of the causal sum, bit-identical to apply_forward on the tiled x.  The
+    adjoint pads the block residual into those rows, runs the anticausal
+    sum and applies A_j* once per node; it regroups the sum by linearity.
+    weight is the block's data-side quadrature factor (1 for one node, dt
+    for a section), which the adjoint carries.
+    """
+    fam = forward.static
+    dt = forward.time_grid.dt
+    kernel = forward.kernel[:end]
+
+    def apply(x: np.ndarray) -> np.ndarray:
+        staged = np.array([fam.apply(j, x) for j in range(end)], dtype=float)
+        return _causal_sum(kernel, dt, staged)[first:].reshape(-1)
+
+    def adjoint(r: np.ndarray) -> np.ndarray:
+        padded = np.zeros((end, fam.n_out))
+        padded[first:] = np.asarray(r, dtype=float).reshape(end - first, fam.n_out)
+        collected = _anticausal_sum(kernel, dt, padded)
+        acc = np.zeros(fam.n_in)
+        for j in range(end):
+            acc += np.asarray(fam.adjoint_apply(j, collected[j]), dtype=float)
+        return weight * acc
+
+    return apply, adjoint

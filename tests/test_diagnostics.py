@@ -1,8 +1,9 @@
 """Spectral probes, the integrability tail, and the translation modulus.
 
-The singular-value routine is checked against two independent oracles: a
-Sturm-bisection eigensolver on the tridiagonalized normal matrix, written
-here from scratch, and the LAPACK SVD.
+The singular-value routine wraps the LAPACK SVD.  It is checked against an
+independent oracle, a Sturm-bisection eigensolver on the tridiagonalized
+normal matrix written here from scratch, and against LAPACK directly for
+shape handling.
 """
 
 import math
@@ -244,6 +245,15 @@ class TestStackedSpectrum:
             )
         )
         np.testing.assert_allclose(stacked, frozen, atol=1e-10 * max(frozen[-1], 1.0))
+
+    def test_rank_flag_agrees_with_frozen_time(self):
+        # the full window observes everything at every node, so the stacked
+        # map repeats the frozen-time spectrum; sigma_min / sigma_1 ~ 4e-19
+        problem = make_dct_analogue(4, 64, window=64)
+        frozen = temporal_spectrum(problem.forward, 0)
+        stacked = stacked_spectrum(problem.forward)
+        assert frozen.rank_deficient and stacked.rank_deficient
+        assert math.isinf(frozen.condition) and math.isinf(stacked.condition)
 
     def test_mpi_matches_lapack_oracle(self):
         problem = make_mpi_analogue(6, 5)

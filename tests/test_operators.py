@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
+from hypothesis.extra.numpy import arrays
 
 from dynreg import (
     ACCUMULATE_THEN_OBSERVE,
@@ -31,6 +33,7 @@ from dynreg import (
     rotating_window_pattern,
     spatial_norm,
 )
+from dynreg.operators import _anticausal_sum, _causal_sum
 
 
 def family_adjoint_gap(family, time_indices, seed, in_weight, out_weight):
@@ -53,6 +56,41 @@ def dense_causal_matrix(kernel, dt, n_t):
         for j in range(i + 1):
             lower[i, j] = dt * kernel[i - j]
     return lower
+
+
+def causal_sum_reference(kernel, dt, rows):
+    """Term by term: y_i = sum_{j<=i} dt * kernel[i-j] * rows[j], ascending j."""
+    n_t, dim = rows.shape
+    out = np.empty((n_t, dim))
+    for i in range(n_t):
+        acc = np.zeros(dim)
+        for j in range(i + 1):
+            acc += dt * kernel[i - j] * rows[j]
+        out[i] = acc
+    return out
+
+
+def anticausal_sum_reference(kernel, dt, rows):
+    """Term by term: v_j = sum_{i>=j} dt * kernel[i-j] * rows[i], ascending i."""
+    n_t, dim = rows.shape
+    out = np.empty((n_t, dim))
+    for j in range(n_t):
+        acc = np.zeros(dim)
+        for i in range(j, n_t):
+            acc += dt * kernel[i - j] * rows[i]
+        out[j] = acc
+    return out
+
+
+@st.composite
+def causal_sum_inputs(draw):
+    n_t = draw(st.integers(1, 24))
+    dim = draw(st.integers(1, 5))
+    entries = st.floats(-1e6, 1e6, allow_nan=False)
+    kernel = draw(arrays(float, n_t, elements=entries))
+    rows = draw(arrays(float, (n_t, dim), elements=entries))
+    dt = draw(st.floats(1e-4, 10.0))
+    return kernel, dt, rows
 
 
 class TestOperatorFamily:
@@ -288,6 +326,20 @@ class TestCausality:
         out = apply_forward(problem.forward, problem.forward.source_template(bumped)).values
         changed = [i for i in range(6) if not np.array_equal(out[i], out_base[i])]
         assert changed == [3]
+
+
+class TestCausalSums:
+    """The vectorized sums keep the reference loops' order, so they agree bit for bit."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(causal_sum_inputs())
+    def test_causal_sum_bit_identical_to_loop(self, args):
+        assert np.array_equal(_causal_sum(*args), causal_sum_reference(*args))
+
+    @settings(max_examples=200, deadline=None)
+    @given(causal_sum_inputs())
+    def test_anticausal_sum_bit_identical_to_loop(self, args):
+        assert np.array_equal(_anticausal_sum(*args), anticausal_sum_reference(*args))
 
 
 class TestAdjoints:

@@ -57,6 +57,16 @@ def matrix_subproblem(m: np.ndarray, y: np.ndarray, level: float) -> LinearSubpr
     )
 
 
+def nan_subproblem() -> LinearSubproblem:
+    """A sub-problem whose forward map yields NaN, as a broken operator would."""
+    return LinearSubproblem(
+        apply=lambda x: np.full(2, math.nan),
+        adjoint=lambda r: r,
+        data=np.ones(2),
+        noise_level=1.0,
+    )
+
+
 def stacked_residual(mats, ys, x) -> float:
     return math.sqrt(sum(float((m @ x - y) @ (m @ x - y)) for m, y in zip(mats, ys)))
 
@@ -337,6 +347,12 @@ class TestLandweberKaczmarz:
         with pytest.raises(DivergenceError):
             landweber_kaczmarz([sub], KaczmarzConfig(omega=3.0, max_sweeps=100), np.zeros(2))
 
+    @pytest.mark.parametrize("omega", [1.0, "auto"])
+    def test_non_finite_residual_raises(self, omega):
+        sub = nan_subproblem()
+        with pytest.raises(DivergenceError):
+            landweber_kaczmarz([sub], KaczmarzConfig(omega=omega, max_sweeps=5), np.zeros(2))
+
     def test_max_sweeps_zero_returns_start(self):
         sub = matrix_subproblem(np.eye(2), np.array([1.0, 2.0]), 0.0)
         start = np.array([5.0, 5.0])
@@ -417,6 +433,11 @@ class TestMultiDirection:
                 finals[memory] = stacked_residual(mats, ys, report.reconstruction)
             assert finals[3] <= finals[1] * (1 + 1e-9)
 
+    def test_non_finite_residual_raises(self):
+        sub = nan_subproblem()
+        with pytest.raises(DivergenceError):
+            kaczmarz_multi_direction([sub], KaczmarzConfig(max_sweeps=5), np.zeros(2))
+
     def test_zero_operator_is_stationary(self):
         zero = np.zeros((3, 2))
         sub = matrix_subproblem(zero, np.ones(3), 0.0)
@@ -462,17 +483,32 @@ class TestTimeSubproblems:
         for i, sub in enumerate(subs):
             np.testing.assert_allclose(sub.apply(x), data.values[i], rtol=1e-12)
 
-    @pytest.mark.parametrize("sections", [None, 3])
-    def test_adjoint_pairing(self, sections):
-        problem = make_mpi_analogue(6, 5)
+    @pytest.mark.parametrize(
+        "n_t, n_x, sections",
+        [(6, 5, None), (6, 5, 3), (96, 32, 8)],
+        ids=["None", "3", "96x32-8"],
+    )
+    def test_adjoint_pairing(self, n_t, n_x, sections):
+        problem = make_mpi_analogue(n_t, n_x)
         subs = time_subproblems(problem.forward, problem.data_clean, 1e-2, sections=sections)
         rng = np.random.default_rng(2)
         for sub in subs:
-            x = rng.standard_normal(5)
+            x = rng.standard_normal(n_x)
             r = rng.standard_normal(sub.data.shape[0])
             lhs = sub.data_weight * float(np.asarray(sub.apply(x)) @ r)
             rhs = sub.unknown_weight * float(x @ np.asarray(sub.adjoint(r)))
             assert lhs == pytest.approx(rhs, rel=1e-12, abs=1e-15)
+
+    @pytest.mark.parametrize("sections", [None, 4])
+    def test_accumulate_apply_is_forward_block(self, sections):
+        problem = make_mpi_analogue(12, 5)
+        forward = problem.forward
+        x = np.random.default_rng(5).standard_normal(5)
+        tiled = apply_forward(forward, forward.source_template(np.tile(x, (12, 1)))).values
+        subs = time_subproblems(forward, problem.data_clean, 1e-2, sections=sections)
+        blocks = np.array_split(np.arange(12), 12 if sections is None else sections)
+        for sub, nodes in zip(subs, blocks):
+            assert np.array_equal(sub.apply(x), tiled[nodes].reshape(-1))
 
     def test_sections_partition_data(self):
         problem = make_identity_problem(10, 3)
