@@ -340,6 +340,14 @@ def _say(quiet: bool, message: str) -> None:
         print(message)
 
 
+def _plot(path: str, x, y, **labels) -> None:
+    """Best-effort line plot: a failure is reported on stderr, never in the exit status."""
+    try:
+        line_plot(path, x, y, **labels)
+    except Exception as exc:
+        print(f"warning: {path} not written: {exc}", file=sys.stderr)
+
+
 def cmd_forward(cfg: ExperimentConfig, quiet: bool = False) -> None:
     """Build the problem, draw noise, export the instance directory."""
     problem = _build_problem(cfg)
@@ -392,19 +400,16 @@ def cmd_sweep(cfg: ExperimentConfig, quiet: bool = False) -> None:
         rows.append((delta, alpha, error, residual))
     os.makedirs(cfg.out_dir, exist_ok=True)
     _write_table(os.path.join(cfg.out_dir, "sweep.csv"), "delta,alpha,error,residual", rows)
-    try:
-        line_plot(
-            os.path.join(cfg.out_dir, "sweep.svg"),
-            [r[0] for r in rows],
-            [r[2] for r in rows],
-            xlabel="delta",
-            ylabel="relative error",
-            title=f"{problem.label}: error against noise level",
-            logx=True,
-            logy=True,
-        )
-    except Exception:
-        pass  # plots are best-effort and never change the exit status
+    _plot(
+        os.path.join(cfg.out_dir, "sweep.svg"),
+        [r[0] for r in rows],
+        [r[2] for r in rows],
+        xlabel="delta",
+        ylabel="relative error",
+        title=f"{problem.label}: error against noise level",
+        logx=True,
+        logy=True,
+    )
     _say(quiet, f"wrote {cfg.out_dir}/sweep.csv over {len(rows)} noise levels")
 
 
@@ -434,19 +439,17 @@ def cmd_probe(cfg: ExperimentConfig, quiet: bool = False) -> None:
     def _table_with_plot(name, header, rows, xlabel, ylabel, logx, logy):
         _write_table(os.path.join(cfg.out_dir, f"{name}.csv"), header, rows)
         written.append(f"{name}.csv")
-        try:
-            line_plot(
-                os.path.join(cfg.out_dir, f"{name}.svg"),
-                [r[0] for r in rows],
-                [r[1] for r in rows],
-                xlabel=xlabel,
-                ylabel=ylabel,
-                title=f"{problem.label}: {name}",
-                logx=logx,
-                logy=logy,
-            )
-        except Exception:
-            pass  # best-effort
+        _plot(
+            os.path.join(cfg.out_dir, f"{name}.svg"),
+            [r[0] for r in rows],
+            [r[1] for r in rows],
+            xlabel=xlabel,
+            ylabel=ylabel,
+            title=f"{problem.label}: {name}",
+            logx=logx,
+            logy=logy,
+        )
+
     if "temporal_spectrum" in cfg.probes:
         rep = temporal_spectrum(forward, cfg.time_index)
         rows = list(enumerate(rep.singular_values, start=1))

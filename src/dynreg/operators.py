@@ -11,6 +11,9 @@ functions, in one of three patterns:
 
 Adjoints are taken with respect to the weighted discrete inner products on
 both sides; the adjoint of a causal sum is the matching anticausal sum.
+_forward_rows and _adjoint_rows are the one evaluation path: apply_forward,
+apply_adjoint and every Kaczmarz sub-problem (solvers.time_subproblems)
+evaluate the map through them, on all nodes or on a block of rows.
 """
 
 from __future__ import annotations
@@ -285,6 +288,43 @@ def _anticausal_sum(kernel: np.ndarray, dt: float, rows: np.ndarray) -> np.ndarr
     return out
 
 
+def _stage(apply: Callable[[int, np.ndarray], np.ndarray], values, first: int) -> np.ndarray:
+    """Stack apply(first + k, values[k]) over the rows k of values."""
+    return np.array([apply(first + k, row) for k, row in enumerate(values)], dtype=float)
+
+
+def _causal_kernel(forward: DynamicForward, values, first: int) -> tuple[np.ndarray, float]:
+    """Kernel samples and dt for causal rows 0..len(values)-1."""
+    if first != 0:
+        raise InvalidParameterError(f"{forward.kind} rows start at node 0, not {first}")
+    return forward.kernel[: len(values)], forward.time_grid.dt
+
+
+def _forward_rows(forward: DynamicForward, values, first: int = 0) -> np.ndarray:
+    """Rows first, first+1, ... of the forward map, from source rows at those nodes.
+
+    The one evaluation path of the package.  A pointwise map evaluates only
+    the given nodes; a causal kind needs the rows from node 0 on (first = 0)
+    and uses the first len(values) kernel samples.
+    """
+    if forward.kind == POINTWISE:
+        return _stage(forward.static.apply, values, first)
+    kernel, dt = _causal_kernel(forward, values, first)
+    if forward.kind == ACCUMULATE_THEN_OBSERVE:
+        return _causal_sum(kernel, dt, _stage(forward.static.apply, values, 0))
+    return _stage(forward.static.apply, _causal_sum(kernel, dt, values), 0)
+
+
+def _adjoint_rows(forward: DynamicForward, values, first: int = 0) -> np.ndarray:
+    """Adjoint of _forward_rows on data rows first, first+1, ...; same node rules."""
+    if forward.kind == POINTWISE:
+        return _stage(forward.static.adjoint_apply, values, first)
+    kernel, dt = _causal_kernel(forward, values, first)
+    if forward.kind == ACCUMULATE_THEN_OBSERVE:
+        return _stage(forward.static.adjoint_apply, _anticausal_sum(kernel, dt, values), 0)
+    return _anticausal_sum(kernel, dt, _stage(forward.static.adjoint_apply, values, 0))
+
+
 def apply_forward(forward: DynamicForward, theta: BochnerFunction) -> BochnerFunction:
     """Evaluate the forward map on a source function.
 
@@ -293,24 +333,7 @@ def apply_forward(forward: DynamicForward, theta: BochnerFunction) -> BochnerFun
     bit-identical.
     """
     _check_source(forward, theta)
-    fam = forward.static
-    n_t = forward.time_grid.n_t
-    dt = forward.time_grid.dt
-    if forward.kind == POINTWISE:
-        out = np.empty((n_t, fam.n_out))
-        for i in range(n_t):
-            out[i] = np.asarray(fam.apply(i, theta.values[i]), dtype=float)
-    elif forward.kind == ACCUMULATE_THEN_OBSERVE:
-        staged = np.empty((n_t, fam.n_out))
-        for j in range(n_t):
-            staged[j] = np.asarray(fam.apply(j, theta.values[j]), dtype=float)
-        out = _causal_sum(forward.kernel, dt, staged)
-    else:  # OBSERVE_THEN_ACCUMULATE
-        accumulated = _causal_sum(forward.kernel, dt, theta.values)
-        out = np.empty((n_t, fam.n_out))
-        for i in range(n_t):
-            out[i] = np.asarray(fam.apply(i, accumulated[i]), dtype=float)
-    return forward.data_template(out)
+    return forward.data_template(_forward_rows(forward, theta.values))
 
 
 def apply_adjoint(forward: DynamicForward, y: BochnerFunction) -> BochnerFunction:
@@ -321,24 +344,7 @@ def apply_adjoint(forward: DynamicForward, y: BochnerFunction) -> BochnerFunctio
     into anticausal accumulation.
     """
     _check_data(forward, y)
-    fam = forward.static
-    n_t = forward.time_grid.n_t
-    dt = forward.time_grid.dt
-    if forward.kind == POINTWISE:
-        out = np.empty((n_t, fam.n_in))
-        for i in range(n_t):
-            out[i] = np.asarray(fam.adjoint_apply(i, y.values[i]), dtype=float)
-    elif forward.kind == ACCUMULATE_THEN_OBSERVE:
-        collected = _anticausal_sum(forward.kernel, dt, y.values)
-        out = np.empty((n_t, fam.n_in))
-        for j in range(n_t):
-            out[j] = np.asarray(fam.adjoint_apply(j, collected[j]), dtype=float)
-    else:  # OBSERVE_THEN_ACCUMULATE
-        staged = np.empty((n_t, fam.n_in))
-        for i in range(n_t):
-            staged[i] = np.asarray(fam.adjoint_apply(i, y.values[i]), dtype=float)
-        out = _anticausal_sum(forward.kernel, dt, staged)
-    return forward.source_template(out)
+    return forward.source_template(_adjoint_rows(forward, y.values))
 
 
 def load_kernel_csv(path: str, grid: TimeGrid) -> np.ndarray:

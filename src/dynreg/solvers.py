@@ -27,12 +27,11 @@ from .errors import (
     UnsupportedKindError,
 )
 from .operators import (
-    ACCUMULATE_THEN_OBSERVE,
     DynamicForward,
     POINTWISE,
-    _anticausal_sum,
-    _causal_sum,
+    _adjoint_rows,
     _check_data,
+    _forward_rows,
     apply_adjoint,
     apply_forward,
 )
@@ -166,7 +165,12 @@ class SolveReport:
     are (iteration, subproblem, residual, alpha, error) with NaN for fields
     a method does not produce; residuals/alphas repeat the trace columns
     for quick access.  error is the relative distance to the supplied
-    truth, when given.
+    truth, when given.  stop_reason is one of "tolerance" (CG met its
+    tolerance, at every node for the tracking solver), "discrepancy" (a
+    full Kaczmarz cycle met the discrepancy principle), "max_iter" (the
+    iteration or sweep cap ran out) or "breakdown" (CG met p.Ap <= 0: the
+    normal operator is not positive definite, as with a wrong adjoint).
+    Non-finite residuals raise DivergenceError instead.
     """
 
     reconstruction: Union[BochnerFunction, np.ndarray]
@@ -184,10 +188,11 @@ def _cg(
     rhs: np.ndarray,
     tol: float,
     max_iter: int,
-) -> tuple[np.ndarray, int, bool, list[float]]:
+) -> tuple[np.ndarray, int, str, list[float]]:
     """Conjugate gradients for an SPD map, matrix-free.
 
-    Returns (solution, iterations, converged, relative residual history).
+    Returns (solution, iterations, stop reason, relative residual history),
+    the reason being "tolerance", "max_iter" or "breakdown" (p.Ap <= 0).
     The relative residual is measured against ||rhs||; a zero rhs returns
     the zero solution immediately.
     """
@@ -195,7 +200,7 @@ def _cg(
     r = rhs.copy()
     rhs_norm = math.sqrt(float(r.ravel() @ r.ravel()))
     if rhs_norm == 0.0:
-        return x, 0, True, [0.0]
+        return x, 0, "tolerance", [0.0]
     p = r.copy()
     rs = float(r.ravel() @ r.ravel())
     history: list[float] = []
@@ -203,7 +208,7 @@ def _cg(
         Ap = operator(p)
         pAp = float(p.ravel() @ Ap.ravel())
         if pAp <= 0.0:
-            return x, k - 1, False, history  # lost positivity: bail out, caller reports
+            return x, k - 1, "breakdown", history
         step = rs / pAp
         x = x + step * p
         r = r - step * Ap
@@ -211,10 +216,10 @@ def _cg(
         rel = math.sqrt(rs_next) / rhs_norm
         history.append(rel)
         if rel <= tol:
-            return x, k, True, history
+            return x, k, "tolerance", history
         p = r + (rs_next / rs) * p
         rs = rs_next
-    return x, max_iter, False, history
+    return x, max_iter, "max_iter", history
 
 
 def _resolve_alphas(
@@ -296,7 +301,7 @@ def tikhonov_temporal(
     snapshots = np.empty((n_t, fam.n_in))
     residuals: list[float] = []
     trace: list[tuple[int, int, float, float, float]] = []
-    all_converged = True
+    reasons: set[str] = set()
     for i in range(n_t):
         y_i = data.values[i]
         rhs = np.asarray(fam.adjoint_apply(i, y_i), dtype=float)
@@ -305,8 +310,8 @@ def tikhonov_temporal(
         def normal_op(v: np.ndarray, i: int = i, a: float = a_i) -> np.ndarray:
             return np.asarray(fam.adjoint_apply(i, fam.apply(i, v)), dtype=float) + a * v
 
-        x, _, converged, _ = _cg(normal_op, rhs, config.tol, config.max_iter)
-        all_converged = all_converged and converged
+        x, _, reason, _ = _cg(normal_op, rhs, config.tol, config.max_iter)
+        reasons.add(reason)
         snapshots[i] = x
         r = np.asarray(fam.apply(i, x), dtype=float) - y_i
         res = math.sqrt(fam.out_weight * float(r @ r))
@@ -329,7 +334,7 @@ def tikhonov_temporal(
         reconstruction=reconstruction,
         residuals=residuals,
         alphas=[float(a) for a in alphas],
-        stop_reason="tolerance" if all_converged else "max_iter",
+        stop_reason=next(r for r in ("breakdown", "max_iter", "tolerance") if r in reasons),
         iterations=n_t,
         error=_relative_error(reconstruction, truth),
         wall_time=time.perf_counter() - t0,
@@ -365,14 +370,14 @@ def tikhonov_uniform(
         back = apply_adjoint(forward, image)
         return back.values + a * v
 
-    theta, iters, converged, history = _cg(normal_op, rhs, config.tol, config.max_iter)
+    theta, iters, stop_reason, history = _cg(normal_op, rhs, config.tol, config.max_iter)
     reconstruction = rhs_fn.with_values(theta)
     trace = [(k, 0, rel, a, math.nan) for k, rel in enumerate(history, start=1)]
     return SolveReport(
         reconstruction=reconstruction,
         residuals=list(history),
         alphas=[a],
-        stop_reason="tolerance" if converged else "max_iter",
+        stop_reason=stop_reason,
         iterations=iters,
         error=_relative_error(reconstruction, truth),
         wall_time=time.perf_counter() - t0,
@@ -592,12 +597,13 @@ def time_subproblems(
 ) -> list[LinearSubproblem]:
     """Split a forward map with a static unknown into Kaczmarz sub-problems.
 
-    By default sub-problem i maps a single spatial vector x to the data the
-    forward map would produce at node t_i if x were held constant in time:
+    Sub-problem k maps a single spatial vector x to rows [first, end) of the
+    forward map applied to the constant-in-time embedding of x (theta(t_i) = x
+    at every node).  By default every node is its own block, so that
 
         pointwise                F_i x = A_i x
         accumulate_then_observe  F_i x = sum_{j<=i} dt a(t_i-t_j) A_j x
-        observe_then_accumulate  F_i x = (dt sum_{k<=i} a(t_k)) A_i x
+        observe_then_accumulate  F_i x = A_i (sum_{j<=i} dt a(t_i-t_j) x)
 
     With `sections` = N, consecutive nodes are grouped into N contiguous
     blocks instead, one sub-problem per block; block residuals carry the
@@ -610,7 +616,6 @@ def time_subproblems(
     _check_data(forward, data)
     fam = forward.static
     n_t = forward.time_grid.n_t
-    dt = forward.time_grid.dt
     if sections is not None and not 1 <= sections <= n_t:
         raise InvalidParameterError(f"sections must lie in [1, {n_t}], got {sections}")
     count = n_t if sections is None else sections
@@ -622,99 +627,41 @@ def time_subproblems(
             raise DimensionError(
                 f"need one noise level per sub-problem ({count}), got {len(levels)}"
             )
-    node_apply = []
-    node_adjoint = []
-    for i in range(n_t):
-        if forward.kind == POINTWISE:
-
-            def apply(x: np.ndarray, i: int = i) -> np.ndarray:
-                return np.asarray(fam.apply(i, x), dtype=float)
-
-            def adjoint(r: np.ndarray, i: int = i) -> np.ndarray:
-                return np.asarray(fam.adjoint_apply(i, r), dtype=float)
-
-        elif forward.kind == ACCUMULATE_THEN_OBSERVE:
-            apply, adjoint = _accumulated_block(forward, i, i + 1, 1.0)
-        else:  # OBSERVE_THEN_ACCUMULATE: constant-in-time input collapses the sum
-            scale = dt * float(np.sum(forward.kernel[: i + 1]))
-
-            def apply(x: np.ndarray, i: int = i, scale: float = scale) -> np.ndarray:
-                return scale * np.asarray(fam.apply(i, x), dtype=float)
-
-            def adjoint(r: np.ndarray, i: int = i, scale: float = scale) -> np.ndarray:
-                return scale * np.asarray(fam.adjoint_apply(i, r), dtype=float)
-
-        node_apply.append(apply)
-        node_adjoint.append(adjoint)
-    if sections is None:
-        return [
-            LinearSubproblem(
-                apply=node_apply[i],
-                adjoint=node_adjoint[i],
-                data=data.values[i],
-                noise_level=levels[i],
-                data_weight=fam.out_weight,
-                unknown_weight=fam.in_weight,
-            )
-            for i in range(n_t)
-        ]
-    subs = []
-    for k, block in enumerate(np.array_split(np.arange(n_t), sections)):
-        nodes = [int(i) for i in block]
-        if forward.kind == ACCUMULATE_THEN_OBSERVE:
-            apply, adjoint = _accumulated_block(forward, nodes[0], nodes[-1] + 1, dt)
-        else:
-
-            def apply(x: np.ndarray, nodes: list[int] = nodes) -> np.ndarray:
-                return np.concatenate([node_apply[i](x) for i in nodes])
-
-            def adjoint(r: np.ndarray, nodes: list[int] = nodes) -> np.ndarray:
-                parts = np.asarray(r, dtype=float).reshape(len(nodes), fam.n_out)
-                acc = np.zeros(fam.n_in)
-                for row, i in zip(parts, nodes):
-                    acc += node_adjoint[i](row)
-                return dt * acc
-
-        subs.append(
-            LinearSubproblem(
-                apply=apply,
-                adjoint=adjoint,
-                data=data.values[nodes].reshape(-1),
-                noise_level=levels[k],
-                data_weight=dt * fam.out_weight,
-                unknown_weight=fam.in_weight,
-            )
+    blocks = [(int(b[0]), int(b[-1]) + 1) for b in np.array_split(np.arange(n_t), count)]
+    weight = 1.0 if sections is None else forward.time_grid.dt
+    return [
+        LinearSubproblem(
+            *_block(forward, first, end, weight),
+            data=data.values[first:end].reshape(-1),
+            noise_level=level,
+            data_weight=weight * fam.out_weight,
+            unknown_weight=fam.in_weight,
         )
-    return subs
+        for (first, end), level in zip(blocks, levels)
+    ]
 
 
-def _accumulated_block(
+def _block(
     forward: DynamicForward, first: int, end: int, weight: float
 ) -> tuple[Callable[[np.ndarray], np.ndarray], Callable[[np.ndarray], np.ndarray]]:
-    """Sub-problem maps of the accumulate-then-observe block of nodes [first, end).
+    """Sub-problem maps of the block of nodes [first, end).
 
-    apply evaluates A_j x once per node j < end and keeps rows [first, end)
-    of the causal sum, bit-identical to apply_forward on the tiled x.  The
-    adjoint pads the block residual into those rows, runs the anticausal
-    sum and applies A_j* once per node; it regroups the sum by linearity.
-    weight is the block's data-side quadrature factor (1 for one node, dt
-    for a section), which the adjoint carries.
+    apply evaluates the forward map on the tiled x over the nodes the block
+    depends on (its own for a pointwise map, 0..end-1 for the causal kinds)
+    and keeps rows [first, end).  The adjoint pads the block residual into
+    those rows, maps them back and sums over the nodes; weight is the
+    block's data-side quadrature factor (1 for one node, dt for a section).
     """
-    fam = forward.static
-    dt = forward.time_grid.dt
-    kernel = forward.kernel[:end]
+    n_out = forward.static.n_out
+    lo = first if forward.kind == POINTWISE else 0
 
     def apply(x: np.ndarray) -> np.ndarray:
-        staged = np.array([fam.apply(j, x) for j in range(end)], dtype=float)
-        return _causal_sum(kernel, dt, staged)[first:].reshape(-1)
+        tiled = np.asarray(x, dtype=float)[None, :].repeat(end - lo, axis=0)  # faster than np.tile
+        return _forward_rows(forward, tiled, lo)[first - lo :].reshape(-1)
 
     def adjoint(r: np.ndarray) -> np.ndarray:
-        padded = np.zeros((end, fam.n_out))
-        padded[first:] = np.asarray(r, dtype=float).reshape(end - first, fam.n_out)
-        collected = _anticausal_sum(kernel, dt, padded)
-        acc = np.zeros(fam.n_in)
-        for j in range(end):
-            acc += np.asarray(fam.adjoint_apply(j, collected[j]), dtype=float)
-        return weight * acc
+        padded = np.zeros((end - lo, n_out))
+        padded[first - lo :] = np.asarray(r, dtype=float).reshape(end - first, n_out)
+        return weight * _adjoint_rows(forward, padded, lo).sum(axis=0)
 
     return apply, adjoint

@@ -1,8 +1,8 @@
 """Minimal self-contained SVG line plots for probe and sweep tables.
 
-Best-effort output only: callers wrap these in try/except so a plotting
-problem never changes an exit status.  No timestamps, fixed float
-formatting, deterministic bytes for identical inputs.
+Best-effort output only: the CLI reports a failed plot as a warning on
+stderr and keeps its exit status and CSV tables.  No timestamps, fixed
+float formatting, deterministic bytes for identical inputs.
 """
 
 from __future__ import annotations

@@ -369,6 +369,29 @@ class TestSweep:
         assert set(first) == {"sweep.csv", "sweep.svg"}
 
 
+class TestPlotFailure:
+    @pytest.mark.parametrize(
+        "command, section, name",
+        [("sweep", "[sweep]\ndeltas = 0.1, 0.01", "sweep"),
+         ("probe", "[probe]\nprobes = temporal_spectrum", "spectrum_t0")],
+        ids=["sweep", "probe"],
+    )
+    def test_failed_plot_warns_on_stderr(self, tmp_path, capsys, monkeypatch, command, section, name):
+        def broken_plot(*args, **kwargs):
+            raise RuntimeError("no canvas")
+
+        monkeypatch.setattr("dynreg.cli.line_plot", broken_plot)
+        path = write_config(
+            tmp_path / "a.ini", f"[problem]\nkind = identity\nn_t = 4\nn_x = 3\n\n{section}\n"
+        )
+        out = tmp_path / "out"
+        assert main([command, "--config", path, "--out", str(out), "--quiet"]) == 0
+        assert len(read_table(out / f"{name}.csv")) > 1
+        assert not (out / f"{name}.svg").exists()
+        svg = os.path.join(str(out), f"{name}.svg")
+        assert capsys.readouterr().err == f"warning: {svg} not written: no canvas\n"
+
+
 class TestProbe:
     def test_identity_flat_spectrum_rows(self, tmp_path):
         path = write_config(tmp_path / "a.ini", """\

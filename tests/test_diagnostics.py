@@ -200,9 +200,10 @@ class TestTemporalSpectrum:
 
     def test_condition_grows_under_refinement(self):
         conditions = []
-        for n_x in (16, 32, 64):
+        for n_x in (16, 32, 48):  # n_x = 64 is flagged rank deficient: condition inf
             problem = make_dct_analogue(2, n_x, sigma=0.05)
             conditions.append(temporal_spectrum(problem.forward, 0).condition)
+        assert all(math.isfinite(c) for c in conditions), conditions
         assert conditions[0] <= conditions[1] <= conditions[2]
 
     def test_rejects_causal_kind(self):

@@ -289,6 +289,28 @@ class TestApplyForward:
             apply_forward(forward, theta).values[:, 0], lower @ g[:, 0], rtol=1e-13
         )
 
+    @pytest.mark.parametrize("kind", [ACCUMULATE_THEN_OBSERVE, OBSERVE_THEN_ACCUMULATE])
+    def test_time_varying_family_order(self, kind):
+        # S(t_i) = (1/t_i) I does not commute with the causal sum, so the
+        # order of observation and accumulation shows in both maps
+        grid = TimeGrid(1.0, 7)
+        fam = make_scaling_family(grid, 3, weight=1.0 / 3)
+        kernel = make_causal_kernel(grid, np.exp(-grid.nodes))
+        forward = DynamicForward(kind, fam, grid, kernel)
+        rng = np.random.default_rng(11)
+        theta, y = rng.standard_normal((7, 3)), rng.standard_normal((7, 3))
+        scale = 1.0 / grid.nodes[:, None]
+        if kind == ACCUMULATE_THEN_OBSERVE:
+            image = causal_sum_reference(kernel, grid.dt, scale * theta)
+            back = scale * anticausal_sum_reference(kernel, grid.dt, y)
+        else:
+            image = scale * causal_sum_reference(kernel, grid.dt, theta)
+            back = anticausal_sum_reference(kernel, grid.dt, scale * y)
+        out = apply_forward(forward, forward.source_template(theta)).values
+        np.testing.assert_allclose(out, image, rtol=1e-13)
+        out = apply_adjoint(forward, forward.data_template(y)).values
+        np.testing.assert_allclose(out, back, rtol=1e-13)
+
     def test_dimension_mismatch(self):
         problem = make_dct_analogue(4, 6)
         wrong = BochnerFunction(TimeGrid(1.0, 4), np.zeros((4, 5)))

@@ -12,6 +12,7 @@ import numpy as np
 import pytest
 
 from dynreg import (
+    BUILTIN_PROBLEMS,
     BochnerFunction,
     DimensionError,
     DivergenceError,
@@ -22,6 +23,8 @@ from dynreg import (
     LinearSubproblem,
     NoiseSpec,
     OBSERVE_THEN_ACCUMULATE,
+    OperatorFamily,
+    POINTWISE,
     ParameterRule,
     SolveReport,
     TikhonovConfig,
@@ -65,6 +68,31 @@ def nan_subproblem() -> LinearSubproblem:
         data=np.ones(2),
         noise_level=1.0,
     )
+
+
+def negated_adjoint_problem(broken, n_t: int = 4):
+    """Pointwise map A_i = diag(1, 2, 3) whose 'adjoint' is -A_i at the nodes in
+    broken, so CG on those nodes meets p.Ap < 0 in its first iteration."""
+    d = np.array([1.0, 2.0, 3.0])
+    fam = OperatorFamily(
+        3, 3, lambda i, x: d * x, lambda i, y: (-d if i in broken else d) * y
+    )
+    forward = DynamicForward(POINTWISE, fam, TimeGrid(1.0, n_t))
+    return forward, forward.data_template(np.ones((n_t, 3)))
+
+
+def forward_and_data(name: str, n_t: int, n_x: int):
+    """A built-in problem's forward map and clean data, or for name "ota" an
+    observe-then-accumulate map (Gaussian family, kernel exp(-t)) with the
+    data of the constant source 1."""
+    if name != "ota":
+        problem = BUILTIN_PROBLEMS[name](n_t, n_x)
+        return problem.forward, problem.data_clean
+    grid = TimeGrid(1.0, n_t)
+    fam = make_gaussian_smoothing(SpatialGrid(0.0, 1.0, n_x), 0.3)
+    kernel = make_causal_kernel(grid, np.exp(-grid.nodes))
+    forward = DynamicForward(OBSERVE_THEN_ACCUMULATE, fam, grid, kernel)
+    return forward, apply_forward(forward, forward.source_template(np.ones((n_t, n_x))))
 
 
 def stacked_residual(mats, ys, x) -> float:
@@ -181,6 +209,13 @@ class TestTikhonovTemporal:
         assert report.error == pytest.approx(0.0, abs=1e-7)
         assert all(math.isfinite(row[4]) for row in report.trace)
 
+    def test_breakdown_is_reported(self):
+        # node 0 breaks down, nodes 1-3 run out of iterations: breakdown wins
+        forward, data = negated_adjoint_problem(broken={0})
+        report = tikhonov_temporal(forward, data, 1e-2, config=TikhonovConfig(max_iter=1))
+        assert report.stop_reason == "breakdown"
+        assert report.iterations == 4
+
     def test_rejects_causal_kind(self):
         problem = make_mpi_analogue(4, 4)
         with pytest.raises(UnsupportedKindError):
@@ -288,6 +323,12 @@ class TestTikhonovUniform:
         )
         assert report.stop_reason == "max_iter"
         assert np.all(np.isfinite(report.reconstruction.values))
+
+    def test_breakdown_is_reported(self):
+        forward, data = negated_adjoint_problem(broken=range(4))
+        report = tikhonov_uniform(forward, data, 1e-2)
+        assert report.stop_reason == "breakdown"
+        assert report.iterations == 0
 
     def test_zero_data(self):
         problem = make_identity_problem(3, 4)
@@ -471,11 +512,7 @@ class TestTimeSubproblems:
             np.testing.assert_allclose(sub.apply(x), tiled.values[i], rtol=1e-12, atol=1e-15)
 
     def test_observe_then_accumulate_kind(self):
-        grid = TimeGrid(1.0, 5)
-        space = SpatialGrid(0.0, 1.0, 4)
-        fam = make_gaussian_smoothing(space, 0.3)
-        kernel = make_causal_kernel(grid, np.exp(-grid.nodes))
-        forward = DynamicForward(OBSERVE_THEN_ACCUMULATE, fam, grid, kernel)
+        forward, _ = forward_and_data("ota", 5, 4)
         rng = np.random.default_rng(1)
         x = rng.standard_normal(4)
         data = apply_forward(forward, forward.source_template(np.tile(x, (5, 1))))
@@ -484,13 +521,14 @@ class TestTimeSubproblems:
             np.testing.assert_allclose(sub.apply(x), data.values[i], rtol=1e-12)
 
     @pytest.mark.parametrize(
-        "n_t, n_x, sections",
-        [(6, 5, None), (6, 5, 3), (96, 32, 8)],
-        ids=["None", "3", "96x32-8"],
+        "name, n_t, n_x, sections",
+        [("mpi", 6, 5, None), ("mpi", 6, 5, 3), ("mpi", 96, 32, 8),
+         ("dct", 6, 5, 3), ("ota", 6, 5, 3)],
+        ids=["None", "3", "96x32-8", "dct-3", "ota-3"],
     )
-    def test_adjoint_pairing(self, n_t, n_x, sections):
-        problem = make_mpi_analogue(n_t, n_x)
-        subs = time_subproblems(problem.forward, problem.data_clean, 1e-2, sections=sections)
+    def test_adjoint_pairing(self, name, n_t, n_x, sections):
+        forward, data = forward_and_data(name, n_t, n_x)
+        subs = time_subproblems(forward, data, 1e-2, sections=sections)
         rng = np.random.default_rng(2)
         for sub in subs:
             x = rng.standard_normal(n_x)
@@ -499,13 +537,16 @@ class TestTimeSubproblems:
             rhs = sub.unknown_weight * float(x @ np.asarray(sub.adjoint(r)))
             assert lhs == pytest.approx(rhs, rel=1e-12, abs=1e-15)
 
-    @pytest.mark.parametrize("sections", [None, 4])
-    def test_accumulate_apply_is_forward_block(self, sections):
-        problem = make_mpi_analogue(12, 5)
-        forward = problem.forward
+    @pytest.mark.parametrize(
+        "name, sections",
+        [pytest.param("mpi", None, id="None"), pytest.param("mpi", 4, id="4")]
+        + [(name, s) for name in ("dct", "nonuniform", "identity", "ota") for s in (None, 4)],
+    )
+    def test_accumulate_apply_is_forward_block(self, name, sections):
+        forward, data = forward_and_data(name, 12, 5)
         x = np.random.default_rng(5).standard_normal(5)
         tiled = apply_forward(forward, forward.source_template(np.tile(x, (12, 1)))).values
-        subs = time_subproblems(forward, problem.data_clean, 1e-2, sections=sections)
+        subs = time_subproblems(forward, data, 1e-2, sections=sections)
         blocks = np.array_split(np.arange(12), 12 if sections is None else sections)
         for sub, nodes in zip(subs, blocks):
             assert np.array_equal(sub.apply(x), tiled[nodes].reshape(-1))
