@@ -8,8 +8,10 @@ weighted discrete l^s norm.  The mixed norm uses midpoint quadrature,
     ||x||_X = (sum_j dx * |x_j|^s)^(1/s),
 
 so time-constant functions are integrated exactly and every node stays
-strictly inside (0, T).  All reductions run in ascending index order so
-repeated evaluations are bit-identical.
+strictly inside (0, T).  Norms and pairings form their terms elementwise in
+NumPy and add them strictly in ascending index order, in time and in space,
+so repeated evaluations are bit-identical.  They are not bit-identical to a
+scalar Python loop: NumPy's power need not round like libm's pow.
 """
 
 from __future__ import annotations
@@ -190,26 +192,44 @@ class BochnerFunction:
         )
 
 
+def _ascending_sum(terms: np.ndarray) -> np.ndarray:
+    """Sum over the last axis, one term at a time in ascending index order.
+
+    np.sum adds pairwise and @ in blocks, so their rounding depends on the
+    length and the memory layout; cumsum adds strictly left to right.
+    """
+    return np.cumsum(terms, axis=-1)[..., -1]
+
+
+def _row_norms(values: np.ndarray, weight: float, exponent: float) -> np.ndarray:
+    """Weighted discrete l^s norm of every row (last axis) of values."""
+    return _ascending_sum(weight * np.abs(values) ** exponent) ** (1.0 / exponent)
+
+
+def _mixed_norm(values: np.ndarray, dt: float, weight: float, p: float, s: float) -> float:
+    """(sum_i dt * ||values[i]||_X^p)^(1/p) over the rows of a 2-d array."""
+    return float(_ascending_sum(dt * _row_norms(values, weight, s) ** p) ** (1.0 / p))
+
+
+def _pairing(u: BochnerFunction, v: BochnerFunction) -> float:
+    """sum_i dt * sum_j w * u_ij * v_ij, ascending in time and in space."""
+    nodes = _ascending_sum(u.space_weight * u.values * v.values)
+    return float(_ascending_sum(u.grid.dt * nodes))
+
+
 def spatial_norm(v: np.ndarray, weight: float, exponent: float) -> float:
     """Weighted discrete l^s norm of one spatial vector, ascending summation."""
-    total = 0.0
-    for x in v:
-        total += weight * abs(x) ** exponent
-    return total ** (1.0 / exponent)
+    return float(_row_norms(np.asarray(v, dtype=float), weight, exponent))
 
 
 def bochner_norm(u: BochnerFunction) -> float:
     """Mixed space-time norm (sum_i dt ||u(t_i)||_X^p)^(1/p).
 
-    Summation runs in ascending index order in both time and space, so the
-    value is bit-reproducible across runs.  Time-constant functions are
+    Summation runs in ascending index order in both time and space, so
+    repeated evaluations are bit-identical.  Time-constant functions are
     integrated exactly: the result equals T^(1/p) * ||x||_X.
     """
-    dt = u.grid.dt
-    total = 0.0
-    for i in range(u.n_t):
-        total += dt * spatial_norm(u.values[i], u.space_weight, u.space_exponent) ** u.p
-    return total ** (1.0 / u.p)
+    return _mixed_norm(u.values, u.grid.dt, u.space_weight, u.p, u.space_exponent)
 
 
 def bochner_inner(u: BochnerFunction, v: BochnerFunction) -> float:
@@ -223,17 +243,7 @@ def bochner_inner(u: BochnerFunction, v: BochnerFunction) -> float:
         raise UnsupportedGeometryError(
             f"inner product needs p = s = 2, got p={u.p}, s={u.space_exponent}"
         )
-    dt = u.grid.dt
-    w = u.space_weight
-    total = 0.0
-    for i in range(u.n_t):
-        row_u = u.values[i]
-        row_v = v.values[i]
-        node = 0.0
-        for j in range(u.n_dim):
-            node += w * row_u[j] * row_v[j]
-        total += dt * node
-    return total
+    return _pairing(u, v)
 
 
 def holder_pairing(u: BochnerFunction, v: BochnerFunction) -> tuple[float, float]:
@@ -248,7 +258,7 @@ def holder_pairing(u: BochnerFunction, v: BochnerFunction) -> tuple[float, float
     Returns
     -------
     (pairing, bound)
-        pairing = sum_i dt * sum_j w * v_ij * u_ij, and
+        pairing = sum_i dt * sum_j w * u_ij * v_ij, and
         bound = ||u||_{p,s} * ||v||_{p*,s*}; |pairing| <= bound always.
     """
     if u.grid != v.grid or u.n_dim != v.n_dim or u.space_weight != v.space_weight:
@@ -259,17 +269,17 @@ def holder_pairing(u: BochnerFunction, v: BochnerFunction) -> tuple[float, float
         raise InvalidInputError(
             f"space exponents {u.space_exponent} and {v.space_exponent} are not conjugate"
         )
-    dt = u.grid.dt
-    w = u.space_weight
-    pairing = 0.0
-    for i in range(u.n_t):
-        row_u = u.values[i]
-        row_v = v.values[i]
-        node = 0.0
-        for j in range(u.n_dim):
-            node += w * row_v[j] * row_u[j]
-        pairing += dt * node
-    return pairing, bochner_norm(u) * bochner_norm(v)
+    return _pairing(u, v), bochner_norm(u) * bochner_norm(v)
+
+
+def _shift_steps(grid: TimeGrid, z: float) -> int:
+    """Grid steps k = round(z / dt) of a shift z in [0, T) that leaves an overlap."""
+    if not np.isfinite(z) or z < 0.0 or z >= grid.horizon:
+        raise DomainError(f"shift must lie in [0, T), got {z}")
+    k = int(round(z / grid.dt))
+    if k >= grid.n_t:
+        raise DomainError(f"shift {z} leaves no overlap on a grid with {grid.n_t} nodes")
+    return k
 
 
 def translate(u: BochnerFunction, z: float) -> BochnerFunction:
@@ -279,15 +289,10 @@ def translate(u: BochnerFunction, z: float) -> BochnerFunction:
     lives on the first n_t - k nodes.  translate(u, 0) returns an identical
     copy of u.
     """
-    dt = u.grid.dt
-    if not np.isfinite(z) or z < 0.0 or z >= u.grid.horizon:
-        raise DomainError(f"shift must lie in [0, T), got {z}")
-    k = int(round(z / dt))
-    if k >= u.n_t:
-        raise DomainError(f"shift {z} leaves no overlap on a grid with {u.n_t} nodes")
+    k = _shift_steps(u.grid, z)
     if k == 0:
         return u.with_values(u.values)
-    grid = TimeGrid.from_dt(dt, u.n_t - k)
+    grid = TimeGrid.from_dt(u.grid.dt, u.n_t - k)
     return BochnerFunction(grid, u.values[k:], u.p, u.space_exponent, u.space_weight)
 
 

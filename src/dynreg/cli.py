@@ -97,7 +97,7 @@ class ExperimentConfig:
     tau: float = 2.0
     omega: float | str = "auto"
     max_sweeps: int = 500
-    memory: int = 3
+    memory: int = 3  # KaczmarzConfig.memory defaults to 1: see its docstring
     sections: int | None = None
     # [probe]
     probes: tuple[str, ...] = _PROBES

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .bochner import BochnerFunction, bochner_norm, spatial_norm, translate
+from .bochner import _ascending_sum, _mixed_norm, _row_norms, _shift_steps, bochner_norm
 from .errors import (
     DomainError,
     InvalidInputError,
@@ -180,7 +180,9 @@ def integrability_tail(
     1/t keep a diverging tail under grid refinement.
 
     Returns an array of rows (r, tail).  Every input must lie in the unit
-    ball of the source space.
+    ball of the source space.  Each image's node norms are computed once and
+    the masses summed in ascending node order, so they equal this sum taken
+    node by node to rounding level.
     """
     if not q > 0.0:
         raise InvalidParameterError(f"tail exponent must be positive, got {q}")
@@ -196,23 +198,10 @@ def integrability_tail(
         if bochner_norm(theta) > 1.0 + 1e-9:
             raise InvalidInputError(f"input {n} lies outside the unit ball")
     dt = forward.time_grid.dt
-    node_norms = []
-    for theta in inputs:
-        f = apply_forward(forward, theta)
-        node_norms.append(
-            [spatial_norm(f.values[i], f.space_weight, f.space_exponent) for i in range(f.n_t)]
-        )
-    table = np.empty((len(radii), 2))
-    for row, r in enumerate(radii):
-        sup_mass = 0.0
-        for norms in node_norms:
-            mass = 0.0
-            for norm in norms:
-                if norm > r:
-                    mass += dt * norm**q
-            sup_mass = max(sup_mass, mass)
-        table[row] = (r, sup_mass)
-    return table
+    images = (apply_forward(forward, theta) for theta in inputs)
+    norms = np.array([_row_norms(f.values, f.space_weight, f.space_exponent) for f in images])
+    masked = np.where(norms > np.array(radii)[:, None, None], dt * norms**q, 0.0)
+    return np.column_stack([radii, _ascending_sum(masked).max(axis=1)])
 
 
 def translation_modulus(ensemble, shifts) -> np.ndarray:
@@ -221,7 +210,9 @@ def translation_modulus(ensemble, shifts) -> np.ndarray:
     Shifts must be grid multiples in [0, T); the difference is measured on
     the surviving nodes.  Small moduli under refinement are the practical
     footprint of a relatively compact family; the probe is meant for
-    ensembles of forward images or reconstructions.
+    ensembles of forward images or reconstructions.  Each modulus is the
+    mixed norm of the row difference values[k:] - values[:n_t - k], so it
+    equals bochner_norm(translate(f, z) - head of f) to rounding level.
 
     Returns an array of rows (z, modulus).
     """
@@ -231,23 +222,18 @@ def translation_modulus(ensemble, shifts) -> np.ndarray:
     first = ensemble[0]
     for f in ensemble[1:]:
         first._require_same_geometry(f)
-    dt = first.grid.dt
+    grid = first.grid
     shifts = [float(z) for z in shifts]
-    for z in shifts:
-        if not np.isfinite(z) or abs(z / dt - round(z / dt)) > 1e-9:
-            raise DomainError(f"shift {z} is not a grid multiple of dt={dt}")
-    table = np.empty((len(shifts), 2))
-    for row, z in enumerate(shifts):
-        worst = 0.0
-        for f in ensemble:
-            shifted = translate(f, z)
-            head = BochnerFunction(
-                shifted.grid,
-                f.values[: shifted.n_t],
-                f.p,
-                f.space_exponent,
-                f.space_weight,
-            )
-            worst = max(worst, bochner_norm(shifted - head))
-        table[row] = (z, worst)
-    return table
+    steps = [_shift_steps(grid, z) for z in shifts]
+    for z, k in zip(shifts, steps):
+        if abs(z / grid.dt - k) > 1e-9:
+            raise DomainError(f"shift {z} is not a grid multiple of dt={grid.dt}")
+    worst = np.zeros(len(shifts))
+    for f in ensemble:
+        v = f.values
+        moduli = [
+            _mixed_norm(v[k:] - v[: f.n_t - k], grid.dt, f.space_weight, f.p, f.space_exponent)
+            for k in steps
+        ]
+        worst = np.maximum(worst, moduli)
+    return np.column_stack([shifts, worst])

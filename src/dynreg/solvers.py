@@ -92,7 +92,10 @@ class KaczmarzConfig:
     keeps the per-sub-problem residual monotone in its own step).  tau are
     the discrepancy factors (scalar or one per sub-problem, each >= 1).
     memory is the number of remembered iterates for the multi-direction
-    variant; memory = 1 is plain optimal-step Landweber-Kaczmarz.
+    variant; memory = 1 is plain optimal-step Landweber-Kaczmarz, so a
+    default config means the same method in both loops.  The CLI's
+    [solver] memory defaults to 3 instead, so that its kaczmarz_multi
+    method is multi-direction unless configured otherwise.
     """
 
     omega: Union[float, str] = "auto"

@@ -58,6 +58,7 @@ from dynreg import (
     time_subproblems,
 )
 from dynreg.cli import main
+from nystrom import gaussian_nystrom_spectrum
 
 
 def _say(number: int, label: str, detail: str) -> None:
@@ -219,17 +220,6 @@ def test_criterion_07_least_squares_oracle():
     _say(7, "least-squares oracle", f"pinv gap {gap:.3e} after {report.iterations} sweeps")
 
 
-def _gaussian_nystrom_spectrum(n_nodes: int, sigma: float) -> np.ndarray:
-    """Descending eigenvalues of the integral operator
-    (K f)(x) = int_0^1 exp(-(x-y)^2 / (2 sigma^2)) f(y) dy,
-    by Gauss-Legendre Nystrom discretization (symmetrized W^1/2 K W^1/2)."""
-    t, w = np.polynomial.legendre.leggauss(n_nodes)
-    x, w = 0.5 * (t + 1.0), 0.5 * w
-    kernel = np.exp(-((x[:, None] - x[None, :]) ** 2) / (2.0 * sigma * sigma))
-    root = np.sqrt(w)
-    return np.linalg.eigvalsh(root[:, None] * kernel * root[None, :])[::-1]
-
-
 def test_criterion_08_compactness_witness():
     narrow = make_dct_analogue(2, 64, sigma=0.05).forward
     sigma = temporal_spectrum(narrow, 0).singular_values
@@ -241,8 +231,8 @@ def test_criterion_08_compactness_witness():
         conditions.append(temporal_spectrum(forward, 0).condition)
     assert all(math.isfinite(c) for c in conditions), f"condition not finite: {conditions}"
     assert conditions[1] > conditions[0], f"condition did not grow: {conditions}"
-    coarse = _gaussian_nystrom_spectrum(100, 0.05)[:20]
-    continuous = _gaussian_nystrom_spectrum(200, 0.05)[:20]
+    coarse = gaussian_nystrom_spectrum(100, 0.05)[:20]
+    continuous = gaussian_nystrom_spectrum(200, 0.05)[:20]
     assert np.max(np.abs(coarse - continuous) / continuous) <= 1e-10, "Nystrom oracle unconverged"
     target = continuous / continuous[0]
     deviations = []

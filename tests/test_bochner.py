@@ -1,10 +1,20 @@
-"""Grids, mixed norms, pairings, translation, and CSV round-trips."""
+"""Grids, mixed norms, pairings, translation, and CSV round-trips.
+
+The property tests hold the vectorized reductions to a math.fsum oracle.
+Summing n non-negative terms one at a time in ascending order has a relative
+error of at most (n - 1) * eps / 2; with a few ulps of per-term rounding
+(power, weight, root) in both the result and the oracle, the asserted bound
+is (n + 10) * eps, n the number of terms summed in space and in time.
+Pairings have signed terms, so their bound is relative to the sum of the
+absolute terms instead.
+"""
 
 import math
 import os
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from dynreg import (
     BochnerFunction,
@@ -35,6 +45,62 @@ def loop_norm(u):
             inner += u.space_weight * abs(x) ** u.space_exponent
         total += u.grid.dt * inner ** (u.p / u.space_exponent)
     return total ** (1.0 / u.p)
+
+
+EPS = np.finfo(float).eps
+EXPONENTS = (1.0, 1.5, 2.0, 3.0)
+
+
+@st.composite
+def bochner_functions(draw, p=None, s=None):
+    """A function on a random grid with random weight, exponents and values."""
+    n_t = draw(st.integers(1, 12))
+    n_x = draw(st.integers(1, 16))
+    horizon = draw(st.floats(0.1, 10.0))
+    weight = draw(st.floats(1e-3, 10.0))
+    p = draw(st.sampled_from(EXPONENTS)) if p is None else p
+    s = draw(st.sampled_from(EXPONENTS)) if s is None else s
+    seed = draw(st.integers(0, 2**32 - 1))
+    rng = np.random.default_rng(seed)
+    scale = 10.0 ** draw(st.integers(-3, 3))
+    values = scale * rng.standard_normal((n_t, n_x))
+    values[rng.random((n_t, n_x)) < draw(st.floats(0.0, 0.5))] = 0.0
+    grid = TimeGrid(horizon, n_t)
+    return BochnerFunction(grid, values, p=p, space_exponent=s, space_weight=weight)
+
+
+@st.composite
+def conjugate_pairs(draw):
+    """(u, v) on one grid and weight, with conjugate exponents in time and space."""
+    finite = st.sampled_from(EXPONENTS[1:])  # the conjugate of 1 is the sup norm
+    u = draw(bochner_functions(p=draw(finite), s=draw(finite)))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    v = BochnerFunction(
+        u.grid,
+        rng.standard_normal(u.values.shape),
+        p=u.p / (u.p - 1.0),
+        space_exponent=u.space_exponent / (u.space_exponent - 1.0),
+        space_weight=u.space_weight,
+    )
+    return u, v
+
+
+def fsum_spatial_norm(row, weight, s):
+    return math.fsum(weight * abs(float(x)) ** s for x in row) ** (1.0 / s)
+
+
+def fsum_norm(u):
+    nodes = [fsum_spatial_norm(row, u.space_weight, u.space_exponent) for row in u.values]
+    return math.fsum(u.grid.dt * n**u.p for n in nodes) ** (1.0 / u.p)
+
+
+def fsum_pairing(u, v):
+    """Exactly summed pairing and the exactly summed absolute terms."""
+    terms = [
+        u.grid.dt * u.space_weight * float(a) * float(b)
+        for a, b in zip(u.values.flat, v.values.flat)
+    ]
+    return math.fsum(terms), math.fsum(abs(t) for t in terms)
 
 
 def random_function(seed, n_t=7, n_x=5, p=2.0, s=2.0, horizon=1.0, weight=None):
@@ -202,6 +268,89 @@ class TestHolder:
         v = random_function(12, p=2.0)
         with pytest.raises(InvalidInputError):
             holder_pairing(u, v)
+
+
+class TestAscendingReductions:
+    @settings(max_examples=300, deadline=None)
+    @given(bochner_functions())
+    def test_spatial_norm_matches_fsum(self, u):
+        for row in u.values:
+            expected = fsum_spatial_norm(row, u.space_weight, u.space_exponent)
+            got = spatial_norm(row, u.space_weight, u.space_exponent)
+            assert abs(got - expected) <= (u.n_dim + 10) * EPS * expected
+
+    @settings(max_examples=300, deadline=None)
+    @given(bochner_functions())
+    def test_bochner_norm_matches_fsum(self, u):
+        expected = fsum_norm(u)
+        assert abs(bochner_norm(u) - expected) <= (u.n_dim + u.n_t + 10) * EPS * expected
+
+    @settings(max_examples=300, deadline=None)
+    @given(bochner_functions(p=2.0, s=2.0), st.integers(0, 2**32 - 1))
+    def test_inner_matches_fsum(self, u, seed):
+        v = u.with_values(np.random.default_rng(seed).standard_normal(u.values.shape))
+        exact, size = fsum_pairing(u, v)
+        assert abs(bochner_inner(u, v) - exact) <= (u.n_dim + u.n_t + 10) * EPS * size
+
+    @settings(max_examples=300, deadline=None)
+    @given(conjugate_pairs())
+    def test_holder_pairing_matches_fsum(self, pair):
+        u, v = pair
+        exact, size = fsum_pairing(u, v)
+        pairing, bound = holder_pairing(u, v)
+        assert abs(pairing - exact) <= (u.n_dim + u.n_t + 10) * EPS * size
+        assert bound == bochner_norm(u) * bochner_norm(v)
+
+    @settings(max_examples=200, deadline=None)
+    @given(bochner_functions())
+    def test_repeated_evaluation_bit_identical(self, u):
+        # a column-major copy and a strided row view change only the memory layout
+        other = u.with_values(np.asfortranarray(u.values))
+        assert bochner_norm(u) == bochner_norm(u) == bochner_norm(other)
+        row = u.values[-1]
+        strided = np.repeat(row, 2)[::2]
+        w, s = u.space_weight, u.space_exponent
+        assert spatial_norm(row, w, s) == spatial_norm(row, w, s) == spatial_norm(strided, w, s)
+        hilbert = BochnerFunction(u.grid, u.values, space_weight=w)
+        assert bochner_inner(hilbert, hilbert) == bochner_inner(hilbert, hilbert)
+        assert holder_pairing(hilbert, hilbert) == holder_pairing(hilbert, hilbert)
+
+    @settings(max_examples=200, deadline=None)
+    @given(bochner_functions(p=1.0, s=1.0), st.integers(0, 2**32 - 1))
+    def test_terms_added_in_ascending_order(self, u, seed):
+        # at p = s = 1 no power rounds, so only the summation order is left:
+        # it must be the scalar loop's, node by node and then over the nodes
+        assert bochner_norm(u) == loop_norm(u)
+        for row in u.values:
+            total = 0.0
+            for x in row:
+                total += u.space_weight * abs(x)
+            assert spatial_norm(row, u.space_weight, 1.0) == total
+        hilbert = BochnerFunction(u.grid, u.values, space_weight=u.space_weight)
+        other = hilbert.with_values(np.random.default_rng(seed).standard_normal(u.values.shape))
+        total = 0.0
+        for row_u, row_v in zip(hilbert.values, other.values):
+            node = 0.0
+            for a, b in zip(row_u, row_v):
+                node += hilbert.space_weight * a * b
+            total += hilbert.grid.dt * node
+        assert bochner_inner(hilbert, other) == total
+
+    def test_not_bit_identical_to_scalar_loop(self):
+        # NumPy's power is not libm's pow (Python's **), so some results round
+        # differently from the scalar loop (about 7% of these vectors at s = 3)
+        rng = np.random.default_rng(0)
+        differ = 0
+        for _ in range(500):
+            v = rng.standard_normal(64)
+            old = 0.0
+            for x in v:
+                old += (1.0 / 64) * abs(x) ** 3.0
+            old **= 1.0 / 3.0
+            new = spatial_norm(v, 1.0 / 64, 3.0)
+            assert abs(new - old) <= 4 * math.ulp(old)
+            differ += new != old
+        assert differ > 0
 
 
 class TestTranslate:

@@ -3,7 +3,10 @@
 The singular-value routine wraps the LAPACK SVD.  It is checked against an
 independent oracle, a Sturm-bisection eigensolver on the tridiagonalized
 normal matrix written here from scratch, and against LAPACK directly for
-shape handling.
+shape handling.  The Gaussian kernel's spectrum is checked against the
+continuous operator it discretizes (Gauss-Legendre Nystrom oracle).  The two
+ensemble probes are checked against their node-by-node definitions, kept
+here as scalar reference loops.
 """
 
 import math
@@ -34,11 +37,13 @@ from dynreg import (
     make_nonuniform_example,
     make_scaling_family,
     singular_values,
+    spatial_norm,
     stacked_spectrum,
     temporal_spectrum,
     translate,
     translation_modulus,
 )
+from nystrom import gaussian_nystrom_spectrum
 
 
 def tridiagonalize(matrix):
@@ -96,6 +101,52 @@ def bisection_singular_values(matrix):
                 b = mid
         eigs.append(0.5 * (a + b))
     return np.sqrt(np.maximum(sorted(eigs, reverse=True), 0.0))
+
+
+def loop_integrability_tail(forward, inputs, radii, q=1.0):
+    """Tail masses node by node: sup over inputs of sum_{||f_i|| > r} dt ||f_i||^q."""
+    dt = forward.time_grid.dt
+    node_norms = []
+    for theta in inputs:
+        f = apply_forward(forward, theta)
+        node_norms.append(
+            [spatial_norm(f.values[i], f.space_weight, f.space_exponent) for i in range(f.n_t)]
+        )
+    table = np.empty((len(radii), 2))
+    for row, r in enumerate(radii):
+        sup_mass = 0.0
+        for norms in node_norms:
+            mass = 0.0
+            for norm in norms:
+                if norm > r:
+                    mass += dt * norm**q
+            sup_mass = max(sup_mass, mass)
+        table[row] = (r, sup_mass)
+    return table
+
+
+def loop_translation_modulus(ensemble, shifts):
+    """Moduli through translate and a BochnerFunction difference per shift and member."""
+    table = np.empty((len(shifts), 2))
+    for row, z in enumerate(shifts):
+        worst = 0.0
+        for f in ensemble:
+            shifted = translate(f, z)
+            head = BochnerFunction(
+                shifted.grid, f.values[: shifted.n_t], f.p, f.space_exponent, f.space_weight
+            )
+            worst = max(worst, bochner_norm(shifted - head))
+        table[row] = (z, worst)
+    return table
+
+
+def unit_ball_ensemble(forward, size, seed):
+    """A constant-in-time member and size - 1 random draws, all of norm 1."""
+    shape = (forward.time_grid.n_t, forward.static.n_in)
+    rng = np.random.default_rng(seed)
+    members = [forward.source_template(np.ones(shape))]
+    members += [forward.source_template(rng.standard_normal(shape)) for _ in range(size - 1)]
+    return [f * (1.0 / bochner_norm(f)) for f in members]
 
 
 class TestAssembleDense:
@@ -188,10 +239,18 @@ class TestTemporalSpectrum:
         assert not report.rank_deficient
 
     def test_gaussian_decay(self):
-        problem = make_dct_analogue(2, 64, sigma=0.1)
-        report = temporal_spectrum(problem.forward, 0)
-        sigma = report.singular_values
-        assert sigma[19] / sigma[0] <= 1e-6
+        # the continuous operator's sigma_20/sigma_1 is 1.0657e-6 at sigma = 0.1;
+        # the midpoint rule approaches it at second order in dx
+        coarse = gaussian_nystrom_spectrum(100, 0.1)
+        continuous = gaussian_nystrom_spectrum(200, 0.1)
+        target = continuous[19] / continuous[0]
+        assert coarse[19] / coarse[0] == pytest.approx(target, rel=1e-9)
+        for n_x in (64, 128):
+            problem = make_dct_analogue(2, n_x, sigma=0.1)
+            sigma = temporal_spectrum(problem.forward, 0).singular_values
+            ratio = sigma[19] / sigma[0]
+            tolerance = 0.15 * (64 / n_x) ** 2  # measured 0.124, 0.032
+            assert abs(ratio / target - 1.0) <= tolerance, (n_x, ratio, target)
 
     def test_gaussian_decay_narrow_kernel(self):
         problem = make_dct_analogue(2, 64, sigma=0.05)
@@ -314,6 +373,22 @@ class TestIntegrabilityTail:
         with pytest.raises(InvalidInputError):
             integrability_tail(problem.forward, [big], [1.0])
 
+    @pytest.mark.parametrize("q", [1.0, 2.5])
+    def test_matches_node_by_node_loop(self, q):
+        forward = make_nonuniform_example(24, 6).forward
+        inputs = unit_ball_ensemble(forward, 6, seed=25)  # the sup switches member
+        norms = [
+            spatial_norm(row, f.space_weight, f.space_exponent)
+            for f in (apply_forward(forward, theta) for theta in inputs)
+            for row in f.values
+        ]
+        radii = [*np.quantile(norms, [0.1, 0.5, 0.8, 0.9, 0.95, 0.99]), 2.0 * max(norms)]
+        table = integrability_tail(forward, inputs, radii, q=q)
+        expected = loop_integrability_tail(forward, inputs, radii, q=q)
+        np.testing.assert_allclose(table, expected, rtol=1e-13, atol=0.0)
+        masses = [loop_integrability_tail(forward, [f], radii, q=q)[:-1, 1] for f in inputs]
+        assert len(set(np.argmax(masses, axis=0))) >= 2
+
     def test_rejects_bad_radii(self):
         problem = make_identity_problem(4, 2)
         member = problem.forward.source_template(np.zeros((4, 2)))
@@ -353,6 +428,29 @@ class TestTranslationModulus:
         solo = translation_modulus([loud], [grid.dt])[0, 1]
         both = translation_modulus([quiet, loud], [grid.dt])[0, 1]
         assert both == solo
+
+    @pytest.mark.parametrize("p, s", [(2.0, 2.0), (3.0, 1.5), (1.0, 3.0)])
+    def test_matches_translate_loop(self, p, s):
+        problem = make_nonuniform_example(24, 6)
+        forward = problem.forward
+        images = [apply_forward(forward, f) for f in unit_ball_ensemble(forward, 5, seed=8)]
+        ensemble = [
+            BochnerFunction(f.grid, f.values, p=p, space_exponent=s, space_weight=f.space_weight)
+            for f in images
+        ]
+        dt = forward.time_grid.dt
+        shifts = [k * dt for k in (0, 1, 2, 5, 11, 23)]
+        table = translation_modulus(ensemble, shifts)
+        expected = loop_translation_modulus(ensemble, shifts)
+        assert np.all(expected[1:, 1] > 0.0)
+        np.testing.assert_allclose(table, expected, rtol=1e-13, atol=0.0)
+
+    @pytest.mark.parametrize("steps", [-1, 4, 5])
+    def test_rejects_shift_outside_horizon(self, steps):
+        grid = TimeGrid(1.0, 4)
+        member = BochnerFunction(grid, np.zeros((4, 1)))
+        with pytest.raises(DomainError):
+            translation_modulus([member], [steps * grid.dt])
 
     def test_rejects_off_grid_shift(self):
         grid = TimeGrid(1.0, 4)
