@@ -17,6 +17,7 @@ scalar Python loop: NumPy's power need not round like libm's pow.
 from __future__ import annotations
 
 import csv
+import math
 import os
 import tempfile
 from dataclasses import dataclass
@@ -30,6 +31,12 @@ from .errors import (
     InvalidParameterError,
     UnsupportedGeometryError,
 )
+
+
+def _check_exponent(value: float, what: str) -> None:
+    """Norm exponents are finite reals >= 1; an infinite one would need a max-norm."""
+    if not 1.0 <= value < math.inf:
+        raise InvalidParameterError(f"{what} must be a finite real >= 1, got {value}")
 
 
 @dataclass(frozen=True)
@@ -76,8 +83,7 @@ class SpatialGrid:
             raise InvalidParameterError(f"need a < b, got [{self.a}, {self.b}]")
         if self.n_x < 1:
             raise InvalidParameterError(f"need at least one cell, got n_x={self.n_x}")
-        if self.exponent < 1.0:
-            raise InvalidParameterError(f"spatial exponent must be >= 1, got {self.exponent}")
+        _check_exponent(self.exponent, "spatial exponent")
 
     @property
     def dx(self) -> float:
@@ -127,10 +133,8 @@ class BochnerFunction:
             raise DimensionError("values need at least one spatial component")
         if not np.all(np.isfinite(arr)):
             raise InvalidInputError("values contain non-finite entries")
-        if p < 1.0:
-            raise InvalidParameterError(f"time exponent must be >= 1, got {p}")
-        if space_exponent < 1.0:
-            raise InvalidParameterError(f"space exponent must be >= 1, got {space_exponent}")
+        _check_exponent(p, "time exponent")
+        _check_exponent(space_exponent, "space exponent")
         if not space_weight > 0.0:
             raise InvalidParameterError(f"space weight must be positive, got {space_weight}")
         arr.setflags(write=False)
@@ -219,6 +223,7 @@ def _pairing(u: BochnerFunction, v: BochnerFunction) -> float:
 
 def spatial_norm(v: np.ndarray, weight: float, exponent: float) -> float:
     """Weighted discrete l^s norm of one spatial vector, ascending summation."""
+    _check_exponent(exponent, "spatial exponent")
     return float(_row_norms(np.asarray(v, dtype=float), weight, exponent))
 
 

@@ -184,8 +184,8 @@ def integrability_tail(
     the masses summed in ascending node order, so they equal this sum taken
     node by node to rounding level.
     """
-    if not q > 0.0:
-        raise InvalidParameterError(f"tail exponent must be positive, got {q}")
+    if not 0.0 < q < math.inf:
+        raise InvalidParameterError(f"tail exponent must be a finite positive real, got {q}")
     radii = [float(r) for r in radii]
     if not radii or any(not np.isfinite(r) or r <= 0.0 for r in radii):
         raise InvalidParameterError(f"radii must be positive reals, got {radii}")

@@ -347,11 +347,23 @@ def apply_adjoint(forward: DynamicForward, y: BochnerFunction) -> BochnerFunctio
     return forward.source_template(_adjoint_rows(forward, y.values))
 
 
+def _is_float(cell: str) -> bool:
+    try:
+        float(cell)
+    except ValueError:
+        return False
+    return True
+
+
 def load_kernel_csv(path: str, grid: TimeGrid) -> np.ndarray:
-    """Load kernel samples from CSV, one row per time index: `k,a`."""
+    """Load kernel samples from CSV, one row per time index: `k,a` or `a`.
+
+    The first row is a header, and skipped, when its last cell is not a
+    number.
+    """
     with open(path, newline="") as f:
         rows = [r for r in csv.reader(f) if r]
-    if rows and rows[0] and not rows[0][0].lstrip("-").replace(".", "", 1).isdigit():
+    if rows and rows[0] and not _is_float(rows[0][-1]):
         rows = rows[1:]  # optional header
     try:
         samples = [float(r[-1]) for r in rows]

@@ -89,8 +89,13 @@ class KaczmarzConfig:
 
     omega is the step size, either a positive real or "auto" (per
     sub-problem power-iteration estimate, omega_i = 0.9 / ||F_i||^2, which
-    keeps the per-sub-problem residual monotone in its own step).  tau are
-    the discrepancy factors (scalar or one per sub-problem, each >= 1).
+    keeps the per-sub-problem residual monotone in its own step).  The
+    estimate runs power_iterations steps on F_i* F_i from a start vector
+    seeded by power_seed + i.  Matrix-free, that costs 2 * power_iterations
+    sub-problem calls; when F_i has fewer data rows or unknowns than that,
+    F_i is assembled from min(n_data, n_in) calls on unit vectors instead,
+    with the same result to rounding level.  tau are the discrepancy
+    factors (scalar or one per sub-problem, each >= 1).
     memory is the number of remembered iterates for the multi-direction
     variant; memory = 1 is plain optimal-step Landweber-Kaczmarz, so a
     default config means the same method in both loops.  The CLI's
@@ -397,21 +402,59 @@ def _broadcast_taus(config: KaczmarzConfig, n: int) -> list[float]:
     return taus
 
 
+def _normal_operator(
+    sub: LinearSubproblem, n_in: int, iterations: int
+) -> Callable[[np.ndarray], np.ndarray]:
+    """The map v -> F_i* F_i v for a power iteration of `iterations` steps.
+
+    Matrix-free, each step costs two sub-problem calls.  When the smaller
+    side, min(n_data, n_in), is below 2 * iterations, F_i is assembled from
+    that many calls on unit vectors instead.  The weighted adjoint is
+    F_i* = (data_weight / unknown_weight) F_i^T, so with the data side
+    rows R = [F_i* e_r] = (data_weight / unknown_weight) F_i, and with the
+    unknown side rows C = [F_i e_k] = F_i^T:
+
+        F_i* F_i = (unknown_weight / data_weight) R^T R
+                 = (data_weight / unknown_weight) C C^T.
+
+    Both stay factored, so no n_in x n_in matrix is formed however long
+    the other side is.
+    """
+    n_data = sub.data.shape[0]
+    if min(n_data, n_in) >= 2 * iterations:
+        return lambda v: np.asarray(sub.adjoint(sub.apply(v)), dtype=float)
+    if n_data < n_in:
+        rows = np.array([sub.adjoint(e) for e in np.eye(n_data)], dtype=float)
+        scale = sub.unknown_weight / sub.data_weight
+        return lambda v: scale * (rows.T @ (rows @ v))
+    cols = np.array([sub.apply(e) for e in np.eye(n_in)], dtype=float)
+    scale = sub.data_weight / sub.unknown_weight
+    return lambda v: scale * (cols @ (cols.T @ v))
+
+
 def _estimate_omegas(
     subproblems: Sequence[LinearSubproblem],
     config: KaczmarzConfig,
     start: np.ndarray,
 ) -> list[float]:
-    """Per-sub-problem steps 0.9 / ||F_i||^2 via power iteration on F_i* F_i."""
+    """Per-sub-problem steps 0.9 / ||F_i||^2 via power iteration on F_i* F_i.
+
+    Each sub-problem runs config.power_iterations steps from the start
+    vector seeded by power_seed + index, stopping early if an iterate maps
+    to zero.  F_i* F_i is applied matrix-free or through F_i assembled on
+    its shorter side, whichever takes fewer sub-problem calls (see
+    _normal_operator); the two agree to rounding level.
+    """
     if not isinstance(config.omega, str):
         return [float(config.omega)] * len(subproblems)
     omegas = []
     for idx, sub in enumerate(subproblems):
+        normal = _normal_operator(sub, start.shape[0], config.power_iterations)
         rng = np.random.default_rng(config.power_seed + idx)
         v = rng.standard_normal(start.shape)
         lam = 0.0
         for _ in range(config.power_iterations):
-            w = np.asarray(sub.adjoint(sub.apply(v)), dtype=float)
+            w = normal(v)
             norm = math.sqrt(float(w @ w))
             if norm == 0.0:
                 lam = 0.0
@@ -563,7 +606,9 @@ def kaczmarz_multi_direction(
             trace.append((n, i, res, math.nan, math.nan))
             if res > taus[i] * sub.noise_level:
                 cycle_met = False
-            directions = [np.asarray(sub.adjoint(sub.residual(xk)), dtype=float) for xk in history]
+            # history[-1] is x, whose residual r is already known
+            past = [sub.residual(xk) for xk in list(history)[:-1]]
+            directions = [np.asarray(sub.adjoint(rk), dtype=float) for rk in past + [r]]
             images = [np.asarray(sub.apply(d), dtype=float) for d in directions]
             gram = sub.data_weight * np.array([[float(a @ b) for b in images] for a in images])
             damping = 1e-12 * float(np.trace(gram))

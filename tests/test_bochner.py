@@ -143,6 +143,28 @@ class TestGrids:
             SpatialGrid(1.0, 0.0, 4)
 
 
+BAD_EXPONENTS = [math.inf, -math.inf, math.nan, 0.5, 0.0]
+
+
+@pytest.mark.parametrize("exponent", BAD_EXPONENTS)
+def test_spatial_grid_rejects_bad_exponent(exponent):
+    with pytest.raises(InvalidParameterError):
+        SpatialGrid(0.0, 1.0, 4, exponent)
+
+
+@pytest.mark.parametrize("exponent", BAD_EXPONENTS)
+@pytest.mark.parametrize("which", ["p", "space_exponent"])
+def test_bochner_function_rejects_bad_exponent(which, exponent):
+    with pytest.raises(InvalidParameterError):
+        BochnerFunction(TimeGrid(1.0, 2), [[0.5], [5.0]], **{which: exponent})
+
+
+@pytest.mark.parametrize("exponent", BAD_EXPONENTS)
+def test_spatial_norm_rejects_bad_exponent(exponent):
+    with pytest.raises(InvalidParameterError):
+        spatial_norm(np.array([3.0, 4.0]), 1.0, exponent)
+
+
 class TestBochnerFunction:
     def test_rejects_nan(self):
         grid = TimeGrid(1.0, 2)

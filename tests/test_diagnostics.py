@@ -367,6 +367,13 @@ class TestIntegrabilityTail:
             masses.append(integrability_tail(forward, [constant], [4.0], q=1.0)[0, 1])
         assert masses[1] > masses[0]
 
+    @pytest.mark.parametrize("q", [math.inf, -math.inf, math.nan, 0.0, -1.0])
+    def test_rejects_bad_exponent(self, q):
+        problem = make_identity_problem(4, 2)
+        unit = problem.truth * (1.0 / bochner_norm(problem.truth))
+        with pytest.raises(InvalidParameterError):
+            integrability_tail(problem.forward, [unit], [1.0], q=q)
+
     def test_rejects_input_outside_unit_ball(self):
         problem = make_identity_problem(4, 2)
         big = problem.forward.source_template(np.full((4, 2), 10.0))

@@ -10,6 +10,7 @@ from dynreg import (
     BochnerFunction,
     DimensionError,
     DynamicForward,
+    InvalidInputError,
     InvalidParameterError,
     OBSERVE_THEN_ACCUMULATE,
     OperatorFamily,
@@ -22,6 +23,7 @@ from dynreg import (
     bochner_norm,
     compose,
     identity_family,
+    load_kernel_csv,
     make_causal_kernel,
     make_dct_analogue,
     make_gaussian_smoothing,
@@ -239,6 +241,27 @@ class TestCausalKernel:
     def test_rejects_length_mismatch(self):
         with pytest.raises(DimensionError):
             make_causal_kernel(TimeGrid(1.0, 4), np.ones(3))
+
+
+class TestKernelCsv:
+    SAMPLES = ["1e-3", "+2.5", "-3E+2", ".5"]
+
+    @pytest.mark.parametrize("header", [None, "a", "k,a"])
+    @pytest.mark.parametrize("columns", [1, 2])
+    def test_samples_and_optional_header(self, tmp_path, header, columns):
+        rows = [s if columns == 1 else f"{k},{s}" for k, s in enumerate(self.SAMPLES)]
+        if header is not None:
+            rows.insert(0, header)
+        path = tmp_path / "kernel.csv"
+        path.write_text("\n".join(rows) + "\n")
+        kernel = load_kernel_csv(str(path), TimeGrid(1.0, 4))
+        np.testing.assert_array_equal(kernel, [1e-3, 2.5, -300.0, 0.5])
+
+    def test_unparsable_row(self, tmp_path):
+        path = tmp_path / "kernel.csv"
+        path.write_text("k,a\n0,1\n1,x\n")
+        with pytest.raises(InvalidInputError):
+            load_kernel_csv(str(path), TimeGrid(1.0, 2))
 
 
 class TestApplyForward:

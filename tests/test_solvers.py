@@ -49,6 +49,7 @@ from dynreg import (
     time_subproblems,
 )
 from dynreg.bochner import SpatialGrid, TimeGrid
+from dynreg.solvers import _estimate_omegas
 
 
 def matrix_subproblem(m: np.ndarray, y: np.ndarray, level: float) -> LinearSubproblem:
@@ -93,6 +94,56 @@ def forward_and_data(name: str, n_t: int, n_x: int):
     kernel = make_causal_kernel(grid, np.exp(-grid.nodes))
     forward = DynamicForward(OBSERVE_THEN_ACCUMULATE, fam, grid, kernel)
     return forward, apply_forward(forward, forward.source_template(np.ones((n_t, n_x))))
+
+
+def counted(sub: LinearSubproblem, counts: dict) -> LinearSubproblem:
+    """The same sub-problem with its apply and adjoint calls counted in counts."""
+
+    def tally(name, fn):
+        def call(v):
+            counts[name] = counts.get(name, 0) + 1
+            return fn(v)
+
+        return call
+
+    return LinearSubproblem(
+        apply=tally("apply", sub.apply),
+        adjoint=tally("adjoint", sub.adjoint),
+        data=sub.data,
+        noise_level=sub.noise_level,
+        data_weight=sub.data_weight,
+        unknown_weight=sub.unknown_weight,
+    )
+
+
+def weighted_subproblem(m: np.ndarray, data_weight: float, unknown_weight: float):
+    """F x = m x, with the adjoint taken in the weighted inner products."""
+    return LinearSubproblem(
+        apply=lambda x: m @ x,
+        adjoint=lambda r: (data_weight / unknown_weight) * (m.T @ r),
+        data=np.zeros(m.shape[0]),
+        noise_level=0.0,
+        data_weight=data_weight,
+        unknown_weight=unknown_weight,
+    )
+
+
+def matrix_free_omegas(subs, n_in: int, config: KaczmarzConfig) -> list[float]:
+    """The power iteration on F_i* F_i through two sub-problem calls per step."""
+    omegas = []
+    for idx, sub in enumerate(subs):
+        v = np.random.default_rng(config.power_seed + idx).standard_normal(n_in)
+        lam = 0.0
+        for _ in range(config.power_iterations):
+            w = np.asarray(sub.adjoint(sub.apply(v)), dtype=float)
+            norm = math.sqrt(float(w @ w))
+            if norm == 0.0:
+                lam = 0.0
+                break
+            lam = float(w @ v) / float(v @ v)
+            v = w / norm
+        omegas.append(0.9 / lam if lam > 0.0 else 1.0)
+    return omegas
 
 
 def stacked_residual(mats, ys, x) -> float:
@@ -433,6 +484,86 @@ class TestLandweberKaczmarz:
             matrix_subproblem(np.eye(2), np.ones(2), -1.0)
 
 
+class TestStepEstimate:
+    """omega = "auto": power iteration on F_i* F_i, matrix-free or assembled.
+
+    Assembly takes min(n_data, n_in) sub-problem calls, the matrix-free loop
+    2 * power_iterations; the cheaper one runs.  Shapes below take the data
+    side (mpi: one output per node), the unknown side (dct, nonuniform, ota:
+    n_x outputs per node) and the matrix-free loop (nonuniform 128 x 64).
+    """
+
+    @pytest.mark.parametrize(
+        "name, n_t, n_x, sections",
+        [(name, 12, 8, s) for name in ("mpi", "dct", "nonuniform", "ota") for s in (None, 3)]
+        + [("mpi", 96, 32, 8), ("mpi", 12, 80, 3), ("dct", 16, 8, 8), ("ota", 16, 8, 8),
+           ("nonuniform", 16, 8, 8)],
+    )
+    def test_assembled_matches_matrix_free(self, name, n_t, n_x, sections):
+        forward, data = forward_and_data(name, n_t, n_x)
+        subs = time_subproblems(forward, data, 1e-2, sections=sections)
+        config = KaczmarzConfig()
+        got = _estimate_omegas(subs, config, np.zeros(n_x))
+        np.testing.assert_allclose(got, matrix_free_omegas(subs, n_x, config), rtol=1e-12)
+
+    def test_matrix_free_when_both_sides_are_long(self):
+        forward, data = forward_and_data("nonuniform", 128, 64)
+        subs = time_subproblems(forward, data, 1e-2, sections=8)
+        config = KaczmarzConfig()
+        got = _estimate_omegas(subs, config, np.zeros(64))
+        assert np.array_equal(got, matrix_free_omegas(subs, 64, config))
+
+    @pytest.mark.parametrize("shape", [(5, 40), (40, 5), (6, 6)], ids=["data", "unknown", "tie"])
+    def test_weighted_subproblem(self, shape):
+        # singular values 1, 1/2, 1/4, ...: 30 steps converge to rounding level
+        rng = np.random.default_rng(30)
+        k = min(shape)
+        u = np.linalg.qr(rng.standard_normal((shape[0], k)))[0]
+        v = np.linalg.qr(rng.standard_normal((shape[1], k)))[0]
+        m = (u * 0.5 ** np.arange(k)) @ v.T
+        subs = [weighted_subproblem(m, 0.5, 0.125), weighted_subproblem(2.0 * m, 0.125, 0.5)]
+        config = KaczmarzConfig()
+        got = _estimate_omegas(subs, config, np.zeros(shape[1]))
+        np.testing.assert_allclose(got, matrix_free_omegas(subs, shape[1], config), rtol=1e-12)
+        # F_0* F_0 = 4 m^T m and F_1* F_1 = m^T m
+        np.testing.assert_allclose(got, [0.9 / 4.0, 0.9], rtol=1e-12)
+
+    @pytest.mark.parametrize(
+        "shape, iterations, expected",
+        [
+            ((3, 50), 30, {"adjoint": 3}),
+            ((50, 3), 30, {"apply": 3}),
+            ((7, 7), 30, {"apply": 7}),
+            ((70, 70), 30, {"apply": 30, "adjoint": 30}),
+            ((5, 8), 2, {"apply": 2, "adjoint": 2}),
+            ((4, 8), 2, {"apply": 2, "adjoint": 2}),
+            ((3, 8), 2, {"adjoint": 3}),
+        ],
+    )
+    def test_calls_follow_the_cheaper_side(self, shape, iterations, expected):
+        m = np.random.default_rng(31).standard_normal(shape)
+        counts: dict = {}
+        sub = counted(weighted_subproblem(m, 1.0, 1.0), counts)
+        _estimate_omegas([sub], KaczmarzConfig(power_iterations=iterations), np.zeros(shape[1]))
+        assert counts == expected
+
+    def test_mpi_sections_call_counts(self):
+        """The Kaczmarz call of the causal-solve benchmark: 12 data rows per section."""
+        forward, data = forward_and_data("mpi", 96, 32)
+        tallies = [{} for _ in range(8)]
+        subs = [
+            counted(sub, c)
+            for sub, c in zip(time_subproblems(forward, data, 1e-3, sections=8), tallies)
+        ]
+        _estimate_omegas(subs, KaczmarzConfig(), np.zeros(32))
+        assert tallies == [{"adjoint": 12}] * 8
+
+    def test_zero_operator_gives_unit_step(self):
+        for shape in [(3, 50), (50, 3), (70, 70)]:
+            sub = weighted_subproblem(np.zeros(shape), 1.0, 1.0)
+            assert _estimate_omegas([sub], KaczmarzConfig(), np.zeros(shape[1])) == [1.0]
+
+
 class TestMultiDirection:
     def test_memory_one_is_optimal_scalar_step(self):
         rng = np.random.default_rng(9)
@@ -473,6 +604,16 @@ class TestMultiDirection:
                 )
                 finals[memory] = stacked_residual(mats, ys, report.reconstruction)
             assert finals[3] <= finals[1] * (1 + 1e-9)
+
+    def test_current_residual_is_reused(self):
+        """Per step: one residual at x, one per earlier remembered iterate, one
+        image per direction; plus one residual per sub-problem for the guard."""
+        m = np.random.default_rng(14).standard_normal((6, 4))
+        counts: dict = {}
+        sub = counted(matrix_subproblem(m, np.ones(6), 0.0), counts)
+        kaczmarz_multi_direction([sub], KaczmarzConfig(memory=3, max_sweeps=4), np.zeros(4))
+        remembered = [1, 2, 3, 3]
+        assert counts == {"apply": 1 + sum(2 * h for h in remembered), "adjoint": sum(remembered)}
 
     def test_non_finite_residual_raises(self):
         sub = nan_subproblem()
