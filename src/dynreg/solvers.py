@@ -89,13 +89,11 @@ class KaczmarzConfig:
 
     omega is the step size, either a positive real or "auto" (per
     sub-problem power-iteration estimate, omega_i = 0.9 / ||F_i||^2, which
-    keeps the per-sub-problem residual monotone in its own step).  The
-    estimate runs power_iterations steps on F_i* F_i from a start vector
-    seeded by power_seed + i.  Matrix-free, that costs 2 * power_iterations
-    sub-problem calls; when F_i has fewer data rows or unknowns than that,
-    F_i is assembled from min(n_data, n_in) calls on unit vectors instead,
-    with the same result to rounding level.  tau are the discrepancy
-    factors (scalar or one per sub-problem, each >= 1).
+    keeps the per-sub-problem residual monotone in its own step), from
+    power_iterations steps on F_i* F_i seeded by power_seed + i; a
+    sub-problem with few data rows is assembled first, which takes fewer
+    calls.  tau are the discrepancy factors (scalar or one per
+    sub-problem, each >= 1).
     memory is the number of remembered iterates for the multi-direction
     variant; memory = 1 is plain optimal-step Landweber-Kaczmarz, so a
     default config means the same method in both loops.  The CLI's
@@ -134,7 +132,9 @@ class LinearSubproblem:
     apply/adjoint evaluate F_i and its adjoint with respect to the weighted
     inner products (data_weight on the data side, unknown_weight on the
     unknown side).  noise_level is this sub-problem's share delta_i of the
-    noise budget.
+    noise budget.  KaczmarzConfig's omega = "auto" relies on the adjoint
+    being exact in those weighted inner products: with a plain transpose
+    and data_weight != unknown_weight its step is off by their ratio.
     """
 
     apply: Callable[[np.ndarray], np.ndarray]
@@ -403,33 +403,27 @@ def _broadcast_taus(config: KaczmarzConfig, n: int) -> list[float]:
 
 
 def _normal_operator(
-    sub: LinearSubproblem, n_in: int, iterations: int
+    sub: LinearSubproblem, iterations: int
 ) -> Callable[[np.ndarray], np.ndarray]:
     """The map v -> F_i* F_i v for a power iteration of `iterations` steps.
 
-    Matrix-free, each step costs two sub-problem calls.  When the smaller
-    side, min(n_data, n_in), is below 2 * iterations, F_i is assembled from
-    that many calls on unit vectors instead.  The weighted adjoint is
-    F_i* = (data_weight / unknown_weight) F_i^T, so with the data side
-    rows R = [F_i* e_r] = (data_weight / unknown_weight) F_i, and with the
-    unknown side rows C = [F_i e_k] = F_i^T:
+    Matrix-free, each step costs two sub-problem calls.  When F_i has
+    fewer than 2 * iterations data rows, its rows are assembled instead,
+    one adjoint call per unit data vector: the weighted adjoint is
+    F_i* = (data_weight / unknown_weight) F_i^T, so R = [F_i* e_r] =
+    (data_weight / unknown_weight) F_i and
 
-        F_i* F_i = (unknown_weight / data_weight) R^T R
-                 = (data_weight / unknown_weight) C C^T.
+        F_i* F_i = (unknown_weight / data_weight) R^T R,
 
-    Both stay factored, so no n_in x n_in matrix is formed however long
-    the other side is.
+    kept factored (two mat-vecs per step, no n_in x n_in matrix).  The
+    two agree to rounding level.
     """
     n_data = sub.data.shape[0]
-    if min(n_data, n_in) >= 2 * iterations:
+    if n_data >= 2 * iterations:
         return lambda v: np.asarray(sub.adjoint(sub.apply(v)), dtype=float)
-    if n_data < n_in:
-        rows = np.array([sub.adjoint(e) for e in np.eye(n_data)], dtype=float)
-        scale = sub.unknown_weight / sub.data_weight
-        return lambda v: scale * (rows.T @ (rows @ v))
-    cols = np.array([sub.apply(e) for e in np.eye(n_in)], dtype=float)
-    scale = sub.data_weight / sub.unknown_weight
-    return lambda v: scale * (cols @ (cols.T @ v))
+    rows = np.array([sub.adjoint(e) for e in np.eye(n_data)], dtype=float)
+    scale = sub.unknown_weight / sub.data_weight
+    return lambda v: scale * (rows.T @ (rows @ v))
 
 
 def _estimate_omegas(
@@ -441,15 +435,13 @@ def _estimate_omegas(
 
     Each sub-problem runs config.power_iterations steps from the start
     vector seeded by power_seed + index, stopping early if an iterate maps
-    to zero.  F_i* F_i is applied matrix-free or through F_i assembled on
-    its shorter side, whichever takes fewer sub-problem calls (see
-    _normal_operator); the two agree to rounding level.
+    to zero; see _normal_operator for how F_i* F_i is applied.
     """
     if not isinstance(config.omega, str):
         return [float(config.omega)] * len(subproblems)
     omegas = []
     for idx, sub in enumerate(subproblems):
-        normal = _normal_operator(sub, start.shape[0], config.power_iterations)
+        normal = _normal_operator(sub, config.power_iterations)
         rng = np.random.default_rng(config.power_seed + idx)
         v = rng.standard_normal(start.shape)
         lam = 0.0

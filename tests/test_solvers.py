@@ -487,10 +487,11 @@ class TestLandweberKaczmarz:
 class TestStepEstimate:
     """omega = "auto": power iteration on F_i* F_i, matrix-free or assembled.
 
-    Assembly takes min(n_data, n_in) sub-problem calls, the matrix-free loop
-    2 * power_iterations; the cheaper one runs.  Shapes below take the data
-    side (mpi: one output per node), the unknown side (dct, nonuniform, ota:
-    n_x outputs per node) and the matrix-free loop (nonuniform 128 x 64).
+    A sub-problem with n_data < 2 * power_iterations data rows is assembled
+    from n_data adjoint calls, else the loop takes two calls per step.
+    Shapes below take both paths: mpi has one output per node, dct,
+    nonuniform and ota n_x, so 12 x 8 unsectioned is 96 rows (matrix-free)
+    and with 3 sections 32 rows (assembled).
     """
 
     @pytest.mark.parametrize(
@@ -506,14 +507,14 @@ class TestStepEstimate:
         got = _estimate_omegas(subs, config, np.zeros(n_x))
         np.testing.assert_allclose(got, matrix_free_omegas(subs, n_x, config), rtol=1e-12)
 
-    def test_matrix_free_when_both_sides_are_long(self):
+    def test_matrix_free_with_many_data_rows(self):
         forward, data = forward_and_data("nonuniform", 128, 64)
         subs = time_subproblems(forward, data, 1e-2, sections=8)
         config = KaczmarzConfig()
         got = _estimate_omegas(subs, config, np.zeros(64))
         assert np.array_equal(got, matrix_free_omegas(subs, 64, config))
 
-    @pytest.mark.parametrize("shape", [(5, 40), (40, 5), (6, 6)], ids=["data", "unknown", "tie"])
+    @pytest.mark.parametrize("shape", [(5, 40), (40, 5), (70, 6)], ids=["wide", "tall", "long"])
     def test_weighted_subproblem(self, shape):
         # singular values 1, 1/2, 1/4, ...: 30 steps converge to rounding level
         rng = np.random.default_rng(30)
@@ -532,15 +533,15 @@ class TestStepEstimate:
         "shape, iterations, expected",
         [
             ((3, 50), 30, {"adjoint": 3}),
-            ((50, 3), 30, {"apply": 3}),
-            ((7, 7), 30, {"apply": 7}),
+            ((50, 3), 30, {"adjoint": 50}),
+            ((59, 70), 30, {"adjoint": 59}),
+            ((60, 3), 30, {"apply": 30, "adjoint": 30}),
             ((70, 70), 30, {"apply": 30, "adjoint": 30}),
-            ((5, 8), 2, {"apply": 2, "adjoint": 2}),
-            ((4, 8), 2, {"apply": 2, "adjoint": 2}),
             ((3, 8), 2, {"adjoint": 3}),
+            ((4, 8), 2, {"apply": 2, "adjoint": 2}),
         ],
     )
-    def test_calls_follow_the_cheaper_side(self, shape, iterations, expected):
+    def test_calls_follow_the_data_rows(self, shape, iterations, expected):
         m = np.random.default_rng(31).standard_normal(shape)
         counts: dict = {}
         sub = counted(weighted_subproblem(m, 1.0, 1.0), counts)
@@ -559,7 +560,7 @@ class TestStepEstimate:
         assert tallies == [{"adjoint": 12}] * 8
 
     def test_zero_operator_gives_unit_step(self):
-        for shape in [(3, 50), (50, 3), (70, 70)]:
+        for shape in [(3, 50), (50, 3), (70, 6)]:
             sub = weighted_subproblem(np.zeros(shape), 1.0, 1.0)
             assert _estimate_omegas([sub], KaczmarzConfig(), np.zeros(shape[1])) == [1.0]
 
