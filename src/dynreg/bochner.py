@@ -144,13 +144,6 @@ class BochnerFunction:
         self.space_exponent = float(space_exponent)
         self.space_weight = float(space_weight)
 
-    @classmethod
-    def from_grids(
-        cls, grid: TimeGrid, space: SpatialGrid, values, p: float = 2.0
-    ) -> "BochnerFunction":
-        """Construct with spatial norm data taken from a SpatialGrid."""
-        return cls(grid, values, p=p, space_exponent=space.exponent, space_weight=space.dx)
-
     @property
     def n_t(self) -> int:
         return self.values.shape[0]
@@ -162,9 +155,6 @@ class BochnerFunction:
     def with_values(self, values) -> "BochnerFunction":
         """Same geometry, new values."""
         return BochnerFunction(self.grid, values, self.p, self.space_exponent, self.space_weight)
-
-    def node(self, i: int) -> np.ndarray:
-        return self.values[i]
 
     def _require_same_geometry(self, other: "BochnerFunction") -> None:
         if self.grid != other.grid or self.n_dim != other.n_dim:

@@ -225,14 +225,8 @@ def _validate(cfg: ExperimentConfig, path: str, explicit: set[str]) -> None:
         )
     if cfg.window is not None and cfg.window > cfg.n_x:
         raise ConfigError(f"{path}: window {cfg.window} exceeds n_x = {cfg.n_x}")
-    if not 0.0 < cfg.fraction <= 1.0:
-        raise ConfigError(f"{path}: noise fraction must lie in (0, 1], got {cfg.fraction}")
     if cfg.method not in _METHODS:
         raise ConfigError(f"{path}: unknown method {cfg.method!r}, pick one of {list(_METHODS)}")
-    if not 0.0 < cfg.rule_exponent < 2.0:
-        raise ConfigError(f"{path}: rule_exponent must lie in (0, 2), got {cfg.rule_exponent}")
-    if cfg.max_sweeps < 0:
-        raise ConfigError(f"{path}: max_sweeps must be >= 0, got {cfg.max_sweeps}")
     if cfg.sections is not None and cfg.sections > cfg.n_t:
         raise ConfigError(f"{path}: sections {cfg.sections} exceeds n_t = {cfg.n_t}")
     if cfg.method == "tikhonov_temporal" and cfg.kind == "mpi":
@@ -253,6 +247,35 @@ def _validate(cfg: ExperimentConfig, path: str, explicit: set[str]) -> None:
         raise ConfigError(f"{path}: time_index {cfg.time_index} outside [0, {cfg.n_t})")
     if "shift_steps" in explicit and any(k >= cfg.n_t for k in cfg.shift_steps):
         raise ConfigError(f"{path}: shift steps must stay below n_t = {cfg.n_t}")
+    _check_library_values(cfg, path)
+
+
+# The keys each library object takes, in its argument order.  A value the
+# parser accepts but the object rejects (tol = 2, tau = 0.5) is a config
+# error, not a numeric failure of the run.
+_LIBRARY_OBJECTS = (
+    ("noise", ("delta", "seed", "fraction"), NoiseSpec),
+    ("solver", ("tol", "max_iter"), TikhonovConfig),
+    ("solver", ("omega", "tau", "max_sweeps", "memory"), KaczmarzConfig),
+    ("solver", ("rule_scale", "rule_exponent"), ParameterRule),
+)
+
+
+def _check_library_values(cfg: ExperimentConfig, path: str) -> None:
+    """Build each library object from the config, one key at a time.
+
+    The other keys keep their defaults, which every object accepts, so an
+    error names the one key at fault.
+    """
+    defaults = ExperimentConfig(cfg.kind)
+    for section, keys, build in _LIBRARY_OBJECTS:
+        for key in keys:
+            value = getattr(cfg, key)
+            one = replace(defaults, **{key: value})
+            try:
+                build(*(getattr(one, k) for k in keys))
+            except InvalidParameterError as exc:
+                raise ConfigError(f"{path}: [{section}] {key} = {value!r}: {exc}") from exc
 
 
 def _build_problem(cfg: ExperimentConfig) -> ProblemInstance:
@@ -503,6 +526,10 @@ def main(argv=None) -> int:
     try:
         cfg = load_config(args.config)
         if args.seed is not None:
+            try:
+                NoiseSpec(cfg.delta, args.seed, cfg.fraction)
+            except InvalidParameterError as exc:
+                raise ConfigError(f"--seed {args.seed}: {exc}") from exc
             cfg = replace(cfg, seed=args.seed)
         if args.out is not None:
             cfg = replace(cfg, out_dir=args.out)

@@ -24,7 +24,14 @@ from .errors import (
     ResourceLimitError,
     UnsupportedKindError,
 )
-from .operators import DynamicForward, OperatorFamily, POINTWISE, apply_adjoint, apply_forward
+from .operators import (
+    DynamicForward,
+    OperatorFamily,
+    POINTWISE,
+    _adjoint_rows,
+    _forward_rows,
+    apply_forward,
+)
 
 SIZE_GUARD = 2_000_000  # max entries of any dense assembly
 
@@ -43,12 +50,6 @@ class SpectrumReport:
     singular_values: np.ndarray
     condition: float
     rank_deficient: bool
-
-
-def _unit_impulse(n: int, j: int) -> np.ndarray:
-    e = np.zeros(n)
-    e[j] = 1.0
-    return e
 
 
 def _guard(rows: int, cols: int, what: str) -> None:
@@ -72,54 +73,38 @@ def assemble_dense(
     defaults to 0; for a DynamicForward with time_index set, the map must
     be pointwise.
 
-    With adjoint=True the adjoint operator is assembled instead (through
-    adjoint_apply / apply_adjoint on unit impulses).
+    Column c is the image of the c-th unit impulse, of the adjoint map with
+    adjoint=True; one impulse vector is reused for every column.
     """
-    if isinstance(op, OperatorFamily):
-        i = 0 if time_index is None else time_index
-        fam = op
-        _guard(fam.n_out, fam.n_in, "frozen-time assembly")
-        if adjoint:
-            fold = math.sqrt(fam.in_weight / fam.out_weight)
-            cols = [fam.adjoint_apply(i, _unit_impulse(fam.n_out, r)) for r in range(fam.n_out)]
-            return fold * np.array(cols, dtype=float).T
-        fold = math.sqrt(fam.out_weight / fam.in_weight)
-        cols = [fam.apply(i, _unit_impulse(fam.n_in, j)) for j in range(fam.n_in)]
-        return fold * np.array(cols, dtype=float).T
-    forward = op
-    if time_index is not None:
-        if forward.kind != POINTWISE:
+    if isinstance(op, DynamicForward) and time_index is not None:
+        if op.kind != POINTWISE:
             raise UnsupportedKindError(
-                f"frozen-time assembly needs a pointwise map, not {forward.kind}"
+                f"frozen-time assembly needs a pointwise map, not {op.kind}"
             )
-        if not 0 <= time_index < forward.time_grid.n_t:
+        if not 0 <= time_index < op.time_grid.n_t:
             raise DomainError(
-                f"time index {time_index} outside [0, {forward.time_grid.n_t})"
+                f"time index {time_index} outside [0, {op.time_grid.n_t})"
             )
-        return assemble_dense(forward.static, time_index, adjoint=adjoint)
-    n_t = forward.time_grid.n_t
-    n_in, n_out = forward.static.n_in, forward.static.n_out
-    _guard(n_t * n_out, n_t * n_in, "stacked assembly")
-    if adjoint:
-        fold = math.sqrt(forward.static.in_weight / forward.static.out_weight)
-        M = np.empty((n_t * n_in, n_t * n_out))
-        impulse = np.zeros((n_t, n_out))
-        for l in range(n_t):
-            for r in range(n_out):
-                impulse[l, r] = 1.0
-                image = apply_adjoint(forward, forward.data_template(impulse))
-                M[:, l * n_out + r] = fold * image.values.ravel()
-                impulse[l, r] = 0.0
-        return M
-    fold = math.sqrt(forward.static.out_weight / forward.static.in_weight)
+        op = op.static
+    if isinstance(op, OperatorFamily):
+        fam, n_t, what = op, 1, "frozen-time assembly"
+        i = 0 if time_index is None else time_index
+        image = fam.adjoint_apply if adjoint else fam.apply
+        column = lambda impulse: image(i, impulse)
+    else:
+        fam, n_t, what = op.static, op.time_grid.n_t, "stacked assembly"
+        rows = _adjoint_rows if adjoint else _forward_rows
+        column = lambda impulse: rows(op, impulse.reshape(n_t, -1))
+    n_in, n_out = (fam.n_out, fam.n_in) if adjoint else (fam.n_in, fam.n_out)
+    w_in, w_out = (fam.out_weight, fam.in_weight) if adjoint else (fam.in_weight, fam.out_weight)
+    _guard(n_t * n_out, n_t * n_in, what)
+    fold = math.sqrt(w_out / w_in)
     M = np.empty((n_t * n_out, n_t * n_in))
-    impulse = np.zeros((n_t, n_in))
-    for l in range(n_t):
-        for j in range(n_in):
-            impulse[l, j] = 1.0
-            image = apply_forward(forward, forward.source_template(impulse))
-            M[:, l * n_in + j] = fold * image.values.ravel()
-            impulse[l, j] = 0.0
+    impulse = np.zeros(n_t * n_in)
+    for c in range(n_t * n_in):
+        impulse[c] = 1.0
+        M[:, c] = fold * np.ravel(column(impulse))
+        impulse[c] = 0.0
     return M
 
 

@@ -12,8 +12,9 @@ functions, in one of three patterns:
 Adjoints are taken with respect to the weighted discrete inner products on
 both sides; the adjoint of a causal sum is the matching anticausal sum.
 _forward_rows and _adjoint_rows are the one evaluation path: apply_forward,
-apply_adjoint and every Kaczmarz sub-problem (solvers.time_subproblems)
-evaluate the map through them, on all nodes or on a block of rows.
+apply_adjoint, every Kaczmarz sub-problem (solvers.time_subproblems) and the
+stacked dense assembly (diagnostics.assemble_dense) evaluate the map through
+them, on all nodes or on a block of rows.
 """
 
 from __future__ import annotations
@@ -24,7 +25,7 @@ from typing import Callable, Optional, Sequence
 
 import numpy as np
 
-from .bochner import BochnerFunction, SpatialGrid, TimeGrid
+from .bochner import BochnerFunction, SpatialGrid, TimeGrid, _check_exponent
 from .errors import DimensionError, InvalidInputError, InvalidParameterError
 
 POINTWISE = "pointwise"
@@ -186,7 +187,8 @@ class DynamicForward:
     kind selects the composition pattern (see module docstring).  The two
     accumulation kinds require kernel samples on the grid's lags; the
     pointwise kind must not carry a kernel.  The exponent fields fix the
-    Bochner geometry of source and data space.
+    Bochner geometry of source and data space; each must be a finite real
+    >= 1.
     """
 
     kind: str
@@ -208,6 +210,9 @@ class DynamicForward:
             if self.kernel is None:
                 raise InvalidParameterError(f"{self.kind} needs kernel samples")
             object.__setattr__(self, "kernel", make_causal_kernel(self.time_grid, self.kernel))
+        for name in ("source_exponent", "source_space_exponent", "data_exponent",
+                     "data_space_exponent"):
+            _check_exponent(getattr(self, name), name.replace("_", " "))
 
     @property
     def n_source(self) -> int:

@@ -51,7 +51,7 @@ class ProblemInstance:
 
 @dataclass(frozen=True)
 class NoiseSpec:
-    """Noise budget delta, RNG seed, and the fraction of delta actually used.
+    """Noise budget delta, RNG seed (>= 0), and the fraction of delta actually used.
 
     The default fraction 0.99 keeps the realized perturbation strictly
     below the budget, matching the strict inequality in the data model.
@@ -64,6 +64,8 @@ class NoiseSpec:
     def __post_init__(self) -> None:
         if not self.delta > 0.0:
             raise InvalidParameterError(f"noise level must be positive, got {self.delta}")
+        if not self.seed >= 0:
+            raise InvalidParameterError(f"seed must be >= 0, got {self.seed}")
         if not 0.0 < self.fraction <= 1.0:
             raise InvalidParameterError(f"fraction must lie in (0, 1], got {self.fraction}")
 

@@ -171,10 +171,12 @@ class SolveReport:
     reconstruction is a BochnerFunction for the space-time solvers and a
     single spatial vector for the static-source Kaczmarz loops.  trace rows
     are (iteration, subproblem, residual, alpha, error) with NaN for fields
-    a method does not produce; residuals/alphas repeat the trace columns
-    for quick access.  error is the relative distance to the supplied
-    truth, when given.  stop_reason is one of "tolerance" (CG met its
-    tolerance, at every node for the tracking solver), "discrepancy" (a
+    a method does not produce; residuals is derived from the trace's
+    residual column.  alphas holds one weight per time node for
+    tikhonov_temporal, the single weight [alpha] for tikhonov_uniform, and
+    nothing for the Kaczmarz loops.  error is the relative distance to the
+    supplied truth, when given.  stop_reason is one of "tolerance" (CG met
+    its tolerance, at every node for the tracking solver), "discrepancy" (a
     full Kaczmarz cycle met the discrepancy principle), "max_iter" (the
     iteration or sweep cap ran out) or "breakdown" (CG met p.Ap <= 0: the
     normal operator is not positive definite, as with a wrong adjoint).
@@ -182,13 +184,16 @@ class SolveReport:
     """
 
     reconstruction: Union[BochnerFunction, np.ndarray]
-    residuals: list[float]
     alphas: list[float]
     stop_reason: str
     iterations: int
     error: Optional[float]
     wall_time: float
     trace: list[tuple[int, int, float, float, float]]
+
+    @property
+    def residuals(self) -> list[float]:
+        return [row[2] for row in self.trace]
 
 
 def _cg(
@@ -307,7 +312,6 @@ def tikhonov_temporal(
     n_t = forward.time_grid.n_t
     alphas = _resolve_alphas(alpha, n_t, delta)
     snapshots = np.empty((n_t, fam.n_in))
-    residuals: list[float] = []
     trace: list[tuple[int, int, float, float, float]] = []
     reasons: set[str] = set()
     for i in range(n_t):
@@ -323,7 +327,6 @@ def tikhonov_temporal(
         snapshots[i] = x
         r = np.asarray(fam.apply(i, x), dtype=float) - y_i
         res = math.sqrt(fam.out_weight * float(r @ r))
-        residuals.append(res)
         if truth is not None:
             diff = x - truth.values[i]
             denom = math.sqrt(fam.in_weight * float(truth.values[i] @ truth.values[i]))
@@ -340,7 +343,6 @@ def tikhonov_temporal(
     )
     return SolveReport(
         reconstruction=reconstruction,
-        residuals=residuals,
         alphas=[float(a) for a in alphas],
         stop_reason=next(r for r in ("breakdown", "max_iter", "tolerance") if r in reasons),
         iterations=n_t,
@@ -383,7 +385,6 @@ def tikhonov_uniform(
     trace = [(k, 0, rel, a, math.nan) for k, rel in enumerate(history, start=1)]
     return SolveReport(
         reconstruction=reconstruction,
-        residuals=list(history),
         alphas=[a],
         stop_reason=stop_reason,
         iterations=iters,
@@ -391,15 +392,6 @@ def tikhonov_uniform(
         wall_time=time.perf_counter() - t0,
         trace=trace,
     )
-
-
-def _broadcast_taus(config: KaczmarzConfig, n: int) -> list[float]:
-    if np.isscalar(config.tau):
-        return [float(config.tau)] * n
-    taus = [float(t) for t in config.tau]
-    if len(taus) != n:
-        raise DimensionError(f"need one tau per sub-problem ({n}), got {len(taus)}")
-    return taus
 
 
 def _normal_operator(
@@ -459,17 +451,6 @@ def _estimate_omegas(
     return omegas
 
 
-def _check_start(subproblems: Sequence[LinearSubproblem], start) -> np.ndarray:
-    if not subproblems:
-        raise InvalidParameterError("need at least one sub-problem")
-    x = np.array(start, dtype=float)
-    if x.ndim != 1:
-        raise DimensionError(f"start must be a vector, got shape {x.shape}")
-    if not np.all(np.isfinite(x)):
-        raise InvalidInputError("start contains non-finite entries")
-    return x
-
-
 def _static_error(
     x: np.ndarray, truth: Optional[np.ndarray], weight: float
 ) -> Optional[float]:
@@ -481,6 +462,66 @@ def _static_error(
         raise InvalidInputError("truth has zero norm, relative error undefined")
     diff = x - truth
     return math.sqrt(weight * float(diff @ diff)) / denom
+
+
+def _kaczmarz(
+    subproblems: Sequence[LinearSubproblem],
+    config: KaczmarzConfig,
+    start,
+    truth: Optional[np.ndarray],
+    make_step: Callable[[np.ndarray], Callable[..., np.ndarray]],
+) -> SolveReport:
+    """The sweep loop both Kaczmarz methods share (stops as landweber_kaczmarz says).
+
+    make_step(x0) gets the checked start vector and returns the update
+    step(i, sub, x, r) -> x of sub-problem i at iterate x with residual
+    r = F_i x - y_i.
+    """
+    t0 = time.perf_counter()
+    if start is None:
+        raise InvalidParameterError("start vector is required (its length sets the unknown)")
+    if not subproblems:
+        raise InvalidParameterError("need at least one sub-problem")
+    x = np.array(start, dtype=float)
+    if x.ndim != 1:
+        raise DimensionError(f"start must be a vector, got shape {x.shape}")
+    if not np.all(np.isfinite(x)):
+        raise InvalidInputError("start contains non-finite entries")
+    n_sub = len(subproblems)
+    scalar = np.isscalar(config.tau)
+    taus = [float(config.tau)] * n_sub if scalar else [float(t) for t in config.tau]
+    if len(taus) != n_sub:
+        raise DimensionError(f"need one tau per sub-problem ({n_sub}), got {len(taus)}")
+    step = make_step(x)
+    guard = max(sub.residual_norm(sub.residual(x)) for sub in subproblems)
+    guard = max(guard, np.finfo(float).tiny)
+    trace: list[tuple[int, int, float, float, float]] = []
+    stop_reason = "max_iter"
+    for _ in range(config.max_sweeps):
+        cycle_met = True
+        for i, sub in enumerate(subproblems):
+            r = sub.residual(x)
+            res = sub.residual_norm(r)
+            if not math.isfinite(res) or res > 1e6 * guard:
+                raise DivergenceError(
+                    f"residual {res:.3e} is not below 1e6 x initial worst residual {guard:.3e}"
+                )
+            trace.append((len(trace), i, res, math.nan, math.nan))
+            if res > taus[i] * sub.noise_level:
+                cycle_met = False
+            x = step(i, sub, x, r)
+        if cycle_met:
+            stop_reason = "discrepancy"
+            break
+    return SolveReport(
+        reconstruction=x,
+        alphas=[],
+        stop_reason=stop_reason,
+        iterations=len(trace) // n_sub,
+        error=_static_error(x, truth, subproblems[0].unknown_weight),
+        wall_time=time.perf_counter() - t0,
+        trace=trace,
+    )
 
 
 def landweber_kaczmarz(
@@ -501,55 +542,18 @@ def landweber_kaczmarz(
 
     Parameters
     ----------
-    start : vector, default zero
+    start : vector, required
         Initial unknown; its length fixes the unknown dimension.
     truth : optional vector
         When given, the report carries the relative error in the weighted
         unknown norm.
     """
-    t0 = time.perf_counter()
-    if start is None:
-        raise InvalidParameterError("start vector is required (its length sets the unknown)")
-    x = _check_start(subproblems, start)
-    n_sub = len(subproblems)
-    taus = _broadcast_taus(config, n_sub)
-    omegas = _estimate_omegas(subproblems, config, x)
-    guard = max(sub.residual_norm(sub.residual(x)) for sub in subproblems)
-    guard = max(guard, np.finfo(float).tiny)
-    residuals: list[float] = []
-    trace: list[tuple[int, int, float, float, float]] = []
-    stop_reason = "max_iter"
-    n = 0
-    sweeps = 0
-    for _ in range(config.max_sweeps):
-        cycle_met = True
-        for i, sub in enumerate(subproblems):
-            r = sub.residual(x)
-            res = sub.residual_norm(r)
-            if not math.isfinite(res) or res > 1e6 * guard:
-                raise DivergenceError(
-                    f"residual {res:.3e} is not below 1e6 x initial worst residual {guard:.3e}"
-                )
-            residuals.append(res)
-            trace.append((n, i, res, math.nan, math.nan))
-            if res > taus[i] * sub.noise_level:
-                cycle_met = False
-            x = x - omegas[i] * np.asarray(sub.adjoint(r), dtype=float)
-            n += 1
-        sweeps += 1
-        if cycle_met:
-            stop_reason = "discrepancy"
-            break
-    return SolveReport(
-        reconstruction=x,
-        residuals=residuals,
-        alphas=[],
-        stop_reason=stop_reason,
-        iterations=sweeps,
-        error=_static_error(x, truth, subproblems[0].unknown_weight),
-        wall_time=time.perf_counter() - t0,
-        trace=trace,
-    )
+
+    def make_step(x0: np.ndarray) -> Callable[..., np.ndarray]:
+        omegas = _estimate_omegas(subproblems, config, x0)
+        return lambda i, sub, x, r: x - omegas[i] * np.asarray(sub.adjoint(r), dtype=float)
+
+    return _kaczmarz(subproblems, config, start, truth, make_step)
 
 
 def kaczmarz_multi_direction(
@@ -571,33 +575,11 @@ def kaczmarz_multi_direction(
     memory = 1 this is optimal-step Landweber-Kaczmarz.  Stopping and
     divergence handling match landweber_kaczmarz.
     """
-    t0 = time.perf_counter()
-    if start is None:
-        raise InvalidParameterError("start vector is required (its length sets the unknown)")
-    x = _check_start(subproblems, start)
-    n_sub = len(subproblems)
-    taus = _broadcast_taus(config, n_sub)
-    guard = max(sub.residual_norm(sub.residual(x)) for sub in subproblems)
-    guard = max(guard, np.finfo(float).tiny)
-    history: deque[np.ndarray] = deque([x], maxlen=config.memory)
-    residuals: list[float] = []
-    trace: list[tuple[int, int, float, float, float]] = []
-    stop_reason = "max_iter"
-    n = 0
-    sweeps = 0
-    for _ in range(config.max_sweeps):
-        cycle_met = True
-        for i, sub in enumerate(subproblems):
-            r = sub.residual(x)
-            res = sub.residual_norm(r)
-            if not math.isfinite(res) or res > 1e6 * guard:
-                raise DivergenceError(
-                    f"residual {res:.3e} is not below 1e6 x initial worst residual {guard:.3e}"
-                )
-            residuals.append(res)
-            trace.append((n, i, res, math.nan, math.nan))
-            if res > taus[i] * sub.noise_level:
-                cycle_met = False
+
+    def make_step(x0: np.ndarray) -> Callable[..., np.ndarray]:
+        history: deque[np.ndarray] = deque([x0], maxlen=config.memory)
+
+        def step(i: int, sub: LinearSubproblem, x: np.ndarray, r: np.ndarray) -> np.ndarray:
             # history[-1] is x, whose residual r is already known
             past = [sub.residual(xk) for xk in list(history)[:-1]]
             directions = [np.asarray(sub.adjoint(rk), dtype=float) for rk in past + [r]]
@@ -611,21 +593,11 @@ def kaczmarz_multi_direction(
                     x = x - t_k * d_k
             # zero trace means every direction vanished: stationary, no update
             history.append(x)
-            n += 1
-        sweeps += 1
-        if cycle_met:
-            stop_reason = "discrepancy"
-            break
-    return SolveReport(
-        reconstruction=x,
-        residuals=residuals,
-        alphas=[],
-        stop_reason=stop_reason,
-        iterations=sweeps,
-        error=_static_error(x, truth, subproblems[0].unknown_weight),
-        wall_time=time.perf_counter() - t0,
-        trace=trace,
-    )
+            return x
+
+        return step
+
+    return _kaczmarz(subproblems, config, start, truth, make_step)
 
 
 def time_subproblems(

@@ -84,6 +84,11 @@ class TestLoadConfig:
             ("[problem]\nkind = mpi\n\n[probe]\nprobes = temporal_spectrum\n", "pointwise"),
             ("[problem]\nkind = dct\nn_t = 4\n\n[probe]\ntime_index = 4\n", "time_index"),
             ("[problem]\nkind = dct\nn_t = 4\n\n[probe]\nshift_steps = 1,4\n", "shift"),
+            ("[problem]\nkind = dct\n\n[solver]\ntol = 2\n", r"\[solver\] tol"),
+            ("[problem]\nkind = dct\n\n[solver]\ntau = 0.5\n", r"\[solver\] tau"),
+            ("[problem]\nkind = dct\n\n[solver]\nmax_sweeps = -1\n", "max_sweeps"),
+            ("[problem]\nkind = dct\n\n[noise]\nfraction = 1.5\n", "fraction"),
+            ("[problem]\nkind = dct\n\n[noise]\nseed = -1\n", r"\[noise\] seed"),
         ]:
             path = write_config(tmp_path / "bad.ini", body)
             with pytest.raises(Exception, match=fragment):
@@ -111,6 +116,14 @@ class TestExitCodes:
         path = write_config(tmp_path / "a.ini", "[problem]\nkind = dct\nbogus = 1\n")
         assert main(["solve", "--config", path]) == 2
         assert "bogus" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command", ["forward", "solve", "sweep"])
+    def test_negative_seed_override_is_config_error(self, tmp_path, capsys, command):
+        path = write_config(tmp_path / "a.ini", "[problem]\nkind = identity\nn_t = 3\nn_x = 2\n")
+        out = str(tmp_path / "out")
+        assert main([command, "--config", path, "--out", out, "--seed", "-1", "--quiet"]) == 2
+        assert "--seed -1" in capsys.readouterr().err
+        assert not os.path.exists(out)
 
     def test_unwritable_output_is_io_error(self, tmp_path, capsys):
         blocker = tmp_path / "file"

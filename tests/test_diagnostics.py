@@ -182,6 +182,31 @@ class TestAssembleDense:
             expected = math.sqrt(w_y / w_x) * out.values.reshape(-1)
             np.testing.assert_allclose(m @ theta.reshape(-1), expected, rtol=1e-13)
 
+    @pytest.mark.parametrize("name", ["dct", "nonuniform", "mpi"])
+    def test_time_varying_family_at_nonzero_index(self, name):
+        """Node 3 of a family that changes in time: masks (dct), 1/t
+        (nonuniform), moving profiles (mpi, whose weights differ)."""
+        n_t, n_x, i = 6, 8, 3
+        x = SpatialGrid(0.0, 1.0, n_x).nodes
+        dx, t_i = 1.0 / n_x, TimeGrid(1.0, n_t).nodes[i]
+        smoothing = dx * np.exp(-((x[:, None] - x[None, :]) ** 2) / (2.0 * 0.1**2))
+        if name == "dct":
+            forward = make_dct_analogue(n_t, n_x, window=3).forward
+            mask = np.isin(np.arange(n_x), [(i + k) % n_x for k in range(3)])
+            expected, op = mask[:, None] * smoothing, forward
+        elif name == "nonuniform":
+            forward = make_nonuniform_example(n_t, n_x).forward
+            expected, op = smoothing / t_i, forward
+        else:
+            forward = make_mpi_analogue(n_t, n_x).forward
+            # A_i c = dx * profile_i . c with weights dx (source) and 1 (data)
+            profile = np.sin(2.0 * np.pi * (x + t_i))
+            expected, op = math.sqrt(1.0 / dx) * dx * profile[None, :], forward.static
+        np.testing.assert_allclose(assemble_dense(op, i), expected, rtol=1e-14, atol=1e-300)
+        np.testing.assert_allclose(
+            assemble_dense(op, i, adjoint=True), expected.T, rtol=1e-14, atol=1e-300
+        )
+
     def test_size_guard(self):
         problem = make_identity_problem(1500, 1500)
         with pytest.raises(ResourceLimitError):

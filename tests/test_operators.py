@@ -340,6 +340,15 @@ class TestApplyForward:
         with pytest.raises(DimensionError):
             apply_forward(problem.forward, wrong)
 
+    @pytest.mark.parametrize(
+        "field",
+        ["source_exponent", "source_space_exponent", "data_exponent", "data_space_exponent"],
+    )
+    @pytest.mark.parametrize("value", [float("inf"), 0.5, float("nan")])
+    def test_exponents_checked_at_construction(self, field, value):
+        with pytest.raises(InvalidParameterError, match=field.replace("_", " ")):
+            DynamicForward(POINTWISE, identity_family(2), TimeGrid(1.0, 3), **{field: value})
+
 
 class TestCausality:
     """Perturbing the future must leave past outputs bit-identical."""

@@ -107,6 +107,8 @@ class TestNoise:
             NoiseSpec(0.0, seed=0)
         with pytest.raises(InvalidParameterError):
             NoiseSpec(0.1, seed=0, fraction=1.5)
+        with pytest.raises(InvalidParameterError, match="seed"):
+            NoiseSpec(0.1, seed=-1)
 
 
 class TestExport:

@@ -389,7 +389,80 @@ class TestTikhonovUniform:
         assert report.stop_reason == "tolerance"
 
 
-class TestLandweberKaczmarz:
+class KaczmarzContract:
+    """What both Kaczmarz loops share: start and tau checks, the discrepancy
+    stop at a sweep boundary, the divergence guard and the report.  Each
+    subclass runs these tests through its own `loop`."""
+
+    loop = None
+    error_rel = 1e-12  # how close the loop's one step lands on the data
+
+    def test_zero_data_stops_immediately(self):
+        subs = [matrix_subproblem(np.eye(2), np.zeros(2), 0.0) for _ in range(3)]
+        report = self.loop(subs, KaczmarzConfig(), np.zeros(2))
+        np.testing.assert_array_equal(report.reconstruction, np.zeros(2))
+        assert report.stop_reason == "discrepancy"
+        assert report.iterations == 1
+
+    def test_stop_needs_every_residual_of_the_sweep(self):
+        # the last sub-problem always meets its bound, the first only later
+        subs = [
+            matrix_subproblem(np.eye(2), np.array([1.0, 0.0]), 0.05),
+            matrix_subproblem(np.zeros((2, 2)), np.zeros(2), 0.0),
+        ]
+        report = self.loop(subs, KaczmarzConfig(tau=1.0), np.zeros(2))
+        assert report.stop_reason == "discrepancy"
+        assert report.iterations >= 2 and len(report.trace) == 2 * report.iterations
+        met = [
+            all(row[2] <= subs[row[1]].noise_level for row in report.trace[k : k + 2])
+            for k in range(0, len(report.trace), 2)
+        ]
+        assert met[-1] and not any(met[:-1])
+
+    def test_divergence_guard(self):
+        # a step that solves the badly scaled first equation throws the
+        # second one's residual past 1e6 x the initial worst residual (1)
+        subs = [
+            matrix_subproblem(np.array([[1e-8, 0.0]]), np.ones(1), 0.0),
+            matrix_subproblem(np.array([[1.0, 0.0]]), np.zeros(1), 0.0),
+        ]
+        with pytest.raises(DivergenceError):
+            self.loop(subs, KaczmarzConfig(max_sweeps=5), np.zeros(2))
+
+    def test_max_sweeps_zero_returns_start(self):
+        sub = matrix_subproblem(np.eye(2), np.array([1.0, 2.0]), 0.0)
+        start = np.array([5.0, 5.0])
+        report = self.loop([sub], KaczmarzConfig(max_sweeps=0), start)
+        np.testing.assert_array_equal(report.reconstruction, start)
+        assert report.stop_reason == "max_iter"
+        assert report.iterations == 0 and report.residuals == []
+
+    def test_error_uses_weighted_norm(self):
+        y = np.array([2.0, 0.0])
+        sub = LinearSubproblem(
+            apply=lambda x: x, adjoint=lambda r: r, data=y, noise_level=0.0,
+            data_weight=0.5, unknown_weight=0.25,
+        )
+        truth = np.array([1.0, 1.0])
+        report = self.loop([sub], KaczmarzConfig(omega=1.0, max_sweeps=1), np.zeros(2), truth=truth)
+        expected = np.linalg.norm(y - truth) / np.linalg.norm(truth)
+        assert report.error == pytest.approx(expected, rel=self.error_rel)
+
+    def test_input_validation(self):
+        sub = matrix_subproblem(np.eye(2), np.ones(2), 0.0)
+        with pytest.raises(InvalidParameterError):
+            self.loop([], KaczmarzConfig(), np.zeros(2))
+        with pytest.raises(InvalidParameterError):
+            self.loop([sub], KaczmarzConfig())
+        with pytest.raises(InvalidInputError):
+            self.loop([sub], KaczmarzConfig(), np.array([1.0, math.nan]))
+        with pytest.raises(DimensionError):
+            self.loop([sub], KaczmarzConfig(tau=[1.0, 2.0, 3.0]), np.zeros(2))
+
+
+class TestLandweberKaczmarz(KaczmarzContract):
+    loop = staticmethod(landweber_kaczmarz)
+
     def test_single_identity_one_step(self):
         y = np.array([1.0, -2.0, 0.5])
         sub = matrix_subproblem(np.eye(3), y, 0.0)
@@ -401,13 +474,6 @@ class TestLandweberKaczmarz:
         assert report.residuals[1] == 0.0
         assert report.stop_reason == "discrepancy"
         assert report.iterations == 2
-
-    def test_zero_data_stops_immediately(self):
-        subs = [matrix_subproblem(np.eye(2), np.zeros(2), 0.0) for _ in range(3)]
-        report = landweber_kaczmarz(subs, KaczmarzConfig(), np.zeros(2))
-        np.testing.assert_array_equal(report.reconstruction, np.zeros(2))
-        assert report.stop_reason == "discrepancy"
-        assert report.iterations == 1
 
     def test_consistent_systems_reach_pseudoinverse(self):
         rng = np.random.default_rng(7)
@@ -434,7 +500,7 @@ class TestLandweberKaczmarz:
             for a, b in zip(report.residuals, report.residuals[1:]):
                 assert b <= a * (1 + 1e-12)
 
-    def test_divergence_guard(self):
+    def test_step_past_two_over_norm_squared_diverges(self):
         sub = matrix_subproblem(np.eye(2), np.array([1.0, 1.0]), 0.0)
         with pytest.raises(DivergenceError):
             landweber_kaczmarz([sub], KaczmarzConfig(omega=3.0, max_sweeps=100), np.zeros(2))
@@ -444,36 +510,6 @@ class TestLandweberKaczmarz:
         sub = nan_subproblem()
         with pytest.raises(DivergenceError):
             landweber_kaczmarz([sub], KaczmarzConfig(omega=omega, max_sweeps=5), np.zeros(2))
-
-    def test_max_sweeps_zero_returns_start(self):
-        sub = matrix_subproblem(np.eye(2), np.array([1.0, 2.0]), 0.0)
-        start = np.array([5.0, 5.0])
-        report = landweber_kaczmarz([sub], KaczmarzConfig(max_sweeps=0), start)
-        np.testing.assert_array_equal(report.reconstruction, start)
-        assert report.stop_reason == "max_iter"
-        assert report.iterations == 0 and report.residuals == []
-
-    def test_error_uses_weighted_norm(self):
-        y = np.array([2.0, 0.0])
-        sub = LinearSubproblem(
-            apply=lambda x: x, adjoint=lambda r: r, data=y, noise_level=0.0,
-            data_weight=0.5, unknown_weight=0.25,
-        )
-        truth = np.array([1.0, 1.0])
-        report = landweber_kaczmarz([sub], KaczmarzConfig(omega=1.0, max_sweeps=1), np.zeros(2), truth=truth)
-        expected = np.linalg.norm(y - truth) / np.linalg.norm(truth)
-        assert report.error == pytest.approx(expected, rel=1e-12)
-
-    def test_input_validation(self):
-        sub = matrix_subproblem(np.eye(2), np.ones(2), 0.0)
-        with pytest.raises(InvalidParameterError):
-            landweber_kaczmarz([], KaczmarzConfig(), np.zeros(2))
-        with pytest.raises(InvalidParameterError):
-            landweber_kaczmarz([sub], KaczmarzConfig())
-        with pytest.raises(InvalidInputError):
-            landweber_kaczmarz([sub], KaczmarzConfig(), np.array([1.0, math.nan]))
-        with pytest.raises(DimensionError):
-            landweber_kaczmarz([sub], KaczmarzConfig(tau=[1.0, 2.0, 3.0]), np.zeros(2))
 
     def test_subproblem_validation(self):
         with pytest.raises(DimensionError):
@@ -565,7 +601,10 @@ class TestStepEstimate:
             assert _estimate_omegas([sub], KaczmarzConfig(), np.zeros(shape[1])) == [1.0]
 
 
-class TestMultiDirection:
+class TestMultiDirection(KaczmarzContract):
+    loop = staticmethod(kaczmarz_multi_direction)
+    error_rel = 1e-10  # the Gram step's damping leaves it 1e-12 short of y
+
     def test_memory_one_is_optimal_scalar_step(self):
         rng = np.random.default_rng(9)
         m = rng.standard_normal((5, 4))
