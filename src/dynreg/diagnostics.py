@@ -89,8 +89,8 @@ def assemble_dense(
     if isinstance(op, OperatorFamily):
         fam, n_t, what = op, 1, "frozen-time assembly"
         i = 0 if time_index is None else time_index
-        image = fam.adjoint_apply if adjoint else fam.apply
-        column = lambda impulse: image(i, impulse)
+        image = fam.adjoint_rows if adjoint else fam.apply_rows
+        column = lambda impulse: image(i, impulse[None])
     else:
         fam, n_t, what = op.static, op.time_grid.n_t, "stacked assembly"
         rows = _adjoint_rows if adjoint else _forward_rows

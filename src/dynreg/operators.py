@@ -14,13 +14,16 @@ both sides; the adjoint of a causal sum is the matching anticausal sum.
 _forward_rows and _adjoint_rows are the one evaluation path: apply_forward,
 apply_adjoint, every Kaczmarz sub-problem (solvers.time_subproblems) and the
 stacked dense assembly (diagnostics.assemble_dense) evaluate the map through
-them, on all nodes or on a block of rows.
+them, on all nodes or on a block of rows.  They map a stack of rows through
+the family's row form (OperatorFamily.apply_rows / adjoint_rows): one NumPy
+call per stage for the built-in families, bit-identical to evaluating the
+nodes one by one.
 """
 
 from __future__ import annotations
 
 import csv
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Callable, Optional, Sequence
 
 import numpy as np
@@ -34,6 +37,9 @@ ACCUMULATE_THEN_OBSERVE = "accumulate_then_observe"
 KINDS = (POINTWISE, OBSERVE_THEN_ACCUMULATE, ACCUMULATE_THEN_OBSERVE)
 
 
+RowMap = Callable[[int, np.ndarray], np.ndarray]  # also the per-node form, (i, x) -> A(t_i) x
+
+
 @dataclass(frozen=True, eq=False)
 class OperatorFamily:
     """Matrix-free family of linear maps A(t_i): R^n_in -> R^n_out.
@@ -42,6 +48,22 @@ class OperatorFamily:
     with respect to the weighted inner products <x, x'> = in_weight * x.x'
     and <y, y'> = out_weight * y.y'.  norm_bound, when set, is a uniform
     bound on the operator norms sup_i ||A(t_i)||.
+
+    Row contract.  apply_rows(first, X) maps a stack of rows, row k of X at
+    node first + k: it returns the (len(X), n_out) float array whose row k
+    is apply(first + k, X[k]), bit for bit; adjoint_rows(first, Y) does the
+    same for adjoint_apply.  The package evaluates families only through
+    the row forms.  They are derived state, not constructor arguments: a
+    family built from per-node callables (and any dataclasses.replace of a
+    family) gets the stacking loop over its apply/adjoint_apply, while the
+    built-in families define each row form as one NumPy expression and
+    derive apply/adjoint_apply from it.  A matrix stage is written
+    K @ X[:, :, None]: NumPy then issues one BLAS mat-vec per row, the call
+    K @ x makes, whereas X @ K.T (one matrix-matrix product) or einsum add
+    the terms in another order.  That moves the last bits of the result,
+    and with them CG iteration counts that sit at the rounding floor of
+    their tolerance.  A row form over a per-node table raises
+    DimensionError for nodes past the table's end.
     """
 
     n_in: int
@@ -51,6 +73,8 @@ class OperatorFamily:
     in_weight: float = 1.0
     out_weight: float = 1.0
     norm_bound: Optional[float] = None
+    apply_rows: RowMap = field(init=False, repr=False)
+    adjoint_rows: RowMap = field(init=False, repr=False)
 
     def __post_init__(self) -> None:
         if self.n_in < 1 or self.n_out < 1:
@@ -61,15 +85,50 @@ class OperatorFamily:
             raise InvalidParameterError("space weights must be positive")
         if self.norm_bound is not None and not self.norm_bound >= 0.0:
             raise InvalidParameterError(f"norm bound must be >= 0, got {self.norm_bound}")
+        object.__setattr__(self, "apply_rows", _stacked(self.apply))
+        object.__setattr__(self, "adjoint_rows", _stacked(self.adjoint_apply))
+
+
+def _stacked(apply: RowMap) -> RowMap:
+    """The default row form of a per-node map: stack apply(first + k, X[k]) over k."""
+
+    def rows(first: int, X) -> np.ndarray:
+        return np.array([apply(first + k, row) for k, row in enumerate(X)], dtype=float)
+
+    return rows
+
+
+def _row_family(n_in, n_out, apply_rows: RowMap, adjoint_rows: RowMap, *weights_and_bound):
+    """A family defined by its row forms; apply(i, x) is row 0 of apply_rows(i, [x]).
+
+    weights_and_bound are OperatorFamily's in_weight, out_weight, norm_bound.
+    """
+
+    def node(rows: RowMap) -> RowMap:
+        return lambda i, x: rows(i, np.asarray(x, dtype=float)[None])[0]
+
+    fam = OperatorFamily(n_in, n_out, node(apply_rows), node(adjoint_rows), *weights_and_bound)
+    object.__setattr__(fam, "apply_rows", apply_rows)
+    object.__setattr__(fam, "adjoint_rows", adjoint_rows)
+    return fam
+
+
+def _table_rows(table: np.ndarray, first: int, count: int, what: str) -> np.ndarray:
+    """Rows first .. first+count-1 of a per-node table; DimensionError past its end."""
+    if first < 0 or first + count > len(table):
+        raise DimensionError(
+            f"{what} covers time nodes [0, {len(table)}), not [{first}, {first + count})"
+        )
+    return table[first : first + count]
 
 
 def identity_family(dim: int, weight: float = 1.0) -> OperatorFamily:
     """The identity on a dim-dimensional space, at every time index."""
 
-    def apply(i: int, x: np.ndarray) -> np.ndarray:
-        return np.array(x, dtype=float)
+    def rows(first: int, X: np.ndarray) -> np.ndarray:
+        return np.array(X, dtype=float)
 
-    return OperatorFamily(dim, dim, apply, apply, weight, weight, norm_bound=1.0)
+    return _row_family(dim, dim, rows, rows, weight, weight, 1.0)
 
 
 def compose(outer: OperatorFamily, inner: OperatorFamily) -> OperatorFamily:
@@ -81,18 +140,17 @@ def compose(outer: OperatorFamily, inner: OperatorFamily) -> OperatorFamily:
     if inner.out_weight != outer.in_weight:
         raise DimensionError("cannot compose: intermediate space weights differ")
 
-    def apply(i: int, x: np.ndarray) -> np.ndarray:
-        return outer.apply(i, inner.apply(i, x))
+    def apply_rows(first: int, X: np.ndarray) -> np.ndarray:
+        return outer.apply_rows(first, inner.apply_rows(first, X))
 
-    def adjoint_apply(i: int, y: np.ndarray) -> np.ndarray:
-        return inner.adjoint_apply(i, outer.adjoint_apply(i, y))
+    def adjoint_rows(first: int, Y: np.ndarray) -> np.ndarray:
+        return inner.adjoint_rows(first, outer.adjoint_rows(first, Y))
 
     bound = None
     if inner.norm_bound is not None and outer.norm_bound is not None:
         bound = inner.norm_bound * outer.norm_bound
-    return OperatorFamily(
-        inner.n_in, outer.n_out, apply, adjoint_apply, inner.in_weight, outer.out_weight, bound
-    )
+    weights = (inner.in_weight, outer.out_weight)
+    return _row_family(inner.n_in, outer.n_out, apply_rows, adjoint_rows, *weights, bound)
 
 
 def make_gaussian_smoothing(grid: SpatialGrid, sigma: float) -> OperatorFamily:
@@ -110,10 +168,10 @@ def make_gaussian_smoothing(grid: SpatialGrid, sigma: float) -> OperatorFamily:
     x = grid.nodes
     kernel = grid.dx * np.exp(-((x[:, None] - x[None, :]) ** 2) / (2.0 * sigma * sigma))
 
-    def apply(i: int, v: np.ndarray) -> np.ndarray:
-        return kernel @ np.asarray(v, dtype=float)
+    def rows(first: int, X: np.ndarray) -> np.ndarray:
+        return (kernel @ X[:, :, None])[:, :, 0]  # one mat-vec per row, as kernel @ x
 
-    return OperatorFamily(grid.n_x, grid.n_x, apply, apply, grid.dx, grid.dx)
+    return _row_family(grid.n_x, grid.n_x, rows, rows, grid.dx, grid.dx)
 
 
 def make_subsample_observer(
@@ -136,10 +194,10 @@ def make_subsample_observer(
         masks[i, idx] = 1.0
     masks.setflags(write=False)
 
-    def apply(i: int, v: np.ndarray) -> np.ndarray:
-        return masks[i] * np.asarray(v, dtype=float)
+    def rows(first: int, X: np.ndarray) -> np.ndarray:
+        return _table_rows(masks, first, len(X), "observation pattern") * X
 
-    return OperatorFamily(dim, dim, apply, apply, weight, weight, norm_bound=1.0)
+    return _row_family(dim, dim, rows, rows, weight, weight, 1.0)
 
 
 def rotating_window_pattern(n_t: int, dim: int, width: int) -> list[list[int]]:
@@ -158,10 +216,10 @@ def make_scaling_family(grid: TimeGrid, dim: int, weight: float = 1.0) -> Operat
     """
     nodes = grid.nodes
 
-    def apply(i: int, v: np.ndarray) -> np.ndarray:
-        return np.asarray(v, dtype=float) / nodes[i]
+    def rows(first: int, X: np.ndarray) -> np.ndarray:
+        return X / _table_rows(nodes, first, len(X), "scaling family")[:, None]
 
-    return OperatorFamily(dim, dim, apply, apply, weight, weight, norm_bound=None)
+    return _row_family(dim, dim, rows, rows, weight, weight)
 
 
 def make_causal_kernel(grid: TimeGrid, samples) -> np.ndarray:
@@ -283,19 +341,19 @@ def _causal_sum(kernel: np.ndarray, dt: float, rows: np.ndarray) -> np.ndarray:
     return out
 
 
-def _anticausal_sum(kernel: np.ndarray, dt: float, rows: np.ndarray) -> np.ndarray:
-    """Adjoint of _causal_sum: v_j = sum_{i>=j} dt * kernel[i-j] * rows[i], ascending i."""
+def _anticausal_sum(kernel: np.ndarray, dt: float, rows: np.ndarray, start: int = 0) -> np.ndarray:
+    """Adjoint of _causal_sum: v_j = sum_{i>=j} dt * kernel[i-j] * rows[i], ascending i.
+
+    Rows before `start` must be zero, and are skipped: their terms are
+    exact zeros, and adding them to an accumulator that starts at +0.0
+    changes no bit.
+    """
     n_t = rows.shape[0]
     weights = (dt * kernel)[:, None]
     out = np.zeros(rows.shape)
-    for i in range(n_t):
+    for i in range(start, n_t):
         out[: i + 1] += weights[i::-1] * rows[i]
     return out
-
-
-def _stage(apply: Callable[[int, np.ndarray], np.ndarray], values, first: int) -> np.ndarray:
-    """Stack apply(first + k, values[k]) over the rows k of values."""
-    return np.array([apply(first + k, row) for k, row in enumerate(values)], dtype=float)
 
 
 def _causal_kernel(forward: DynamicForward, values, first: int) -> tuple[np.ndarray, float]:
@@ -312,22 +370,30 @@ def _forward_rows(forward: DynamicForward, values, first: int = 0) -> np.ndarray
     the given nodes; a causal kind needs the rows from node 0 on (first = 0)
     and uses the first len(values) kernel samples.
     """
+    fam = forward.static
     if forward.kind == POINTWISE:
-        return _stage(forward.static.apply, values, first)
+        return fam.apply_rows(first, values)
     kernel, dt = _causal_kernel(forward, values, first)
     if forward.kind == ACCUMULATE_THEN_OBSERVE:
-        return _causal_sum(kernel, dt, _stage(forward.static.apply, values, 0))
-    return _stage(forward.static.apply, _causal_sum(kernel, dt, values), 0)
+        return _causal_sum(kernel, dt, fam.apply_rows(0, values))
+    return fam.apply_rows(0, _causal_sum(kernel, dt, values))
 
 
-def _adjoint_rows(forward: DynamicForward, values, first: int = 0) -> np.ndarray:
-    """Adjoint of _forward_rows on data rows first, first+1, ...; same node rules."""
+def _adjoint_rows(
+    forward: DynamicForward, values, first: int = 0, zero_rows: int = 0
+) -> np.ndarray:
+    """Adjoint of _forward_rows on data rows first, first+1, ...; same node rules.
+
+    values[:zero_rows] are zero rows (a causal block's padding), which the
+    anticausal sum skips; the result is the same bit for bit.
+    """
+    fam = forward.static
     if forward.kind == POINTWISE:
-        return _stage(forward.static.adjoint_apply, values, first)
+        return fam.adjoint_rows(first, values)
     kernel, dt = _causal_kernel(forward, values, first)
     if forward.kind == ACCUMULATE_THEN_OBSERVE:
-        return _stage(forward.static.adjoint_apply, _anticausal_sum(kernel, dt, values), 0)
-    return _anticausal_sum(kernel, dt, _stage(forward.static.adjoint_apply, values, 0))
+        return fam.adjoint_rows(0, _anticausal_sum(kernel, dt, values, zero_rows))
+    return _anticausal_sum(kernel, dt, fam.adjoint_rows(0, values), zero_rows)
 
 
 def apply_forward(forward: DynamicForward, theta: BochnerFunction) -> BochnerFunction:

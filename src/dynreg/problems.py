@@ -26,8 +26,9 @@ from .errors import DimensionError, InvalidInputError, InvalidParameterError
 from .operators import (
     ACCUMULATE_THEN_OBSERVE,
     DynamicForward,
-    OperatorFamily,
     POINTWISE,
+    _row_family,
+    _table_rows,
     apply_forward,
     compose,
     identity_family,
@@ -130,13 +131,14 @@ def make_mpi_analogue(
     profiles = np.sin(2.0 * np.pi * (space.nodes[None, :] + time_grid.nodes[:, None] / horizon))
     profiles.setflags(write=False)
 
-    def apply(j: int, c: np.ndarray) -> np.ndarray:
-        return np.array([dx * float(profiles[j] @ np.asarray(c, dtype=float))])
+    def apply_rows(first: int, C: np.ndarray) -> np.ndarray:
+        P = _table_rows(profiles, first, len(C), "sensitivity profiles")
+        return dx * (P[:, None, :] @ C[:, :, None])[:, :, 0]  # one dot per row
 
-    def adjoint_apply(j: int, v: np.ndarray) -> np.ndarray:
-        return profiles[j] * float(np.asarray(v, dtype=float)[0])
+    def adjoint_rows(first: int, V: np.ndarray) -> np.ndarray:
+        return _table_rows(profiles, first, len(V), "sensitivity profiles") * V[:, :1]
 
-    sensing = OperatorFamily(n_x, 1, apply, adjoint_apply, in_weight=dx, out_weight=1.0)
+    sensing = _row_family(n_x, 1, apply_rows, adjoint_rows, dx, 1.0)
     if kernel is None:
         kernel = np.exp(-decay * np.arange(n_t) * time_grid.dt)
     forward = DynamicForward(

@@ -315,17 +315,17 @@ def tikhonov_temporal(
     trace: list[tuple[int, int, float, float, float]] = []
     reasons: set[str] = set()
     for i in range(n_t):
-        y_i = data.values[i]
-        rhs = np.asarray(fam.adjoint_apply(i, y_i), dtype=float)
+        y_i = data.values[i : i + 1]  # node i as a one-row stack of the row forms
+        rhs = fam.adjoint_rows(i, y_i)
         a_i = float(alphas[i])
 
         def normal_op(v: np.ndarray, i: int = i, a: float = a_i) -> np.ndarray:
-            return np.asarray(fam.adjoint_apply(i, fam.apply(i, v)), dtype=float) + a * v
+            return fam.adjoint_rows(i, fam.apply_rows(i, v)) + a * v
 
         x, _, reason, _ = _cg(normal_op, rhs, config.tol, config.max_iter)
         reasons.add(reason)
-        snapshots[i] = x
-        r = np.asarray(fam.apply(i, x), dtype=float) - y_i
+        r = (fam.apply_rows(i, x) - y_i)[0]
+        x = snapshots[i] = x[0]
         res = math.sqrt(fam.out_weight * float(r @ r))
         if truth is not None:
             diff = x - truth.values[i]
@@ -661,8 +661,9 @@ def _block(
     apply evaluates the forward map on the tiled x over the nodes the block
     depends on (its own for a pointwise map, 0..end-1 for the causal kinds)
     and keeps rows [first, end).  The adjoint pads the block residual into
-    those rows, maps them back and sums over the nodes; weight is the
-    block's data-side quadrature factor (1 for one node, dt for a section).
+    those rows, maps them back (the anticausal sum skipping the zero
+    padding) and sums over the nodes; weight is the block's data-side
+    quadrature factor (1 for one node, dt for a section).
     """
     n_out = forward.static.n_out
     lo = first if forward.kind == POINTWISE else 0
@@ -674,6 +675,6 @@ def _block(
     def adjoint(r: np.ndarray) -> np.ndarray:
         padded = np.zeros((end - lo, n_out))
         padded[first - lo :] = np.asarray(r, dtype=float).reshape(end - first, n_out)
-        return weight * _adjoint_rows(forward, padded, lo).sum(axis=0)
+        return weight * _adjoint_rows(forward, padded, lo, first - lo).sum(axis=0)
 
     return apply, adjoint

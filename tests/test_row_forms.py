@@ -1,0 +1,308 @@
+"""The row contract of OperatorFamily: stacked rows equal per-node calls bit for bit.
+
+Every built-in family evaluates a stack of rows in one NumPy expression.
+These tests compare each row form with the per-node expressions the
+families used to evaluate node by node (the oracles below), check that the
+evaluation path never falls back to the per-node stacking loop, and check
+that a row form over a per-node table refuses nodes past the table's end.
+"""
+
+import copy
+import dataclasses
+
+import numpy as np
+import pytest
+from hypothesis import given, settings, strategies as st
+
+from dynreg import (
+    ACCUMULATE_THEN_OBSERVE,
+    DimensionError,
+    DynamicForward,
+    OBSERVE_THEN_ACCUMULATE,
+    OperatorFamily,
+    POINTWISE,
+    SpatialGrid,
+    TimeGrid,
+    apply_adjoint,
+    apply_forward,
+    compose,
+    identity_family,
+    make_causal_kernel,
+    make_dct_analogue,
+    make_gaussian_smoothing,
+    make_mpi_analogue,
+    make_nonuniform_example,
+    make_scaling_family,
+    make_subsample_observer,
+    rotating_window_pattern,
+    temporal_spectrum,
+    tikhonov_temporal,
+    time_subproblems,
+)
+from dynreg.operators import _adjoint_rows, _anticausal_sum
+
+
+def gaussian_matrix(space: SpatialGrid, sigma: float) -> np.ndarray:
+    x = space.nodes
+    return space.dx * np.exp(-((x[:, None] - x[None, :]) ** 2) / (2.0 * sigma * sigma))
+
+
+def mpi_profiles(n_t: int, n_x: int) -> np.ndarray:
+    space, grid = SpatialGrid(0.0, 1.0, n_x), TimeGrid(1.0, n_t)
+    return np.sin(2.0 * np.pi * (space.nodes[None, :] + grid.nodes[:, None] / 1.0))
+
+
+def families(n_t: int, n_x: int, sigma: float, width: int):
+    """(name, family, per-node forward oracle, per-node adjoint oracle) of every
+    built-in and of compositions of them; each oracle is the expression the
+    family evaluated node by node before it had a row form."""
+    space, grid = SpatialGrid(0.0, 1.0, n_x), TimeGrid(1.0, n_t)
+    pattern = rotating_window_pattern(n_t, n_x, width)
+    masks = np.zeros((n_t, n_x))
+    for i, idx in enumerate(pattern):
+        masks[i, idx] = 1.0
+    kernel = gaussian_matrix(space, sigma)
+    profiles = mpi_profiles(n_t, n_x)
+    smoothing = make_gaussian_smoothing(space, sigma)
+    observer = make_subsample_observer(pattern, n_x, space.dx)
+    scaling = make_scaling_family(grid, n_x, space.dx)
+    identity = identity_family(n_x, space.dx)
+    sensing = make_mpi_analogue(n_t, n_x).forward.static
+
+    def gauss(i, x):
+        return kernel @ x
+
+    def mask(i, x):
+        return masks[i] * x
+
+    def scale(i, x):
+        return x / grid.nodes[i]
+
+    def ident(i, x):
+        return np.array(x, dtype=float)
+
+    def sense(i, c):
+        return np.array([space.dx * float(profiles[i] @ c)])
+
+    def sense_adjoint(i, v):
+        return profiles[i] * float(v[0])
+
+    def then(f, g):
+        return lambda i, x: g(i, f(i, x))
+
+    return [
+        ("gaussian", smoothing, gauss, gauss),
+        ("masks", observer, mask, mask),
+        ("scaling", scaling, scale, scale),
+        ("identity", identity, ident, ident),
+        ("mpi", sensing, sense, sense_adjoint),
+        ("masks.gaussian", compose(observer, smoothing), then(gauss, mask), then(mask, gauss)),
+        ("scaling.gaussian", compose(scaling, smoothing), then(gauss, scale), then(scale, gauss)),
+        (
+            "mpi.scaling.gaussian",
+            compose(sensing, compose(scaling, smoothing)),
+            then(then(gauss, scale), sense),
+            then(then(sense_adjoint, scale), gauss),
+        ),
+        ("gaussian.identity", compose(smoothing, identity), then(ident, gauss), then(gauss, ident)),
+    ]
+
+
+def counted(node, counts: dict):
+    """node with its calls counted in counts["node"]."""
+
+    def call(i, x):
+        counts["node"] += 1
+        return node(i, x)
+
+    return call
+
+
+def stacked(node, first, X):
+    return np.array([node(first + k, x) for k, x in enumerate(X)], dtype=float)
+
+
+class Unrollable(np.ndarray):
+    """A stack whose rows cannot be iterated: a per-node stacking loop fails on it."""
+
+    def __iter__(self):
+        raise AssertionError("a row form iterated over its rows")
+
+
+@st.composite
+def row_cases(draw):
+    n_t = draw(st.integers(1, 9))
+    n_x = draw(st.integers(1, 70))
+    first = draw(st.integers(0, n_t - 1))
+    count = draw(st.integers(1, n_t - first))
+    sigma = draw(st.floats(0.02, 0.5))
+    width = draw(st.integers(1, n_x))
+    seed = draw(st.integers(0, 2**32 - 1))
+    return n_t, n_x, first, count, sigma, width, seed
+
+
+class TestRowContract:
+    @settings(max_examples=60, deadline=None)
+    @given(row_cases())
+    def test_row_forms_equal_per_node_evaluation(self, case):
+        n_t, n_x, first, count, sigma, width, seed = case
+        rng = np.random.default_rng(seed)
+        for name, fam, forward_oracle, adjoint_oracle in families(n_t, n_x, sigma, width):
+            X = rng.standard_normal((count, fam.n_in))
+            Y = rng.standard_normal((count, fam.n_out))
+            # a built-in maps the stack whole: a stacking loop would iterate it
+            rows = fam.apply_rows(first, X.view(Unrollable))
+            back = fam.adjoint_rows(first, Y.view(Unrollable))
+            assert np.array_equal(rows, stacked(forward_oracle, first, X)), name
+            assert np.array_equal(back, stacked(adjoint_oracle, first, Y)), name
+            assert np.array_equal(rows, stacked(fam.apply, first, X)), name
+            assert np.array_equal(back, stacked(fam.adjoint_apply, first, Y)), name
+
+    @settings(max_examples=30, deadline=None)
+    @given(row_cases())
+    def test_per_node_family_gets_its_stacking(self, case):
+        n_t, n_x, first, count, _, _, seed = case
+        rng = np.random.default_rng(seed)
+        mats = rng.standard_normal((n_t, 3, n_x))
+        fam = OperatorFamily(n_x, 3, lambda i, x: mats[i] @ x, lambda i, y: list(mats[i].T @ y))
+        X = rng.standard_normal((count, n_x))
+        Y = rng.standard_normal((count, 3))
+        assert np.array_equal(fam.apply_rows(first, X), stacked(fam.apply, first, X))
+        assert np.array_equal(fam.adjoint_rows(first, Y), stacked(fam.adjoint_apply, first, Y))
+
+    @pytest.mark.parametrize("built_in", [True, False])
+    def test_replaced_apply_is_the_one_the_rows_use(self, built_in):
+        double, triple = (lambda i, x: 2.0 * x), (lambda i, x: 3.0 * x)
+        if built_in:
+            fam = make_gaussian_smoothing(SpatialGrid(0.0, 1.0, 4), 0.2)
+        else:
+            fam = OperatorFamily(4, 4, double, double)
+        replaced = dataclasses.replace(fam, apply=triple)
+        X = np.arange(8.0).reshape(2, 4)
+        assert np.array_equal(replaced.apply_rows(0, X), 3.0 * X)
+        assert np.array_equal(replaced.adjoint_rows(0, X), stacked(fam.adjoint_apply, 0, X))
+
+
+class TestNoPerNodeFallback:
+    """The evaluation path of the built-in problems never calls a per-node map."""
+
+    def test_stacking_loop_is_caught(self):
+        fam = OperatorFamily(3, 3, lambda i, x: x, lambda i, x: x)
+        with pytest.raises(AssertionError, match="iterated"):
+            fam.apply_rows(0, np.ones((2, 3)).view(Unrollable))
+
+    @staticmethod
+    def with_counted_nodes(forward: DynamicForward, counts: dict) -> DynamicForward:
+        """forward on a copy of its family whose per-node maps count their calls;
+        the copy keeps the family's row forms (dataclasses.replace would
+        rebuild them as stacking loops over the counted maps)."""
+        fam = forward.static
+        family = copy.copy(fam)
+        object.__setattr__(family, "apply", counted(fam.apply, counts))
+        object.__setattr__(family, "adjoint_apply", counted(fam.adjoint_apply, counts))
+        return dataclasses.replace(forward, static=family)
+
+    @staticmethod
+    def exercise(forward: DynamicForward, data) -> None:
+        rng = np.random.default_rng(0)
+        n_t = forward.time_grid.n_t
+        apply_forward(forward, forward.source_template(rng.standard_normal((n_t, forward.n_source))))
+        apply_adjoint(forward, data)
+        for sections in (None, 2):
+            sub = time_subproblems(forward, data, 0.1, sections=sections)[-1]
+            sub.apply(rng.standard_normal(forward.n_source))
+            sub.adjoint(rng.standard_normal(sub.data.shape[0]))
+        if forward.kind == POINTWISE:
+            tikhonov_temporal(forward, data, 1e-2)
+            temporal_spectrum(forward, n_t - 1)
+
+    @pytest.mark.parametrize("make", [make_dct_analogue, make_mpi_analogue, make_nonuniform_example])
+    def test_builtin_problems(self, make):
+        problem = make(6, 5)
+        counts = {"node": 0}
+        self.exercise(self.with_counted_nodes(problem.forward, counts), problem.data_clean)
+        assert counts["node"] == 0
+
+    def test_counters_see_a_per_node_family(self):
+        counts = {"node": 0}
+        double = counted(lambda i, x: 2.0 * x, counts)
+        forward = DynamicForward(POINTWISE, OperatorFamily(5, 5, double, double), TimeGrid(1.0, 6))
+        self.exercise(forward, forward.data_template(np.ones((6, 5))))
+        assert counts["node"] > 0
+
+
+class TestNodeCoverage:
+    """A family built for 5 nodes, used on an 8-node grid, refuses nodes 5..7."""
+
+    @staticmethod
+    def short_families():
+        grid = TimeGrid(1.0, 5)
+        observer = make_subsample_observer(rotating_window_pattern(5, 4, 2), 4)
+        return [
+            (POINTWISE, observer),
+            (POINTWISE, make_scaling_family(grid, 4)),
+            (ACCUMULATE_THEN_OBSERVE, make_mpi_analogue(5, 4).forward.static),
+        ]
+
+    @pytest.mark.parametrize("index", range(3), ids=["masks", "scaling", "mpi"])
+    def test_apply_past_the_table(self, index):
+        kind, fam = self.short_families()[index]
+        grid = TimeGrid(1.0, 8)
+        kernel = None if kind == POINTWISE else np.ones(8)
+        forward = DynamicForward(kind, fam, grid, kernel)
+        with pytest.raises(DimensionError):
+            apply_forward(forward, forward.source_template(np.ones((8, fam.n_in))))
+        with pytest.raises(DimensionError):
+            apply_adjoint(forward, forward.data_template(np.ones((8, fam.n_out))))
+        with pytest.raises(DimensionError):
+            fam.apply(5, np.ones(fam.n_in))
+        with pytest.raises(DimensionError):
+            fam.adjoint_rows(4, np.ones((2, fam.n_out)))
+
+    def test_section_past_the_pattern(self):
+        """masks[4:8] of a 5-row table is one row that would broadcast over four."""
+        _, observer = self.short_families()[0]
+        forward = DynamicForward(POINTWISE, observer, TimeGrid(1.0, 8))
+        data = forward.data_template(np.ones((8, 4)))
+        head, tail = time_subproblems(forward, data, 0.1, sections=2)
+        head.apply(np.ones(4))
+        with pytest.raises(DimensionError):
+            tail.apply(np.ones(4))
+        with pytest.raises(DimensionError):
+            tail.adjoint(np.ones(16))
+
+
+@st.composite
+def zero_prefix_rows(draw):
+    n_t = draw(st.integers(1, 24))
+    start = draw(st.integers(0, n_t))
+    seed = draw(st.integers(0, 2**32 - 1))
+    rng = np.random.default_rng(seed)
+    rows = rng.standard_normal((n_t, draw(st.integers(1, 5))))
+    rows[:start] = 0.0
+    return rng.standard_normal(n_t), draw(st.floats(1e-4, 10.0)), rows, start
+
+
+class TestZeroPrefixSkip:
+    @settings(max_examples=100, deadline=None)
+    @given(zero_prefix_rows())
+    def test_anticausal_sum_skips_zero_rows_bit_for_bit(self, args):
+        kernel, dt, rows, start = args
+        assert np.array_equal(
+            _anticausal_sum(kernel, dt, rows, start), _anticausal_sum(kernel, dt, rows)
+        )
+
+    @pytest.mark.parametrize("kind", [ACCUMULATE_THEN_OBSERVE, OBSERVE_THEN_ACCUMULATE])
+    def test_causal_block_adjoint_bit_for_bit(self, kind):
+        grid, space = TimeGrid(1.0, 9), SpatialGrid(0.0, 1.0, 5)
+        fam = make_gaussian_smoothing(space, 0.2)
+        forward = DynamicForward(kind, fam, grid, make_causal_kernel(grid, np.exp(-grid.nodes)))
+        data = forward.data_template(np.ones((9, 5)))
+        subs = time_subproblems(forward, data, 0.1, sections=3)
+        rng = np.random.default_rng(1)
+        for (first, end), sub in zip([(0, 3), (3, 6), (6, 9)], subs):
+            r = rng.standard_normal((end - first) * 5)
+            padded = np.zeros((end, 5))
+            padded[first:] = r.reshape(end - first, 5)
+            full = grid.dt * _adjoint_rows(forward, padded).sum(axis=0)
+            assert np.array_equal(sub.adjoint(r), full)
