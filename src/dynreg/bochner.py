@@ -334,12 +334,10 @@ def write_csv(u: BochnerFunction, path: str) -> None:
     Floats are formatted with %.17g, which round-trips doubles exactly.
     The file is written atomically (temp file + rename).
     """
-    lines = ["t," + ",".join(f"x_{j}" for j in range(u.n_dim))]
-    nodes = u.grid.nodes
-    for i in range(u.n_t):
-        row = [f"{nodes[i]:.17g}"] + [f"{x:.17g}" for x in u.values[i]]
-        lines.append(",".join(row))
-    _atomic_write_text(path, "\n".join(lines) + "\n")
+    header = "t," + ",".join(f"x_{j}" for j in range(u.n_dim))
+    line = ",".join(["%.17g"] * (u.n_dim + 1))  # one format per row, not one per number
+    table = np.column_stack([u.grid.nodes, u.values]).tolist()
+    _atomic_write_text(path, "\n".join([header] + [line % tuple(row) for row in table]) + "\n")
 
 
 def read_csv(

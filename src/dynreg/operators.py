@@ -14,10 +14,10 @@ both sides; the adjoint of a causal sum is the matching anticausal sum.
 _forward_rows and _adjoint_rows are the one evaluation path: apply_forward,
 apply_adjoint, every Kaczmarz sub-problem (solvers.time_subproblems) and the
 stacked dense assembly (diagnostics.assemble_dense) evaluate the map through
-them, on all nodes or on a block of rows.  They map a stack of rows through
-the family's row form (OperatorFamily.apply_rows / adjoint_rows): one NumPy
-call per stage for the built-in families, bit-identical to evaluating the
-nodes one by one.
+them, on all nodes or on a block of rows.  Each stage is a few NumPy calls,
+bit-identical to evaluating term by term: a built-in family maps the stack
+through its row form (OperatorFamily.apply_rows / adjoint_rows), and a causal
+sum is a block-Toeplitz product that adds its terms in the loop's order.
 """
 
 from __future__ import annotations
@@ -323,37 +323,55 @@ def _check_data(forward: DynamicForward, y: BochnerFunction) -> None:
         raise DimensionError("data carries a different spatial weight than the data space")
 
 
-def _causal_sum(kernel: np.ndarray, dt: float, rows: np.ndarray) -> np.ndarray:
-    """y_i = sum_{j<=i} dt * kernel[i-j] * rows[j], in O(n_t) vector steps.
+_TERM_BUDGET = 32768  # product terms one block of source rows may form: bounds scratch memory
 
-    kernel holds one sample per row.  Step j adds row j's contribution to
-    every output i >= j, so each output still sums its terms in ascending j,
-    bit-identical to the term-by-term loop.  The order matters: the CG
-    iteration count of uniform Tikhonov on causal maps sits at the rounding
-    floor of its tolerance, and a reordered sum (a Toeplitz matmul or an
-    FFT) moves it.
+
+def _ordered_sum(kernel, dt: float, rows, causal: bool, start: int = 0) -> np.ndarray:
+    """Sum of dt * kernel[|o-s|] * rows[s] over s <= o (causal) or s >= o, ascending s.
+
+    A block of source rows forms its terms in one masked multiply (no term outside
+    the triangle, so no 0 * inf) from weights[s, o], a strided Toeplitz view built on
+    its buffer (sliding_window_view's __array_interface__ path holds ~0.5 MB more per
+    process after thousands of shapes).  np.add.reduce adds them to the running sums
+    (+0.0 at first, like the loop's) in ascending s: a block of two rows or more has
+    two lanes or more, and NumPy sums only a single lane pairwise.  A block holds
+    _TERM_BUDGET // rows.size rows, at least one, so wide stacks get small blocks.
     """
-    n_t = rows.shape[0]
-    weights = (dt * kernel)[:, None]
-    out = np.zeros(rows.shape)
-    for j in range(n_t):
-        out[j:] += weights[: n_t - j] * rows[j]
+    n_t, w, out = len(rows), (dt * kernel)[:, None], np.zeros(rows.shape)
+    if rows.size == 0:
+        return out
+    step = max(1, _TERM_BUDGET // rows.size)
+    padded = np.concatenate([w[::-1, 0], np.zeros(n_t - 1)])  # padded[n_t - 1 - k] = w[k]
+    b = padded.itemsize
+    weights = np.ndarray((n_t, n_t), padded.dtype, padded, b * (n_t - 1), (b, -b) if causal else (-b, b))
+    node, reaches = np.arange(n_t), (np.greater_equal if causal else np.less_equal)
+    for s0 in range(start, n_t, step):
+        s1 = min(s0 + step, n_t)
+        span = slice(s0, None) if causal else slice(s1)  # the outputs these rows reach
+        sums = out[span]
+        terms = np.zeros((s1 - s0,) + sums.shape)
+        reached = reaches(node[span], node[s0:s1, None])[:, :, None]
+        np.multiply(weights[s0:s1, span, None], rows[s0:s1, None, :], out=terms, where=reached)
+        terms[0] += sums
+        np.add.reduce(terms, axis=0, out=sums)
     return out
+
+
+def _causal_sum(kernel: np.ndarray, dt: float, rows: np.ndarray) -> np.ndarray:
+    """y_i = sum_{j<=i} dt * kernel[i-j] * rows[j], ascending j, bit for bit as the loop.
+
+    Order matters: uniform Tikhonov's CG count on causal maps sits at the rounding floor
+    of its tolerance, and a BLAS Toeplitz matmul or an FFT reorders the terms and moves it.
+    """
+    return _ordered_sum(kernel, dt, rows, causal=True)
 
 
 def _anticausal_sum(kernel: np.ndarray, dt: float, rows: np.ndarray, start: int = 0) -> np.ndarray:
     """Adjoint of _causal_sum: v_j = sum_{i>=j} dt * kernel[i-j] * rows[i], ascending i.
 
-    Rows before `start` must be zero, and are skipped: their terms are
-    exact zeros, and adding them to an accumulator that starts at +0.0
-    changes no bit.
+    Rows before `start` must be zero; skipping their exact-zero terms changes no bit.
     """
-    n_t = rows.shape[0]
-    weights = (dt * kernel)[:, None]
-    out = np.zeros(rows.shape)
-    for i in range(start, n_t):
-        out[: i + 1] += weights[i::-1] * rows[i]
-    return out
+    return _ordered_sum(kernel, dt, rows, causal=False, start=start)
 
 
 def _causal_kernel(forward: DynamicForward, values, first: int) -> tuple[np.ndarray, float]:

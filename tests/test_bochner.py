@@ -11,10 +11,13 @@ absolute terms instead.
 
 import math
 import os
+import tempfile
+import types
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
+from hypothesis.extra.numpy import arrays
 
 from dynreg import (
     BochnerFunction,
@@ -433,6 +436,58 @@ class TestInterpolateTracked:
     def test_rejects_wrong_count(self):
         with pytest.raises(DimensionError):
             interpolate_tracked([np.zeros(2)], TimeGrid(1.0, 3))
+
+
+def per_element_csv(nodes, values) -> bytes:
+    """The CSV text write_csv promises, formatted one number at a time with f"{x:.17g}"."""
+    lines = ["t," + ",".join(f"x_{j}" for j in range(values.shape[1]))]
+    for t, row in zip(nodes, values):
+        lines.append(",".join([f"{t:.17g}"] + [f"{x:.17g}" for x in row]))
+    return ("\n".join(lines) + "\n").encode()
+
+
+def written_bytes(u) -> bytes:
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "u.csv")
+        write_csv(u, path)
+        with open(path, "rb") as f:
+            return f.read()
+
+
+EDGE_FLOATS = [0.0, -0.0, 5e-324, -5e-324, 2.2250738585072014e-308, -1e-310, 1.7976931348623157e308]
+
+
+@st.composite
+def csv_functions(draw):
+    n_t, n_x = draw(st.integers(1, 6)), draw(st.integers(1, 5))
+    entries = st.one_of(st.sampled_from(EDGE_FLOATS), st.floats(allow_nan=False, allow_infinity=False))
+    values = draw(arrays(float, (n_t, n_x), elements=entries))
+    return BochnerFunction(TimeGrid(draw(st.floats(1e-3, 1e3)), n_t), values)
+
+
+class TestCsvFormatting:
+    """write_csv formats a whole row at once; the bytes are those of per-number formatting."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(csv_functions())
+    def test_bytes_match_per_element_formatting_and_read_back_exactly(self, u):
+        text = written_bytes(u)
+        assert text == per_element_csv(u.grid.nodes, u.values)
+        with tempfile.TemporaryDirectory() as tmp:
+            path = os.path.join(tmp, "u.csv")
+            with open(path, "wb") as f:
+                f.write(text)
+            back = read_csv(path)
+        assert back.values.tobytes() == u.values.tobytes()
+        assert back.grid.nodes.tobytes() == u.grid.nodes.tobytes()
+
+    def test_non_finite_values_format_like_per_element(self):
+        # BochnerFunction refuses non-finite values; write_csv reads only the
+        # grid, the values and n_dim, so a stand-in carries them.
+        values = np.array([[np.inf, -np.inf, np.nan], [np.copysign(np.nan, -1.0), -0.0, 5e-324]])
+        u = types.SimpleNamespace(grid=TimeGrid(1.0, 2), values=values, n_dim=3)
+        assert written_bytes(u) == per_element_csv(u.grid.nodes, values)
+        assert b"inf,-inf,nan\n" in written_bytes(u)
 
 
 class TestCsv:

@@ -1,5 +1,9 @@
 """Operator families, causal compositions, and their weighted adjoints."""
 
+import contextlib
+import tracemalloc
+from unittest import mock
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -35,6 +39,7 @@ from dynreg import (
     rotating_window_pattern,
     spatial_norm,
 )
+import dynreg.operators as operators
 from dynreg.operators import _anticausal_sum, _causal_sum
 
 
@@ -394,6 +399,134 @@ class TestCausalSums:
     @given(causal_sum_inputs())
     def test_anticausal_sum_bit_identical_to_loop(self, args):
         assert np.array_equal(_anticausal_sum(*args), anticausal_sum_reference(*args))
+
+
+SIGNED = st.one_of(st.sampled_from([0.0, -0.0]), st.floats(-1e6, 1e6, allow_nan=False))
+
+
+@st.composite
+def blocked_sum_inputs(draw):
+    """Sum inputs holding +0.0 and -0.0, a zero prefix, and a block size in source rows."""
+    n_t = draw(st.integers(1, 40))
+    kernel = draw(arrays(float, n_t, elements=SIGNED))
+    rows = draw(arrays(float, (n_t, draw(st.integers(1, 4))), elements=SIGNED))
+    start = draw(st.integers(0, n_t))
+    zero_prefix = rows.copy()
+    zero_prefix[:start] *= 0.0  # keeps each zero's sign
+    block = draw(st.integers(1, n_t + 2))  # 1: the one-row blocks of wide rows
+    return kernel, draw(st.floats(1e-4, 10.0)), rows, zero_prefix, start, block
+
+
+def blocks_of(block: int, rows: np.ndarray):
+    """Patch the ordered-sum kernel so that its blocks hold `block` source rows."""
+    return mock.patch.object(operators, "_TERM_BUDGET", block * rows.size)
+
+
+def narrow_stack(n_t: int, width: int, seed: int, dt: float):
+    """A kernel and rows spanning twelve decades, a fifth of the rows -0.0 or +0.0."""
+    rng = np.random.default_rng(seed)
+    rows = rng.standard_normal((n_t, width)) * 10.0 ** rng.integers(-6, 7, (n_t, 1))
+    rows[rng.random(n_t) < 0.2] *= -0.0
+    return rng.standard_normal(n_t), dt, rows
+
+
+@st.composite
+def long_narrow_inputs(draw):
+    """Stacks long enough that the kernel's own budget splits them into several blocks."""
+    n_t, width = draw(st.integers(182, 260)), draw(st.integers(1, 2))
+    return narrow_stack(n_t, width, draw(st.integers(0, 2**32 - 1)), draw(st.floats(1e-4, 10.0)))
+
+
+class TestOrderedSumKernel:
+    """Blocked sums equal the term-by-term loops byte for byte, sign of zero included."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(blocked_sum_inputs())
+    def test_blocked_sums_match_reference_bytes(self, args):
+        kernel, dt, rows, zero_prefix, start, block = args
+        with blocks_of(block, rows):
+            causal = _causal_sum(kernel, dt, rows)
+            anticausal = _anticausal_sum(kernel, dt, rows)
+            skipped = _anticausal_sum(kernel, dt, zero_prefix, start)
+        assert causal.tobytes() == causal_sum_reference(kernel, dt, rows).tobytes()
+        assert anticausal.tobytes() == anticausal_sum_reference(kernel, dt, rows).tobytes()
+        assert skipped.tobytes() == anticausal_sum_reference(kernel, dt, zero_prefix).tobytes()
+
+    @settings(max_examples=8, deadline=None)
+    @given(long_narrow_inputs())
+    def test_long_narrow_stacks_match_reference_bytes(self, args):
+        kernel, dt, rows = args
+        assert len(rows) > operators._TERM_BUDGET // rows.size  # more than one block
+        assert _causal_sum(*args).tobytes() == causal_sum_reference(*args).tobytes()
+        assert _anticausal_sum(*args).tobytes() == anticausal_sum_reference(*args).tobytes()
+
+    @pytest.mark.parametrize("n_t, width", [(530, 1), (80, 256)])
+    def test_long_and_wide_stacks_match_reference_bytes(self, n_t, width):
+        # blocks of 61 rows, and of one row (more entries than half the budget)
+        args = narrow_stack(n_t, width, n_t, 0.01)
+        assert _causal_sum(*args).tobytes() == causal_sum_reference(*args).tobytes()
+        assert _anticausal_sum(*args).tobytes() == anticausal_sum_reference(*args).tobytes()
+
+    @pytest.mark.parametrize("block", [None, 2, 7])
+    def test_single_lane_sums_fold_in_ascending_order(self, block):
+        # 2**53 + 1 rounds back to 2**53, so only a left-to-right fold keeps 2**53
+        rows = np.ones((200, 1))
+        rows[0] = 2.0**53
+        with blocks_of(block, rows) if block else contextlib.nullcontext():
+            causal = _causal_sum(np.ones(200), 1.0, rows)
+            anticausal = _anticausal_sum(np.ones(200), 1.0, rows)
+        assert np.all(causal == 2.0**53)
+        assert anticausal[0, 0] == 2.0**53
+        np.testing.assert_array_equal(anticausal[1:, 0], np.arange(199, 0, -1))
+
+    @pytest.mark.parametrize("block", [1, 2, 5, 64])
+    def test_inf_in_a_later_row_leaves_earlier_outputs_bit_identical(self, block):
+        rng = np.random.default_rng(3)
+        kernel = rng.standard_normal(40)
+        kernel[::3] = 0.0
+        rows = rng.standard_normal((40, 2))
+        with blocks_of(block, rows), np.errstate(invalid="ignore"):  # 0 * inf where reached
+            causal = _causal_sum(kernel, 0.1, rows)
+            anticausal = _anticausal_sum(kernel, 0.1, rows)
+            for cut in range(40):
+                bumped = rows.copy()
+                bumped[cut] = [np.inf, -np.inf]
+                assert _causal_sum(kernel, 0.1, bumped)[:cut].tobytes() == causal[:cut].tobytes()
+                later = _anticausal_sum(kernel, 0.1, bumped)[cut + 1 :]
+                assert later.tobytes() == anticausal[cut + 1 :].tobytes()
+
+    @pytest.mark.parametrize("shape", [(0, 2), (3, 0)])
+    def test_empty_stacks(self, shape):
+        kernel = np.ones(shape[0])
+        assert _causal_sum(kernel, 0.5, np.zeros(shape)).shape == shape
+        assert _anticausal_sum(kernel, 0.5, np.zeros(shape)).shape == shape
+
+    def test_add_reduce_folds_two_lanes_or_more_in_ascending_order(self):
+        # The kernel adds a block's terms with np.add.reduce over the leading
+        # axis into a contiguous block of output rows; a single lane (the last
+        # assertion) is summed pairwise, which only a one-row block reduces.
+        column = np.array([2.0**53] + [1.0] * 39)
+        for n_rows in (2, 3, 8, 9, 40):
+            for lanes in ((1, 2), (2, 1), (3, 5), (1, 17)):
+                terms = np.broadcast_to(column[:n_rows, None, None], (n_rows,) + lanes).copy()
+                sums = np.zeros(lanes)
+                np.add.reduce(terms, axis=0, out=sums)
+                assert np.all(sums == 2.0**53)
+        assert np.add.reduce(column[:9]) != 2.0**53
+
+    @pytest.mark.parametrize("n_t, width, bound_mb", [(1024, 64, 4.0), (512, 1, 1.0)])
+    def test_scratch_memory_stays_bounded(self, n_t, width, bound_mb):
+        # n_t**2 * width products at once would take 512 MB and 2 MB here
+        rng = np.random.default_rng(0)
+        kernel, rows = rng.standard_normal(n_t), rng.standard_normal((n_t, width))
+        for total in (_causal_sum, _anticausal_sum):
+            tracemalloc.start()
+            try:
+                total(kernel, 0.01, rows)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert peak < bound_mb * 2**20
 
 
 class TestAdjoints:
