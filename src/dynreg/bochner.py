@@ -112,7 +112,7 @@ class BochnerFunction:
         a SpatialGrid, 1.0 for bare coordinate vectors).
     """
 
-    __slots__ = ("grid", "values", "p", "space_exponent", "space_weight")
+    __slots__ = ("grid", "values", "p", "space_exponent", "space_weight", "__weakref__")
 
     def __init__(
         self,
@@ -190,9 +190,15 @@ def _ascending_sum(terms: np.ndarray) -> np.ndarray:
     """Sum over the last axis, one term at a time in ascending index order.
 
     np.sum adds pairwise and @ in blocks, so their rounding depends on the
-    length and the memory layout; cumsum adds strictly left to right.
+    length and the memory layout; cumsum adds strictly left to right.  With
+    two lanes or more, np.add.reduce over the first axis of a C-contiguous
+    copy folds row after row onto every lane, in that order and faster; it
+    starts from -0.0 (+0.0 turns a lane of -0.0 into +0.0).  One lane keeps
+    cumsum, since NumPy reduces a single lane pairwise.
     """
-    return np.cumsum(terms, axis=-1)[..., -1]
+    if terms.ndim < 2 or terms.size <= terms.shape[-1]:
+        return np.cumsum(terms, axis=-1)[..., -1]
+    return np.add.reduce(np.ascontiguousarray(np.moveaxis(terms, -1, 0)), axis=0, initial=-0.0)
 
 
 def _row_norms(values: np.ndarray, weight: float, exponent: float) -> np.ndarray:

@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import argparse
 import configparser
+import functools
 import math
 import os
 import sys
@@ -27,6 +28,7 @@ import numpy as np
 
 from .bochner import BochnerFunction, TimeGrid, _atomic_write_text, bochner_norm, write_csv
 from .diagnostics import (
+    forward_image,
     integrability_tail,
     stacked_spectrum,
     temporal_spectrum,
@@ -491,38 +493,38 @@ def cmd_probe(cfg: ExperimentConfig, quiet: bool = False) -> None:
     if "translation" in cfg.probes:
         if ensemble is None:
             ensemble = _probe_ensemble(cfg, problem)
-        images = [apply_forward(forward, member) for member in ensemble]
+        images = [forward_image(forward, member) for member in ensemble]
         shifts = [k * forward.time_grid.dt for k in cfg.shift_steps]
         table = translation_modulus(images, shifts)
         _table_with_plot("translation", "z,modulus", table, "z", "modulus", False, False)
     _say(quiet, f"wrote {cfg.out_dir}/{{{','.join(written)}}}")
 
 
-def main(argv=None) -> int:
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """The command line parser, built once per process (building it takes about 1 ms)."""
     parser = argparse.ArgumentParser(
         prog="dynreg",
         description="Formulate, probe, and regularize the built-in dynamic inverse problems.",
     )
     commands = parser.add_subparsers(dest="command", required=True)
-    handlers = {
-        "forward": cmd_forward,
-        "solve": cmd_solve,
-        "sweep": cmd_sweep,
-        "probe": cmd_probe,
-    }
     helps = {
         "forward": "export truth, clean data, and one noisy draw",
         "solve": "reconstruct from a noisy draw",
         "sweep": "solve across a list of noise levels",
         "probe": "run spectral/integrability/translation probes",
     }
-    for name, handler in handlers.items():
-        sub = commands.add_parser(name, help=helps[name])
+    for name, help_text in helps.items():
+        sub = commands.add_parser(name, help=help_text)
         sub.add_argument("--config", required=True, help="sectioned key=value config file")
         sub.add_argument("--out", help="override [output] dir")
         sub.add_argument("--seed", type=int, help="override [noise] seed")
         sub.add_argument("--quiet", action="store_true", help="suppress progress output")
-    args = parser.parse_args(argv)
+    return parser
+
+
+def main(argv=None) -> int:
+    args = _parser().parse_args(argv)
     try:
         cfg = load_config(args.config)
         if args.seed is not None:
@@ -533,7 +535,7 @@ def main(argv=None) -> int:
             cfg = replace(cfg, seed=args.seed)
         if args.out is not None:
             cfg = replace(cfg, out_dir=args.out)
-        handlers[args.command](cfg, quiet=args.quiet)
+        globals()[f"cmd_{args.command}"](cfg, quiet=args.quiet)  # by name: patched ones run
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2

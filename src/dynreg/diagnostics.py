@@ -1,8 +1,8 @@
 """Ill-posedness probes: dense spectra, integrability tails, translation moduli.
 
 Dense matrices appear only here (and in test oracles): frozen-time and
-stacked operators are assembled column by column through the matrix-free
-interface, with quadrature weights folded in so plain coordinate inner
+stacked operators are assembled from batches of unit impulses mapped through
+the row forms, with quadrature weights folded in so plain coordinate inner
 products on the assembled matrix reproduce the weighted ones.  Singular
 values come from LAPACK's SVD of the matrix itself (never of M^T M).  It is
 backward stable: every value carries an absolute error of about
@@ -12,11 +12,14 @@ eps * sigma_max, so values below that level are rounding noise.
 from __future__ import annotations
 
 import math
+import weakref
 from dataclasses import dataclass
+from functools import partial
 
 import numpy as np
 
-from .bochner import _ascending_sum, _mixed_norm, _row_norms, _shift_steps, bochner_norm
+from .bochner import BochnerFunction, bochner_norm
+from .bochner import _ascending_sum, _mixed_norm, _row_norms, _shift_steps
 from .errors import (
     DomainError,
     InvalidInputError,
@@ -34,6 +37,7 @@ from .operators import (
 )
 
 SIZE_GUARD = 2_000_000  # max entries of any dense assembly
+_ASSEMBLY_BUDGET = 65_536  # entries of one batch of impulses or images: bounds scratch memory
 
 
 @dataclass(frozen=True, eq=False)
@@ -73,8 +77,8 @@ def assemble_dense(
     defaults to 0; for a DynamicForward with time_index set, the map must
     be pointwise.
 
-    Column c is the image of the c-th unit impulse, of the adjoint map with
-    adjoint=True; one impulse vector is reused for every column.
+    Column c is the image of the c-th unit impulse (of the adjoint map with
+    adjoint=True); identity blocks of _ASSEMBLY_BUDGET entries map as batches.
     """
     if isinstance(op, DynamicForward) and time_index is not None:
         if op.kind != POINTWISE:
@@ -88,23 +92,21 @@ def assemble_dense(
         op = op.static
     if isinstance(op, OperatorFamily):
         fam, n_t, what = op, 1, "frozen-time assembly"
-        i = 0 if time_index is None else time_index
-        image = fam.adjoint_rows if adjoint else fam.apply_rows
-        column = lambda impulse: image(i, impulse[None])
+        node = 0 if time_index is None else time_index
+        columns = partial(fam.adjoint_rows if adjoint else fam.apply_rows, node)
     else:
         fam, n_t, what = op.static, op.time_grid.n_t, "stacked assembly"
-        rows = _adjoint_rows if adjoint else _forward_rows
-        column = lambda impulse: rows(op, impulse.reshape(n_t, -1))
+        columns = partial(_adjoint_rows if adjoint else _forward_rows, op)
     n_in, n_out = (fam.n_out, fam.n_in) if adjoint else (fam.n_in, fam.n_out)
     w_in, w_out = (fam.out_weight, fam.in_weight) if adjoint else (fam.in_weight, fam.out_weight)
     _guard(n_t * n_out, n_t * n_in, what)
     fold = math.sqrt(w_out / w_in)
     M = np.empty((n_t * n_out, n_t * n_in))
-    impulse = np.zeros(n_t * n_in)
-    for c in range(n_t * n_in):
-        impulse[c] = 1.0
-        M[:, c] = fold * np.ravel(column(impulse))
-        impulse[c] = 0.0
+    step = max(1, _ASSEMBLY_BUDGET // (n_t * max(n_in, n_out)))
+    for c0 in range(0, n_t * n_in, step):
+        count = min(step, n_t * n_in - c0)
+        impulses = np.eye(count, n_t * n_in, c0).reshape(count, n_t, n_in)
+        M[:, c0 : c0 + count] = (fold * columns(impulses).reshape(count, -1)).T
     return M
 
 
@@ -148,6 +150,18 @@ def stacked_spectrum(forward: DynamicForward) -> SpectrumReport:
     return _spectrum_report("stacked", M)
 
 
+_IMAGES = weakref.WeakKeyDictionary()  # source -> (forward map, its image), while the source lives
+
+
+def forward_image(forward: DynamicForward, theta: BochnerFunction) -> BochnerFunction:
+    """apply_forward(forward, theta), formed once while theta lives: the tail and
+    translation probes of one ensemble share the images (both objects are immutable)."""
+    stored = _IMAGES.get(theta)
+    if stored is None or stored[0] is not forward:
+        stored = _IMAGES[theta] = (forward, apply_forward(forward, theta))
+    return stored[1]
+
+
 def integrability_tail(
     forward: DynamicForward,
     inputs,
@@ -167,7 +181,7 @@ def integrability_tail(
     Returns an array of rows (r, tail).  Every input must lie in the unit
     ball of the source space.  Each image's node norms are computed once and
     the masses summed in ascending node order, so they equal this sum taken
-    node by node to rounding level.
+    node by node to rounding level.  The images come from forward_image.
     """
     if not 0.0 < q < math.inf:
         raise InvalidParameterError(f"tail exponent must be a finite positive real, got {q}")
@@ -183,7 +197,7 @@ def integrability_tail(
         if bochner_norm(theta) > 1.0 + 1e-9:
             raise InvalidInputError(f"input {n} lies outside the unit ball")
     dt = forward.time_grid.dt
-    images = (apply_forward(forward, theta) for theta in inputs)
+    images = (forward_image(forward, theta) for theta in inputs)
     norms = np.array([_row_norms(f.values, f.space_weight, f.space_exponent) for f in images])
     masked = np.where(norms > np.array(radii)[:, None, None], dt * norms**q, 0.0)
     return np.column_stack([radii, _ascending_sum(masked).max(axis=1)])

@@ -52,13 +52,14 @@ class OperatorFamily:
     Row contract.  apply_rows(first, X) maps a stack of rows, row k of X at
     node first + k: it returns the (len(X), n_out) float array whose row k
     is apply(first + k, X[k]), bit for bit; adjoint_rows(first, Y) does the
-    same for adjoint_apply.  The package evaluates families only through
-    the row forms.  They are derived state, not constructor arguments: a
+    same for adjoint_apply, and maps leading batch axes, X of shape
+    (..., rows, n_in), stack by stack.  The package evaluates families only
+    through the row forms.  They are derived state, not constructor arguments: a
     family built from per-node callables (and any dataclasses.replace of a
     family) gets the stacking loop over its apply/adjoint_apply, while the
     built-in families define each row form as one NumPy expression and
     derive apply/adjoint_apply from it.  A matrix stage is written
-    K @ X[:, :, None]: NumPy then issues one BLAS mat-vec per row, the call
+    K @ X[..., None]: NumPy then issues one BLAS mat-vec per row, the call
     K @ x makes, whereas X @ K.T (one matrix-matrix product) or einsum add
     the terms in another order.  That moves the last bits of the result,
     and with them CG iteration counts that sit at the rounding floor of
@@ -93,6 +94,8 @@ def _stacked(apply: RowMap) -> RowMap:
     """The default row form of a per-node map: stack apply(first + k, X[k]) over k."""
 
     def rows(first: int, X) -> np.ndarray:
+        if np.ndim(X) > 2:
+            return np.array([rows(first, stack) for stack in X], dtype=float)
         return np.array([apply(first + k, row) for k, row in enumerate(X)], dtype=float)
 
     return rows
@@ -169,7 +172,7 @@ def make_gaussian_smoothing(grid: SpatialGrid, sigma: float) -> OperatorFamily:
     kernel = grid.dx * np.exp(-((x[:, None] - x[None, :]) ** 2) / (2.0 * sigma * sigma))
 
     def rows(first: int, X: np.ndarray) -> np.ndarray:
-        return (kernel @ X[:, :, None])[:, :, 0]  # one mat-vec per row, as kernel @ x
+        return (kernel @ X[..., None])[..., 0]  # one mat-vec per row, as kernel @ x
 
     return _row_family(grid.n_x, grid.n_x, rows, rows, grid.dx, grid.dx)
 
@@ -195,7 +198,7 @@ def make_subsample_observer(
     masks.setflags(write=False)
 
     def rows(first: int, X: np.ndarray) -> np.ndarray:
-        return _table_rows(masks, first, len(X), "observation pattern") * X
+        return _table_rows(masks, first, X.shape[-2], "observation pattern") * X
 
     return _row_family(dim, dim, rows, rows, weight, weight, 1.0)
 
@@ -217,7 +220,7 @@ def make_scaling_family(grid: TimeGrid, dim: int, weight: float = 1.0) -> Operat
     nodes = grid.nodes
 
     def rows(first: int, X: np.ndarray) -> np.ndarray:
-        return X / _table_rows(nodes, first, len(X), "scaling family")[:, None]
+        return X / _table_rows(nodes, first, X.shape[-2], "scaling family")[:, None]
 
     return _row_family(dim, dim, rows, rows, weight, weight)
 
@@ -336,7 +339,12 @@ def _ordered_sum(kernel, dt: float, rows, causal: bool, start: int = 0) -> np.nd
     (+0.0 at first, like the loop's) in ascending s: a block of two rows or more has
     two lanes or more, and NumPy sums only a single lane pairwise.  A block holds
     _TERM_BUDGET // rows.size rows, at least one, so wide stacks get small blocks.
+    Leading batch axes of rows, (..., n_t, width), fold into the width.
     """
+    if rows.ndim > 2:
+        folded = np.moveaxis(rows, -2, 0)
+        sums = _ordered_sum(kernel, dt, folded.reshape(len(folded), -1), causal, start)
+        return np.moveaxis(sums.reshape(folded.shape), 0, -2)
     n_t, w, out = len(rows), (dt * kernel)[:, None], np.zeros(rows.shape)
     if rows.size == 0:
         return out
@@ -375,18 +383,18 @@ def _anticausal_sum(kernel: np.ndarray, dt: float, rows: np.ndarray, start: int 
 
 
 def _causal_kernel(forward: DynamicForward, values, first: int) -> tuple[np.ndarray, float]:
-    """Kernel samples and dt for causal rows 0..len(values)-1."""
+    """Kernel samples and dt for causal rows 0..n-1, values of shape (..., n, width)."""
     if first != 0:
         raise InvalidParameterError(f"{forward.kind} rows start at node 0, not {first}")
-    return forward.kernel[: len(values)], forward.time_grid.dt
+    return forward.kernel[: values.shape[-2]], forward.time_grid.dt
 
 
 def _forward_rows(forward: DynamicForward, values, first: int = 0) -> np.ndarray:
     """Rows first, first+1, ... of the forward map, from source rows at those nodes.
 
     The one evaluation path of the package.  A pointwise map evaluates only
-    the given nodes; a causal kind needs the rows from node 0 on (first = 0)
-    and uses the first len(values) kernel samples.
+    the given nodes; a causal kind needs the rows from node 0 on (first = 0).
+    Leading batch axes of values map stack by stack, as in the row contract.
     """
     fam = forward.static
     if forward.kind == POINTWISE:

@@ -132,11 +132,11 @@ def make_mpi_analogue(
     profiles.setflags(write=False)
 
     def apply_rows(first: int, C: np.ndarray) -> np.ndarray:
-        P = _table_rows(profiles, first, len(C), "sensitivity profiles")
-        return dx * (P[:, None, :] @ C[:, :, None])[:, :, 0]  # one dot per row
+        P = _table_rows(profiles, first, C.shape[-2], "sensitivity profiles")
+        return dx * (P[:, None, :] @ C[..., None])[..., 0]  # one dot per row
 
     def adjoint_rows(first: int, V: np.ndarray) -> np.ndarray:
-        return _table_rows(profiles, first, len(V), "sensitivity profiles") * V[:, :1]
+        return _table_rows(profiles, first, V.shape[-2], "sensitivity profiles") * V[..., :1]
 
     sensing = _row_family(n_x, 1, apply_rows, adjoint_rows, dx, 1.0)
     if kernel is None:

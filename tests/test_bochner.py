@@ -37,6 +37,7 @@ from dynreg import (
     translate,
     write_csv,
 )
+from dynreg.bochner import _ascending_sum, _mixed_norm, _row_norms
 
 
 def loop_norm(u):
@@ -520,3 +521,66 @@ class TestCsv:
             f.write("t,x_0\n0.1,1.0\n0.9,2.0\n")
         with pytest.raises(InvalidInputError):
             read_csv(path)
+
+
+def cumsum_sum(terms):
+    """The reference reduction: a running sum along the last axis, last entry kept."""
+    return np.cumsum(terms, axis=-1)[..., -1]
+
+
+@st.composite
+def term_arrays(draw):
+    """Arrays to sum over the last axis: 1-D, one lane, two lanes, 3-D lanes; laid
+    out C-ordered, F-ordered or as a strided view; signed zeros and wide magnitudes."""
+    shape = draw(
+        st.one_of(
+            st.tuples(st.integers(1, 300)),
+            st.tuples(st.integers(1, 300)).map(lambda s: (1, *s)),
+            st.tuples(st.integers(1, 300)).map(lambda s: (2, *s)),
+            st.tuples(st.integers(1, 5), st.integers(1, 5), st.integers(1, 80)),
+        )
+    )
+    elements = st.one_of(
+        st.sampled_from([0.0, -0.0]),
+        st.floats(-1e6, 1e6, allow_subnormal=True),
+        st.floats(-1e-300, 1e-300, allow_subnormal=True),
+    )
+    values = draw(arrays(np.float64, shape, elements=elements))
+    layout = draw(st.sampled_from(["C", "F", "strided"]))
+    if layout == "F":
+        return np.asfortranarray(values)
+    if layout == "strided":
+        return np.repeat(values, 2, axis=-1)[..., ::2]
+    return values
+
+
+class TestLaneFold:
+    """_ascending_sum folds two lanes or more with np.add.reduce, one lane with
+    cumsum; both must give the running sum's bytes, -0.0 included."""
+
+    @settings(max_examples=400, deadline=None)
+    @given(term_arrays())
+    def test_ascending_sum_is_the_running_sum(self, terms):
+        assert _ascending_sum(terms).tobytes() == cumsum_sum(terms).tobytes()
+
+    @settings(max_examples=200, deadline=None)
+    @given(term_arrays(), st.sampled_from(EXPONENTS), st.sampled_from(EXPONENTS))
+    def test_norms_are_running_sums(self, values, s, p):
+        w, dt = 0.37, 0.011
+        rows = cumsum_sum(w * np.abs(values) ** s) ** (1.0 / s)
+        assert _row_norms(values, w, s).tobytes() == rows.tobytes()
+        if values.ndim == 2:
+            mixed = float(cumsum_sum(dt * rows**p) ** (1.0 / p))
+            assert _mixed_norm(values, dt, w, p, s) == mixed
+
+    def test_a_single_lane_is_not_reduced_pairwise(self):
+        # NumPy sums one contiguous lane pairwise, which rounds differently
+        lanes = np.random.default_rng(0).standard_normal((200, 1, 300))
+        pairwise = [np.add.reduce(lane, axis=-1) != cumsum_sum(lane) for lane in lanes]
+        assert sum(pairwise) > 100
+        for lane in lanes:
+            assert _ascending_sum(lane).tobytes() == cumsum_sum(lane).tobytes()
+
+    def test_all_negative_zero_lanes_stay_negative(self):
+        terms = np.array([[-0.0, -0.0, -0.0], [-0.0, 0.0, -0.0]])
+        assert np.signbit(_ascending_sum(terms)).tolist() == [True, False]

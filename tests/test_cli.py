@@ -12,6 +12,7 @@ import numpy as np
 import pytest
 
 from dynreg import NoiseSpec, add_noise, bochner_norm, make_identity_problem, read_csv
+from dynreg import cli
 from dynreg.cli import ExperimentConfig, load_config, main
 
 
@@ -137,6 +138,25 @@ class TestExitCodes:
         code = main(["forward", "--config", path, "--out", str(blocker / "sub")])
         assert code == 4
         assert "i/o error" in capsys.readouterr().err
+
+    def test_help_exits_zero_from_the_one_parser(self, capsys):
+        for argv in (["--help"], ["probe", "--help"]):
+            with pytest.raises(SystemExit) as stop:
+                main(argv)
+            assert stop.value.code == 0
+        assert "usage: dynreg probe" in capsys.readouterr().out
+        with pytest.raises(SystemExit) as stop:
+            main(["bogus"])
+        assert stop.value.code == 2
+        assert cli._parser() is cli._parser()
+
+    def test_handlers_are_looked_up_at_call_time(self, tmp_path, monkeypatch):
+        path = write_config(tmp_path / "a.ini", "[problem]\nkind = identity\nn_t = 3\nn_x = 2\n")
+        seen = []
+        cli._parser()  # built before the patch: the handler is still found
+        monkeypatch.setattr(cli, "cmd_probe", lambda cfg, quiet: seen.append(cfg.out_dir))
+        assert main(["probe", "--config", path, "--out", str(tmp_path / "o"), "--quiet"]) == 0
+        assert seen == [str(tmp_path / "o")]
 
     def test_divergent_solver_is_numeric_failure(self, tmp_path, capsys):
         path = write_config(tmp_path / "a.ini", """\
@@ -475,6 +495,31 @@ class TestProbe:
         assert table[0] == ["z", "modulus"]
         assert len(table) == 3
         assert all(float(row[1]) >= 0.0 for row in table[1:])
+
+    def test_shared_ensemble_images_write_the_same_tables(self, tmp_path):
+        # both ensemble probes in one call reuse the images; each alone forms its own
+        body = """\
+            [problem]
+            kind = nonuniform
+            n_t = 24
+            n_x = 6
+
+            [probe]
+            probes = {probes}
+            ensemble = 5
+            radii = 1, 4, 16
+            shift_steps = 1, 3
+            """
+        trees = {}
+        for probes in ("integrability,translation", "integrability", "translation"):
+            path = write_config(tmp_path / f"{probes}.ini", body.format(probes=probes))
+            out = tmp_path / probes
+            assert main(["probe", "--config", path, "--out", str(out), "--seed", "3", "--quiet"]) == 0
+            trees[probes] = read_tree(out)
+        both = trees["integrability,translation"]
+        for name in ("integrability", "translation"):
+            for ext in (".csv", ".svg"):
+                assert both[name + ext] == trees[name][name + ext]
 
     def test_quiet_suppresses_stdout(self, tmp_path, capsys):
         path = write_config(tmp_path / "a.ini", """\

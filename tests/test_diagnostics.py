@@ -43,6 +43,15 @@ from dynreg import (
     translate,
     translation_modulus,
 )
+from dynreg import diagnostics
+from dynreg.diagnostics import forward_image
+from dynreg.operators import (
+    ACCUMULATE_THEN_OBSERVE,
+    OBSERVE_THEN_ACCUMULATE,
+    OperatorFamily,
+    _adjoint_rows,
+    _forward_rows,
+)
 from nystrom import gaussian_nystrom_spectrum
 
 
@@ -140,6 +149,38 @@ def loop_translation_modulus(ensemble, shifts):
     return table
 
 
+def impulse_assembly(op, time_index=None, adjoint=False):
+    """Dense assembly one unit impulse per column, each mapped alone: the loop
+    assemble_dense ran before it mapped batches of impulses."""
+    if isinstance(op, DynamicForward) and time_index is not None:
+        op = op.static
+    if isinstance(op, OperatorFamily):
+        fam, n_t = op, 1
+        image = fam.adjoint_rows if adjoint else fam.apply_rows
+        column = lambda impulse: image(time_index or 0, impulse[None])
+    else:
+        fam, n_t = op.static, op.time_grid.n_t
+        rows = _adjoint_rows if adjoint else _forward_rows
+        column = lambda impulse: rows(op, impulse.reshape(n_t, -1))
+    n_in, n_out = (fam.n_out, fam.n_in) if adjoint else (fam.n_in, fam.n_out)
+    w_in, w_out = (fam.out_weight, fam.in_weight) if adjoint else (fam.in_weight, fam.out_weight)
+    fold = math.sqrt(w_out / w_in)
+    M = np.empty((n_t * n_out, n_t * n_in))
+    for c in range(n_t * n_in):
+        impulse = np.zeros(n_t * n_in)
+        impulse[c] = 1.0
+        M[:, c] = fold * np.ravel(column(impulse))
+    return M
+
+
+def per_node_family(n_t, n_in, n_out, seed):
+    """A family given only by per-node callables: its row forms are the stacking loop."""
+    mats = np.random.default_rng(seed).standard_normal((n_t, n_out, n_in))
+    return OperatorFamily(
+        n_in, n_out, lambda i, x: mats[i] @ x, lambda i, y: mats[i].T @ y, 0.5, 2.0
+    )
+
+
 def unit_ball_ensemble(forward, size, seed):
     """A constant-in-time member and size - 1 random draws, all of norm 1."""
     shape = (forward.time_grid.n_t, forward.static.n_in)
@@ -206,6 +247,44 @@ class TestAssembleDense:
         np.testing.assert_allclose(
             assemble_dense(op, i, adjoint=True), expected.T, rtol=1e-14, atol=1e-300
         )
+
+    @pytest.mark.parametrize("adjoint", [False, True])
+    @pytest.mark.parametrize(
+        "make, n_t, n_x",
+        [
+            (make_dct_analogue, 7, 9),
+            (make_mpi_analogue, 16, 32),  # 512 columns: four chunks under the budget
+            (make_nonuniform_example, 6, 5),
+            (make_identity_problem, 4, 3),
+        ],
+    )
+    def test_batched_columns_equal_impulse_loop(self, make, n_t, n_x, adjoint):
+        forward = make(n_t, n_x).forward
+        stacked = assemble_dense(forward, adjoint=adjoint)
+        assert stacked.tobytes() == impulse_assembly(forward, adjoint=adjoint).tobytes()
+        if forward.kind == POINTWISE:
+            for i in (0, n_t - 1):
+                got = assemble_dense(forward, i, adjoint=adjoint)
+                assert got.tobytes() == impulse_assembly(forward, i, adjoint).tobytes()
+        got = assemble_dense(forward.static, n_t - 1, adjoint=adjoint)
+        assert got.tobytes() == impulse_assembly(forward.static, n_t - 1, adjoint).tobytes()
+
+    def test_real_budget_splits_the_largest_case(self):
+        # mpi 16x32 above: 16 * 32 entries per impulse, so 128 impulses per chunk
+        assert diagnostics._ASSEMBLY_BUDGET // (16 * 32) < 16 * 32
+
+    @pytest.mark.parametrize("adjoint", [False, True])
+    @pytest.mark.parametrize("kind", [POINTWISE, OBSERVE_THEN_ACCUMULATE, ACCUMULATE_THEN_OBSERVE])
+    @pytest.mark.parametrize("budget", [1, 7, 10**6])
+    def test_per_node_family_in_chunks(self, kind, adjoint, budget, monkeypatch):
+        monkeypatch.setattr(diagnostics, "_ASSEMBLY_BUDGET", budget)
+        n_t, fam = 5, per_node_family(5, 3, 2, seed=3)
+        kernel = None if kind == POINTWISE else np.exp(-np.arange(n_t) / 3.0)
+        forward = DynamicForward(kind, fam, TimeGrid(1.0, n_t), kernel)
+        stacked = assemble_dense(forward, adjoint=adjoint)
+        assert stacked.tobytes() == impulse_assembly(forward, adjoint=adjoint).tobytes()
+        frozen = assemble_dense(fam, 2, adjoint=adjoint)
+        assert frozen.tobytes() == impulse_assembly(fam, 2, adjoint).tobytes()
 
     def test_size_guard(self):
         problem = make_identity_problem(1500, 1500)
@@ -405,6 +484,15 @@ class TestIntegrabilityTail:
         with pytest.raises(InvalidInputError):
             integrability_tail(problem.forward, [big], [1.0])
 
+    def test_rejects_input_outside_unit_ball_with_its_image_formed(self):
+        # an image formed earlier (for the translation probe, say) skips no check
+        problem = make_identity_problem(4, 2)
+        unit = problem.truth * (1.0 / bochner_norm(problem.truth))
+        big = problem.forward.source_template(np.full((4, 2), 10.0))
+        forward_image(problem.forward, big)
+        with pytest.raises(InvalidInputError, match="input 1 lies outside the unit ball"):
+            integrability_tail(problem.forward, [unit, big], [1.0])
+
     @pytest.mark.parametrize("q", [1.0, 2.5])
     def test_matches_node_by_node_loop(self, q):
         forward = make_nonuniform_example(24, 6).forward
@@ -426,6 +514,38 @@ class TestIntegrabilityTail:
         member = problem.forward.source_template(np.zeros((4, 2)))
         with pytest.raises(InvalidParameterError):
             integrability_tail(problem.forward, [member], [2.0, 1.0])
+
+
+class TestForwardImage:
+    def test_formed_once_per_source_and_map(self):
+        problem = make_nonuniform_example(6, 4)
+        theta = problem.truth * (1.0 / bochner_norm(problem.truth))
+        image = forward_image(problem.forward, theta)
+        assert image.values.tobytes() == apply_forward(problem.forward, theta).values.tobytes()
+        assert forward_image(problem.forward, theta) is image
+        other = make_nonuniform_example(6, 4).forward  # an equal map, another object
+        assert forward_image(other, theta) is not image
+
+    def test_tail_and_translation_share_images(self, monkeypatch):
+        problem = make_nonuniform_example(8, 4)
+        ensemble = unit_ball_ensemble(problem.forward, 3, seed=1)
+        calls = []
+        monkeypatch.setattr(
+            diagnostics, "apply_forward", lambda f, u: calls.append(u) or apply_forward(f, u)
+        )
+        integrability_tail(problem.forward, ensemble, [1.0])
+        images = [forward_image(problem.forward, theta) for theta in ensemble]
+        assert [id(u) for u in calls] == [id(theta) for theta in ensemble]
+        expected = [apply_forward(problem.forward, theta) for theta in ensemble]
+        assert all(a.values.tobytes() == b.values.tobytes() for a, b in zip(images, expected))
+
+    def test_image_goes_with_its_source(self):
+        problem = make_identity_problem(3, 2)
+        theta = problem.forward.source_template(np.ones((3, 2)))
+        forward_image(problem.forward, theta)
+        assert theta in diagnostics._IMAGES
+        del theta
+        assert all(f is not problem.forward for f, _ in diagnostics._IMAGES.values())
 
 
 class TestTranslationModulus:

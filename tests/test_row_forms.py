@@ -39,7 +39,7 @@ from dynreg import (
     tikhonov_temporal,
     time_subproblems,
 )
-from dynreg.operators import _adjoint_rows, _anticausal_sum
+from dynreg.operators import KINDS, _adjoint_rows, _anticausal_sum, _forward_rows
 
 
 def gaussian_matrix(space: SpatialGrid, sigma: float) -> np.ndarray:
@@ -181,6 +181,53 @@ class TestRowContract:
         X = np.arange(8.0).reshape(2, 4)
         assert np.array_equal(replaced.apply_rows(0, X), 3.0 * X)
         assert np.array_equal(replaced.adjoint_rows(0, X), stacked(fam.adjoint_apply, 0, X))
+
+
+class TestLeadingBatchAxes:
+    """A stack of stacks maps stack by stack: each gives its bytes alone."""
+
+    @settings(max_examples=40, deadline=None)
+    @given(row_cases(), st.sampled_from([(1,), (3,), (2, 3)]))
+    def test_row_forms(self, case, batch):
+        n_t, n_x, first, count, sigma, width, seed = case
+        rng = np.random.default_rng(seed)
+        for name, fam, _, _ in families(n_t, n_x, sigma, width):
+            X = rng.standard_normal((*batch, count, fam.n_in))
+            Y = rng.standard_normal((*batch, count, fam.n_out))
+            rows, back = fam.apply_rows(first, X), fam.adjoint_rows(first, Y)
+            assert rows.shape == (*batch, count, fam.n_out), name
+            assert back.shape == (*batch, count, fam.n_in), name
+            for k in np.ndindex(*batch):
+                assert rows[k].tobytes() == fam.apply_rows(first, X[k]).tobytes(), name
+                assert back[k].tobytes() == fam.adjoint_rows(first, Y[k]).tobytes(), name
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        st.sampled_from(KINDS),
+        st.integers(1, 12),
+        st.integers(1, 6),
+        st.integers(1, 4),
+        st.booleans(),
+        st.integers(0, 2**32 - 1),
+    )
+    def test_evaluation_path(self, kind, n_t, n_x, batch, per_node, seed):
+        rng = np.random.default_rng(seed)
+        grid, space = TimeGrid(1.0, n_t), SpatialGrid(0.0, 1.0, n_x)
+        fam = make_gaussian_smoothing(space, 0.2)
+        if per_node:  # the stacking loop over per-node callables
+            fam = OperatorFamily(n_x, n_x, fam.apply, fam.adjoint_apply, space.dx, space.dx)
+        kernel = None if kind == POINTWISE else rng.standard_normal(n_t)
+        forward = DynamicForward(kind, fam, grid, kernel)
+        values = rng.standard_normal((batch, n_t, n_x))
+        values[rng.random(values.shape) < 0.2] = -0.0
+        zero_rows = int(rng.integers(0, n_t + 1)) if kind != POINTWISE else 0
+        padded = values.copy()
+        padded[:, :zero_rows] = 0.0
+        got = _forward_rows(forward, values), _adjoint_rows(forward, padded, 0, zero_rows)
+        for k in range(batch):
+            assert got[0][k].tobytes() == _forward_rows(forward, values[k]).tobytes()
+            alone = _adjoint_rows(forward, padded[k], 0, zero_rows)
+            assert got[1][k].tobytes() == alone.tobytes()
 
 
 class TestNoPerNodeFallback:
