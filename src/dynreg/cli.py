@@ -22,12 +22,13 @@ import functools
 import math
 import os
 import sys
-from dataclasses import dataclass, replace
+from dataclasses import MISSING, dataclass, field, fields, replace
 
 import numpy as np
 
 from .bochner import BochnerFunction, TimeGrid, _atomic_write_text, bochner_norm, write_csv
 from .diagnostics import (
+    _check_radii,
     forward_image,
     integrability_tail,
     stacked_spectrum,
@@ -71,49 +72,6 @@ _PROBES = ("temporal_spectrum", "stacked_spectrum", "integrability", "translatio
 _POINTWISE_KINDS = ("dct", "nonuniform", "identity")
 
 
-@dataclass(frozen=True)
-class ExperimentConfig:
-    """Validated, flattened view of one config file."""
-
-    # [problem]
-    kind: str
-    n_t: int = 32
-    n_x: int = 32
-    horizon: float = 1.0
-    sigma: float = 0.1
-    window: int | None = None
-    decay: float = 1.0
-    pattern_csv: str | None = None
-    kernel_csv: str | None = None
-    # [noise]
-    delta: float = 0.01
-    seed: int = 0
-    fraction: float = 0.99
-    # [solver]
-    method: str = "tikhonov_uniform"
-    alpha: float | None = None
-    rule_scale: float = 1.0
-    rule_exponent: float = 1.0
-    tol: float = 1e-10
-    max_iter: int = 5000
-    tau: float = 2.0
-    omega: float | str = "auto"
-    max_sweeps: int = 500
-    memory: int = 3  # KaczmarzConfig.memory defaults to 1: see its docstring
-    sections: int | None = None
-    # [probe]
-    probes: tuple[str, ...] = _PROBES
-    time_index: int = 0
-    radii: tuple[float, ...] = (1.0, 2.0, 4.0, 8.0)
-    tail_exponent: float = 1.0
-    shift_steps: tuple[int, ...] = (1, 2, 4)
-    ensemble: int = 8
-    # [sweep]
-    deltas: tuple[float, ...] = (1e-1, 1e-2, 1e-3, 1e-4)
-    # [output]
-    out_dir: str = "out"
-
-
 def _parse_positive_float(raw: str) -> float:
     v = float(raw)
     if not math.isfinite(v) or v <= 0.0:
@@ -132,63 +90,66 @@ def _parse_omega(raw: str):
     return raw if raw == "auto" else _parse_positive_float(raw)
 
 
-def _parse_list(raw: str, item):
-    parts = [p.strip() for p in raw.split(",") if p.strip()]
-    if not parts:
-        raise ValueError("empty list")
-    return tuple(item(p) for p in parts)
+def _list_of(item):
+    """A parser of comma-separated lists of `item`s."""
+
+    def parse(raw: str) -> tuple:
+        parts = [p.strip() for p in raw.split(",") if p.strip()]
+        if not parts:
+            raise ValueError("empty list")
+        return tuple(item(p) for p in parts)
+
+    return parse
 
 
-_SCHEMA: dict[str, dict[str, object]] = {
-    "problem": {
-        "kind": lambda raw: raw,
-        "n_t": _parse_positive_int,
-        "n_x": _parse_positive_int,
-        "T": _parse_positive_float,
-        "sigma": _parse_positive_float,
-        "window": _parse_positive_int,
-        "decay": lambda raw: float(raw),
-        "pattern_csv": lambda raw: raw,
-        "kernel_csv": lambda raw: raw,
-    },
-    "noise": {
-        "delta": _parse_positive_float,
-        "seed": lambda raw: int(raw),
-        "fraction": _parse_positive_float,
-    },
-    "solver": {
-        "method": lambda raw: raw,
-        "alpha": _parse_positive_float,
-        "rule_scale": _parse_positive_float,
-        "rule_exponent": _parse_positive_float,
-        "tol": _parse_positive_float,
-        "max_iter": _parse_positive_int,
-        "tau": _parse_positive_float,
-        "omega": _parse_omega,
-        "max_sweeps": lambda raw: int(raw),
-        "memory": _parse_positive_int,
-        "sections": _parse_positive_int,
-    },
-    "probe": {
-        "probes": lambda raw: _parse_list(raw, str),
-        "time_index": lambda raw: int(raw),
-        "radii": lambda raw: _parse_list(raw, _parse_positive_float),
-        "tail_exponent": _parse_positive_float,
-        "shift_steps": lambda raw: _parse_list(raw, _parse_positive_int),
-        "ensemble": _parse_positive_int,
-    },
-    "sweep": {
-        "deltas": lambda raw: _parse_list(raw, _parse_positive_float),
-    },
-    "output": {
-        "dir": lambda raw: raw,
-    },
-}
+def _key(section: str, parse, default=MISSING, name: str | None = None):
+    """A config key: its section, its parser and, if not the field's, its name in the file."""
+    return field(default=default, metadata={"section": section, "parse": parse, "name": name})
 
-_FIELD_NAMES = {
-    ("problem", "T"): "horizon",
-    ("output", "dir"): "out_dir",
-}
+
+@dataclass(frozen=True)
+class ExperimentConfig:
+    """Validated, flattened view of one config file, one field per key."""
+
+    kind: str = _key("problem", str)
+    n_t: int = _key("problem", _parse_positive_int, 32)
+    n_x: int = _key("problem", _parse_positive_int, 32)
+    horizon: float = _key("problem", _parse_positive_float, 1.0, name="T")
+    sigma: float = _key("problem", _parse_positive_float, 0.1)
+    window: int | None = _key("problem", _parse_positive_int, None)
+    decay: float = _key("problem", float, 1.0)
+    pattern_csv: str | None = _key("problem", str, None)
+    kernel_csv: str | None = _key("problem", str, None)
+    delta: float = _key("noise", _parse_positive_float, 0.01)
+    seed: int = _key("noise", int, 0)
+    fraction: float = _key("noise", _parse_positive_float, 0.99)
+    method: str = _key("solver", str, "tikhonov_uniform")
+    alpha: float | None = _key("solver", _parse_positive_float, None)
+    rule_scale: float = _key("solver", _parse_positive_float, 1.0)
+    rule_exponent: float = _key("solver", _parse_positive_float, 1.0)
+    tol: float = _key("solver", _parse_positive_float, 1e-10)
+    max_iter: int = _key("solver", _parse_positive_int, 5000)
+    tau: float = _key("solver", _parse_positive_float, 2.0)
+    omega: float | str = _key("solver", _parse_omega, "auto")
+    max_sweeps: int = _key("solver", int, 500)
+    # KaczmarzConfig.memory defaults to 1: see its docstring
+    memory: int = _key("solver", _parse_positive_int, 3)
+    sections: int | None = _key("solver", _parse_positive_int, None)
+    probes: tuple[str, ...] = _key("probe", _list_of(str), _PROBES)
+    time_index: int = _key("probe", int, 0)
+    radii: tuple[float, ...] = _key("probe", _list_of(_parse_positive_float), (1.0, 2.0, 4.0, 8.0))
+    tail_exponent: float = _key("probe", _parse_positive_float, 1.0)
+    shift_steps: tuple[int, ...] = _key("probe", _list_of(_parse_positive_int), (1, 2, 4))
+    ensemble: int = _key("probe", _parse_positive_int, 8)
+    deltas: tuple[float, ...] = _key(
+        "sweep", _list_of(_parse_positive_float), (1e-1, 1e-2, 1e-3, 1e-4)
+    )
+    out_dir: str = _key("output", str, "out", name="dir")
+
+
+# (section, key in the file) -> field
+_KEYS = {(f.metadata["section"], f.metadata["name"] or f.name): f for f in fields(ExperimentConfig)}
+_SECTIONS = {section for section, _ in _KEYS}
 
 
 def load_config(path: str) -> ExperimentConfig:
@@ -202,15 +163,14 @@ def load_config(path: str) -> ExperimentConfig:
             raise ConfigError(f"{path}: {exc}") from exc
     values: dict[str, object] = {}
     for section in parser.sections():
-        if section not in _SCHEMA:
+        if section not in _SECTIONS:
             raise ConfigError(f"{path}: unknown section [{section}]")
         for key, raw in parser.items(section):
-            converter = _SCHEMA[section].get(key)
-            if converter is None:
+            target = _KEYS.get((section, key))
+            if target is None:
                 raise ConfigError(f"{path}: unknown key {key!r} in section [{section}]")
-            field = _FIELD_NAMES.get((section, key), key)
             try:
-                values[field] = converter(raw)
+                values[target.name] = target.metadata["parse"](raw)
             except ValueError as exc:
                 raise ConfigError(f"{path}: [{section}] {key} = {raw!r}: {exc}") from exc
     if "kind" not in values:
@@ -231,8 +191,10 @@ def _validate(cfg: ExperimentConfig, path: str, explicit: set[str]) -> None:
         raise ConfigError(f"{path}: unknown method {cfg.method!r}, pick one of {list(_METHODS)}")
     if cfg.sections is not None and cfg.sections > cfg.n_t:
         raise ConfigError(f"{path}: sections {cfg.sections} exceeds n_t = {cfg.n_t}")
-    if cfg.method == "tikhonov_temporal" and cfg.kind == "mpi":
-        raise ConfigError(f"{path}: the tracking solver needs a pointwise problem, not 'mpi'")
+    if cfg.method == "tikhonov_temporal" and cfg.kind not in _POINTWISE_KINDS:
+        raise ConfigError(
+            f"{path}: the tracking solver needs a pointwise problem, not {cfg.kind!r}"
+        )
     for probe in cfg.probes:
         if probe not in _PROBES:
             raise ConfigError(f"{path}: unknown probe {probe!r}, pick from {list(_PROBES)}")
@@ -260,7 +222,14 @@ _LIBRARY_OBJECTS = (
     ("solver", ("tol", "max_iter"), TikhonovConfig),
     ("solver", ("omega", "tau", "max_sweeps", "memory"), KaczmarzConfig),
     ("solver", ("rule_scale", "rule_exponent"), ParameterRule),
+    ("probe", ("radii",), _check_radii),
 )
+
+
+def _from_config(build, cfg: ExperimentConfig):
+    """build(...) called with its _LIBRARY_OBJECTS keys of cfg."""
+    keys = next(keys for _, keys, entry in _LIBRARY_OBJECTS if entry is build)
+    return build(*(getattr(cfg, key) for key in keys))
 
 
 def _check_library_values(cfg: ExperimentConfig, path: str) -> None:
@@ -273,27 +242,22 @@ def _check_library_values(cfg: ExperimentConfig, path: str) -> None:
     for section, keys, build in _LIBRARY_OBJECTS:
         for key in keys:
             value = getattr(cfg, key)
-            one = replace(defaults, **{key: value})
             try:
-                build(*(getattr(one, k) for k in keys))
+                _from_config(build, replace(defaults, **{key: value}))
             except InvalidParameterError as exc:
                 raise ConfigError(f"{path}: [{section}] {key} = {value!r}: {exc}") from exc
 
 
 def _build_problem(cfg: ExperimentConfig) -> ProblemInstance:
     try:
+        grid = TimeGrid(cfg.horizon, cfg.n_t)
         if cfg.kind == "dct":
-            pattern = None
-            if cfg.pattern_csv is not None:
-                pattern = load_pattern_csv(cfg.pattern_csv, TimeGrid(cfg.horizon, cfg.n_t))
-            window = cfg.window if cfg.window is not None else cfg.n_x
+            pattern = None if cfg.pattern_csv is None else load_pattern_csv(cfg.pattern_csv, grid)
             return make_dct_analogue(
-                cfg.n_t, cfg.n_x, cfg.sigma, window, cfg.horizon, pattern=pattern
+                cfg.n_t, cfg.n_x, cfg.sigma, cfg.window, cfg.horizon, pattern=pattern
             )
         if cfg.kind == "mpi":
-            kernel = None
-            if cfg.kernel_csv is not None:
-                kernel = load_kernel_csv(cfg.kernel_csv, TimeGrid(cfg.horizon, cfg.n_t))
+            kernel = None if cfg.kernel_csv is None else load_kernel_csv(cfg.kernel_csv, grid)
             return make_mpi_analogue(cfg.n_t, cfg.n_x, cfg.decay, cfg.horizon, kernel=kernel)
         if cfg.kind == "nonuniform":
             return make_nonuniform_example(cfg.n_t, cfg.n_x, cfg.horizon)
@@ -303,9 +267,7 @@ def _build_problem(cfg: ExperimentConfig) -> ProblemInstance:
 
 
 def _alpha_argument(cfg: ExperimentConfig):
-    if cfg.alpha is not None:
-        return cfg.alpha
-    return ParameterRule(cfg.rule_scale, cfg.rule_exponent)
+    return cfg.alpha if cfg.alpha is not None else _from_config(ParameterRule, cfg)
 
 
 def _embed_static(problem: ProblemInstance, x: np.ndarray) -> BochnerFunction:
@@ -314,9 +276,9 @@ def _embed_static(problem: ProblemInstance, x: np.ndarray) -> BochnerFunction:
 
 
 def _run_solver(
-    cfg: ExperimentConfig, problem: ProblemInstance, noisy: BochnerFunction, delta: float
+    cfg: ExperimentConfig, problem: ProblemInstance, noisy: BochnerFunction
 ) -> tuple[SolveReport, BochnerFunction, float, float]:
-    """Dispatch on cfg.method.
+    """Dispatch on cfg.method at noise level cfg.delta.
 
     Returns (report, space-time reconstruction, relative error, data residual);
     static reconstructions are embedded as constant-in-time functions.
@@ -327,20 +289,17 @@ def _run_solver(
             problem.forward,
             noisy,
             _alpha_argument(cfg),
-            delta,
-            TikhonovConfig(tol=cfg.tol, max_iter=cfg.max_iter),
+            cfg.delta,
+            _from_config(TikhonovConfig, cfg),
             truth=problem.truth,
         )
         reconstruction = report.reconstruction
         error = report.error
     else:
-        kcfg = KaczmarzConfig(
-            omega=cfg.omega, tau=cfg.tau, max_sweeps=cfg.max_sweeps, memory=cfg.memory
-        )
-        subs = time_subproblems(problem.forward, noisy, delta, sections=cfg.sections)
+        subs = time_subproblems(problem.forward, noisy, cfg.delta, sections=cfg.sections)
         start = np.zeros(problem.forward.static.n_in)
         loop = landweber_kaczmarz if cfg.method == "landweber_kaczmarz" else kaczmarz_multi_direction
-        report = loop(subs, kcfg, start)
+        report = loop(subs, _from_config(KaczmarzConfig, cfg), start)
         reconstruction = _embed_static(problem, report.reconstruction)
         error = bochner_norm(reconstruction - problem.truth) / bochner_norm(problem.truth)
     residual = bochner_norm(apply_forward(problem.forward, reconstruction) - noisy)
@@ -376,7 +335,7 @@ def _plot(path: str, x, y, **labels) -> None:
 def cmd_forward(cfg: ExperimentConfig, quiet: bool = False) -> None:
     """Build the problem, draw noise, export the instance directory."""
     problem = _build_problem(cfg)
-    spec = NoiseSpec(cfg.delta, cfg.seed, cfg.fraction)
+    spec = _from_config(NoiseSpec, cfg)
     noisy = add_noise(problem.data_clean, spec)
     export_instance(problem, noisy, spec, cfg.out_dir)
     _say(quiet, f"wrote {cfg.out_dir}/{{truth,data_clean,data_noisy}}.csv and meta.txt")
@@ -385,8 +344,8 @@ def cmd_forward(cfg: ExperimentConfig, quiet: bool = False) -> None:
 def cmd_solve(cfg: ExperimentConfig, quiet: bool = False) -> None:
     """Reconstruct from one noisy draw and export reconstruction/trace/report."""
     problem = _build_problem(cfg)
-    noisy = add_noise(problem.data_clean, NoiseSpec(cfg.delta, cfg.seed, cfg.fraction))
-    report, reconstruction, error, residual = _run_solver(cfg, problem, noisy, cfg.delta)
+    noisy = add_noise(problem.data_clean, _from_config(NoiseSpec, cfg))
+    report, reconstruction, error, residual = _run_solver(cfg, problem, noisy)
     os.makedirs(cfg.out_dir, exist_ok=True)
     write_csv(reconstruction, os.path.join(cfg.out_dir, "reconstruction.csv"))
     _write_table(
@@ -419,8 +378,9 @@ def cmd_sweep(cfg: ExperimentConfig, quiet: bool = False) -> None:
     problem = _build_problem(cfg)
     rows = []
     for index, delta in enumerate(cfg.deltas):
-        noisy = add_noise(problem.data_clean, NoiseSpec(delta, cfg.seed + index, cfg.fraction))
-        report, _, error, residual = _run_solver(cfg, problem, noisy, delta)
+        one = replace(cfg, delta=delta, seed=cfg.seed + index)
+        noisy = add_noise(problem.data_clean, _from_config(NoiseSpec, one))
+        report, _, error, residual = _run_solver(one, problem, noisy)
         alpha = report.alphas[0] if report.alphas else math.nan
         rows.append((delta, alpha, error, residual))
     os.makedirs(cfg.out_dir, exist_ok=True)
@@ -528,11 +488,11 @@ def main(argv=None) -> int:
     try:
         cfg = load_config(args.config)
         if args.seed is not None:
+            cfg = replace(cfg, seed=args.seed)
             try:
-                NoiseSpec(cfg.delta, args.seed, cfg.fraction)
+                _from_config(NoiseSpec, cfg)
             except InvalidParameterError as exc:
                 raise ConfigError(f"--seed {args.seed}: {exc}") from exc
-            cfg = replace(cfg, seed=args.seed)
         if args.out is not None:
             cfg = replace(cfg, out_dir=args.out)
         globals()[f"cmd_{args.command}"](cfg, quiet=args.quiet)  # by name: patched ones run

@@ -162,6 +162,16 @@ def forward_image(forward: DynamicForward, theta: BochnerFunction) -> BochnerFun
     return stored[1]
 
 
+def _check_radii(radii) -> list[float]:
+    """The tail radii as floats: positive, finite and strictly ascending."""
+    radii = [float(r) for r in radii]
+    if not radii or any(not np.isfinite(r) or r <= 0.0 for r in radii):
+        raise InvalidParameterError(f"radii must be positive reals, got {radii}")
+    if any(b <= a for a, b in zip(radii, radii[1:])):
+        raise InvalidParameterError("radii must be strictly ascending")
+    return radii
+
+
 def integrability_tail(
     forward: DynamicForward,
     inputs,
@@ -185,11 +195,7 @@ def integrability_tail(
     """
     if not 0.0 < q < math.inf:
         raise InvalidParameterError(f"tail exponent must be a finite positive real, got {q}")
-    radii = [float(r) for r in radii]
-    if not radii or any(not np.isfinite(r) or r <= 0.0 for r in radii):
-        raise InvalidParameterError(f"radii must be positive reals, got {radii}")
-    if any(b <= a for a, b in zip(radii, radii[1:])):
-        raise InvalidParameterError("radii must be strictly ascending")
+    radii = _check_radii(radii)
     inputs = list(inputs)
     if not inputs:
         raise InvalidInputError("no input functions given")

@@ -80,7 +80,13 @@ def choose_alpha(rule: ParameterRule, delta: float) -> float:
     """Evaluate an a-priori rule at noise level delta."""
     if not delta > 0.0:
         raise InvalidParameterError(f"noise level must be positive, got {delta}")
-    return rule.scale * delta**rule.exponent
+    try:
+        alpha = rule.scale * delta**rule.exponent
+    except OverflowError:
+        alpha = math.inf
+    if not math.isfinite(alpha):
+        raise InvalidParameterError(f"the rule gives a non-finite weight at delta = {delta}")
+    return alpha
 
 
 @dataclass(frozen=True)
@@ -254,6 +260,8 @@ def _resolve_alphas(
             )
     if not np.all(alphas > 0.0):
         raise InvalidParameterError("regularization weights must be positive")
+    if not np.all(np.isfinite(alphas)):
+        raise InvalidParameterError("regularization weights must be finite")
     return alphas
 
 

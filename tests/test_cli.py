@@ -4,6 +4,7 @@ Every test drives the real entry point main(argv) against config files
 written into tmp_path and inspects the emitted artifacts.
 """
 
+import dataclasses
 import math
 import os
 import textwrap
@@ -71,6 +72,13 @@ class TestLoadConfig:
         path = write_config(tmp_path / "b.ini", "[problem]\nkind = dct\n\n[plots]\nstyle = x\n")
         with pytest.raises(Exception, match=r"unknown section \[plots\]"):
             load_config(path)
+        # The field names of the two keys named otherwise in the file.
+        for body, fragment in [
+            ("[problem]\nkind = dct\nhorizon = 2\n", r"'horizon' in section \[problem\]"),
+            ("[problem]\nkind = dct\n\n[output]\nout_dir = 1\n", r"'out_dir' in section \[output"),
+        ]:
+            with pytest.raises(Exception, match="unknown key " + fragment):
+                load_config(write_config(tmp_path / "c.ini", body))
 
     def test_value_validation(self, tmp_path):
         for body, fragment in [
@@ -90,10 +98,57 @@ class TestLoadConfig:
             ("[problem]\nkind = dct\n\n[solver]\nmax_sweeps = -1\n", "max_sweeps"),
             ("[problem]\nkind = dct\n\n[noise]\nfraction = 1.5\n", "fraction"),
             ("[problem]\nkind = dct\n\n[noise]\nseed = -1\n", r"\[noise\] seed"),
+            ("[problem]\nkind = dct\n\n[probe]\nradii = 4, 2\n", r"\[probe\] radii"),
         ]:
             path = write_config(tmp_path / "bad.ini", body)
             with pytest.raises(Exception, match=fragment):
                 load_config(path)
+
+    def test_every_key_at_its_default_text(self, tmp_path):
+        # All 31 keys but the five whose default is None, which has no text.
+        cfg = load_config(write_config(tmp_path / "a.ini", """\
+            [problem]
+            kind = dct
+            n_t = 32
+            n_x = 32
+            T = 1.0
+            sigma = 0.1
+            decay = 1.0
+
+            [noise]
+            delta = 0.01
+            seed = 0
+            fraction = 0.99
+
+            [solver]
+            method = tikhonov_uniform
+            rule_scale = 1.0
+            rule_exponent = 1.0
+            tol = 1e-10
+            max_iter = 5000
+            tau = 2.0
+            omega = auto
+            max_sweeps = 500
+            memory = 3
+
+            [probe]
+            probes = temporal_spectrum, stacked_spectrum, integrability, translation
+            time_index = 0
+            radii = 1.0, 2.0, 4.0, 8.0
+            tail_exponent = 1.0
+            shift_steps = 1, 2, 4
+            ensemble = 8
+
+            [sweep]
+            deltas = 0.1, 0.01, 0.001, 0.0001
+
+            [output]
+            dir = out
+            """))
+        assert cfg == ExperimentConfig(kind="dct")
+        unset = [f.name for f in dataclasses.fields(ExperimentConfig) if f.default is None]
+        assert unset == ["window", "pattern_csv", "kernel_csv", "alpha", "sections"]
+        assert len(dataclasses.fields(ExperimentConfig)) == 31
 
     def test_probe_list_parsing(self, tmp_path):
         cfg = load_config(write_config(tmp_path / "a.ini", """\
@@ -125,6 +180,24 @@ class TestExitCodes:
         assert main([command, "--config", path, "--out", out, "--seed", "-1", "--quiet"]) == 2
         assert "--seed -1" in capsys.readouterr().err
         assert not os.path.exists(out)
+
+    def test_overflowing_rule_weight_is_numeric_failure(self, tmp_path, capsys):
+        path = write_config(tmp_path / "a.ini", """\
+            [problem]
+            kind = identity
+            n_t = 3
+            n_x = 2
+
+            [noise]
+            delta = 1e300
+
+            [solver]
+            rule_exponent = 1.5
+            """)
+        code = main(["solve", "--config", path, "--out", str(tmp_path / "out"), "--quiet"])
+        err = capsys.readouterr().err
+        assert code == 3
+        assert "numeric failure" in err and "Traceback" not in err
 
     def test_unwritable_output_is_io_error(self, tmp_path, capsys):
         blocker = tmp_path / "file"

@@ -195,6 +195,14 @@ class TestChooseAlpha:
         with pytest.raises(InvalidParameterError):
             choose_alpha(ParameterRule(1.0, 1.0), 0.0)
 
+    def test_rejects_non_finite_weight(self):
+        with pytest.raises(InvalidParameterError, match="non-finite"):
+            choose_alpha(ParameterRule(1.0, 1.5), 1e300)  # delta**1.5 overflows
+        with pytest.raises(InvalidParameterError, match="non-finite"):
+            choose_alpha(ParameterRule(1e300, 0.5), 1e300)  # the product overflows
+        with pytest.raises(InvalidParameterError, match="non-finite"):
+            choose_alpha(ParameterRule(1.0, 1.0), math.inf)
+
 
 class TestTikhonovTemporal:
     def test_identity_closed_form(self):
@@ -278,6 +286,10 @@ class TestTikhonovTemporal:
             tikhonov_temporal(problem.forward, problem.data_clean, 0.0)
         with pytest.raises(InvalidParameterError):
             tikhonov_temporal(problem.forward, problem.data_clean, [1e-2, -1.0, 1e-2])
+        with pytest.raises(InvalidParameterError, match="finite"):
+            tikhonov_temporal(problem.forward, problem.data_clean, math.inf)
+        with pytest.raises(InvalidParameterError, match="finite"):
+            tikhonov_temporal(problem.forward, problem.data_clean, [1e-2, math.inf, 1e-2])
         with pytest.raises(DimensionError):
             tikhonov_temporal(problem.forward, problem.data_clean, [1e-2, 1e-2])
 
