@@ -102,9 +102,9 @@ def _list_of(item):
     return parse
 
 
-def _key(section: str, parse, default=MISSING, name: str | None = None):
-    """A config key: its section, its parser and, if not the field's, its name in the file."""
-    return field(default=default, metadata={"section": section, "parse": parse, "name": name})
+def _key(section: str, parse, default=MISSING, name: str | None = None, kind: str | None = None):
+    """A config key: section, parser, file name if not the field's, and the one kind reading it."""
+    return field(default=default, metadata=dict(section=section, parse=parse, name=name, kind=kind))
 
 
 @dataclass(frozen=True)
@@ -115,11 +115,11 @@ class ExperimentConfig:
     n_t: int = _key("problem", _parse_positive_int, 32)
     n_x: int = _key("problem", _parse_positive_int, 32)
     horizon: float = _key("problem", _parse_positive_float, 1.0, name="T")
-    sigma: float = _key("problem", _parse_positive_float, 0.1)
-    window: int | None = _key("problem", _parse_positive_int, None)
-    decay: float = _key("problem", float, 1.0)
-    pattern_csv: str | None = _key("problem", str, None)
-    kernel_csv: str | None = _key("problem", str, None)
+    sigma: float = _key("problem", _parse_positive_float, 0.1, kind="dct")
+    window: int | None = _key("problem", _parse_positive_int, None, kind="dct")
+    decay: float = _key("problem", float, 1.0, kind="mpi")
+    pattern_csv: str | None = _key("problem", str, None, kind="dct")
+    kernel_csv: str | None = _key("problem", str, None, kind="mpi")
     delta: float = _key("noise", _parse_positive_float, 0.01)
     seed: int = _key("noise", int, 0)
     fraction: float = _key("noise", _parse_positive_float, 0.99)
@@ -185,6 +185,9 @@ def _validate(cfg: ExperimentConfig, path: str, explicit: set[str]) -> None:
         raise ConfigError(
             f"{path}: unknown problem kind {cfg.kind!r}, pick one of {sorted(BUILTIN_PROBLEMS)}"
         )
+    for (section, name), f in _KEYS.items():
+        if f.name in explicit and f.metadata["kind"] not in (None, cfg.kind):
+            raise ConfigError(f"{path}: [{section}] {name} is a key of kind {f.metadata['kind']!r}")
     if cfg.window is not None and cfg.window > cfg.n_x:
         raise ConfigError(f"{path}: window {cfg.window} exceeds n_x = {cfg.n_x}")
     if cfg.method not in _METHODS:

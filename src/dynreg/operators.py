@@ -23,6 +23,7 @@ sum is a block-Toeplitz product that adds its terms in the loop's order.
 from __future__ import annotations
 
 import csv
+import functools
 from dataclasses import dataclass, field
 from typing import Callable, Optional, Sequence
 
@@ -341,10 +342,10 @@ def _ordered_sum(kernel, dt: float, rows, causal: bool, start: int = 0) -> np.nd
     _TERM_BUDGET // rows.size rows, at least one, so wide stacks get small blocks.
     Leading batch axes of rows, (..., n_t, width), fold into the width.
     """
-    if rows.ndim > 2:
-        folded = np.moveaxis(rows, -2, 0)
+    if rows.ndim > 2:  # swapaxes reorders the lanes, not a lane's sum, and costs less than moveaxis
+        folded = rows.swapaxes(0, -2)
         sums = _ordered_sum(kernel, dt, folded.reshape(len(folded), -1), causal, start)
-        return np.moveaxis(sums.reshape(folded.shape), 0, -2)
+        return sums.reshape(folded.shape).swapaxes(0, -2)
     n_t, w, out = len(rows), (dt * kernel)[:, None], np.zeros(rows.shape)
     if rows.size == 0:
         return out
@@ -352,17 +353,26 @@ def _ordered_sum(kernel, dt: float, rows, causal: bool, start: int = 0) -> np.nd
     padded = np.concatenate([w[::-1, 0], np.zeros(n_t - 1)])  # padded[n_t - 1 - k] = w[k]
     b = padded.itemsize
     weights = np.ndarray((n_t, n_t), padded.dtype, padded, b * (n_t - 1), (b, -b) if causal else (-b, b))
-    node, reaches = np.arange(n_t), (np.greater_equal if causal else np.less_equal)
+    pattern = _reach_pattern(min(step, n_t), n_t)
     for s0 in range(start, n_t, step):
         s1 = min(s0 + step, n_t)
         span = slice(s0, None) if causal else slice(s1)  # the outputs these rows reach
         sums = out[span]
         terms = np.zeros((s1 - s0,) + sums.shape)
-        reached = reaches(node[span], node[s0:s1, None])[:, :, None]
+        block = pattern[: s1 - s0, :, None]  # read-only views of U, reversed if anticausal
+        reached = block[:, : n_t - s0] if causal else block[:, :s1][::-1, ::-1]
         np.multiply(weights[s0:s1, span, None], rows[s0:s1, None, :], out=terms, where=reached)
         terms[0] += sums
         np.add.reduce(terms, axis=0, out=sums)
     return out
+
+
+@functools.lru_cache(maxsize=64)
+def _reach_pattern(rows: int, n_t: int) -> np.ndarray:
+    """Read-only U[a, b] = b >= a, shape (rows, n_t), a block's reach: row a reaches output b."""
+    pattern = np.arange(n_t) >= np.arange(rows)[:, None]
+    pattern.setflags(write=False)
+    return pattern
 
 
 def _causal_sum(kernel: np.ndarray, dt: float, rows: np.ndarray) -> np.ndarray:

@@ -12,7 +12,7 @@ from __future__ import annotations
 import math
 import time
 from collections import deque
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Callable, Optional, Sequence, Union
 
 import numpy as np
@@ -141,6 +141,8 @@ class LinearSubproblem:
     noise budget.  KaczmarzConfig's omega = "auto" relies on the adjoint
     being exact in those weighted inner products: with a plain transpose
     and data_weight != unknown_weight its step is off by their ratio.
+    Row contract: adjoint_rows(R) stacks adjoint(R[k]) over k, bit for bit; a derived
+    field, the loop over adjoint unless time_subproblems sets one batched adjoint.
     """
 
     apply: Callable[[np.ndarray], np.ndarray]
@@ -149,6 +151,7 @@ class LinearSubproblem:
     noise_level: float
     data_weight: float = 1.0
     unknown_weight: float = 1.0
+    adjoint_rows: Callable[[np.ndarray], np.ndarray] = field(init=False, repr=False)
 
     def __post_init__(self) -> None:
         data = np.array(self.data, dtype=float)
@@ -162,6 +165,7 @@ class LinearSubproblem:
             raise InvalidParameterError("weights must be positive")
         data.setflags(write=False)
         object.__setattr__(self, "data", data)
+        object.__setattr__(self, "adjoint_rows", lambda R: np.array([*map(self.adjoint, R)], float))
 
     def residual(self, x: np.ndarray) -> np.ndarray:
         return np.asarray(self.apply(x), dtype=float) - self.data
@@ -186,7 +190,7 @@ class SolveReport:
     full Kaczmarz cycle met the discrepancy principle), "max_iter" (the
     iteration or sweep cap ran out) or "breakdown" (CG met p.Ap <= 0: the
     normal operator is not positive definite, as with a wrong adjoint).
-    Non-finite residuals raise DivergenceError instead.
+    Non-finite residuals or CG quantities raise DivergenceError instead.
     """
 
     reconstruction: Union[BochnerFunction, np.ndarray]
@@ -211,13 +215,13 @@ def _cg(
     """Conjugate gradients for an SPD map, matrix-free.
 
     Returns (solution, iterations, stop reason, relative residual history),
-    the reason being "tolerance", "max_iter" or "breakdown" (p.Ap <= 0).
-    The relative residual is measured against ||rhs||; a zero rhs returns
-    the zero solution immediately.
+    the reason being "tolerance", "max_iter" or "breakdown" (p.Ap <= 0); a
+    non-finite ||rhs||, p.Ap or residual raises DivergenceError.  Residuals are
+    relative to ||rhs||; a zero rhs returns the zero solution immediately.
     """
     x = np.zeros_like(rhs)
     r = rhs.copy()
-    rhs_norm = math.sqrt(float(r.ravel() @ r.ravel()))
+    rhs_norm = _finite(math.sqrt(float(r.ravel() @ r.ravel())), "right-hand side norm")
     if rhs_norm == 0.0:
         return x, 0, "tolerance", [0.0]
     p = r.copy()
@@ -225,13 +229,13 @@ def _cg(
     history: list[float] = []
     for k in range(1, max_iter + 1):
         Ap = operator(p)
-        pAp = float(p.ravel() @ Ap.ravel())
+        pAp = _finite(float(p.ravel() @ Ap.ravel()), "p.Ap")
         if pAp <= 0.0:
             return x, k - 1, "breakdown", history
         step = rs / pAp
         x = x + step * p
         r = r - step * Ap
-        rs_next = float(r.ravel() @ r.ravel())
+        rs_next = _finite(float(r.ravel() @ r.ravel()), "squared residual")
         rel = math.sqrt(rs_next) / rhs_norm
         history.append(rel)
         if rel <= tol:
@@ -239,6 +243,12 @@ def _cg(
         p = r + (rs_next / rs) * p
         rs = rs_next
     return x, max_iter, "max_iter", history
+
+
+def _finite(value: float, what: str) -> float:
+    if not math.isfinite(value):
+        raise DivergenceError(f"CG met a non-finite {what} ({value})")
+    return value
 
 
 def _resolve_alphas(
@@ -378,23 +388,23 @@ def tikhonov_uniform(
     t0 = time.perf_counter()
     _require_hilbert(forward, data)
     _check_data(forward, data)
-    alphas = _resolve_alphas(alpha, 1, delta)
-    a = float(alphas[0])
-    rhs_fn = apply_adjoint(forward, data)
-    rhs = rhs_fn.values
+    a = float(_resolve_alphas(alpha, 1, delta)[0])
 
     def normal_op(v: np.ndarray) -> np.ndarray:
         image = apply_forward(forward, rhs_fn.with_values(v))
-        back = apply_adjoint(forward, image)
-        return back.values + a * v
+        return apply_adjoint(forward, image).values + a * v
 
-    theta, iters, stop_reason, history = _cg(normal_op, rhs, config.tol, config.max_iter)
+    try:  # the data and the CG iterates are finite: a non-finite image is an overflow
+        rhs_fn = apply_adjoint(forward, data)
+        theta, iters, reason, history = _cg(normal_op, rhs_fn.values, config.tol, config.max_iter)
+    except InvalidInputError as exc:
+        raise DivergenceError(f"the forward map overflowed: {exc}") from exc
     reconstruction = rhs_fn.with_values(theta)
     trace = [(k, 0, rel, a, math.nan) for k, rel in enumerate(history, start=1)]
     return SolveReport(
         reconstruction=reconstruction,
         alphas=[a],
-        stop_reason=stop_reason,
+        stop_reason=reason,
         iterations=iters,
         error=_relative_error(reconstruction, truth),
         wall_time=time.perf_counter() - t0,
@@ -409,7 +419,7 @@ def _normal_operator(
 
     Matrix-free, each step costs two sub-problem calls.  When F_i has
     fewer than 2 * iterations data rows, its rows are assembled instead,
-    one adjoint call per unit data vector: the weighted adjoint is
+    in one adjoint_rows call on the unit data vectors: the weighted adjoint is
     F_i* = (data_weight / unknown_weight) F_i^T, so R = [F_i* e_r] =
     (data_weight / unknown_weight) F_i and
 
@@ -421,7 +431,7 @@ def _normal_operator(
     n_data = sub.data.shape[0]
     if n_data >= 2 * iterations:
         return lambda v: np.asarray(sub.adjoint(sub.apply(v)), dtype=float)
-    rows = np.array([sub.adjoint(e) for e in np.eye(n_data)], dtype=float)
+    rows = sub.adjoint_rows(np.eye(n_data))
     scale = sub.unknown_weight / sub.data_weight
     return lambda v: scale * (rows.T @ (rows @ v))
 
@@ -590,7 +600,7 @@ def kaczmarz_multi_direction(
         def step(i: int, sub: LinearSubproblem, x: np.ndarray, r: np.ndarray) -> np.ndarray:
             # history[-1] is x, whose residual r is already known
             past = [sub.residual(xk) for xk in list(history)[:-1]]
-            directions = [np.asarray(sub.adjoint(rk), dtype=float) for rk in past + [r]]
+            directions = sub.adjoint_rows(past + [r])
             images = [np.asarray(sub.apply(d), dtype=float) for d in directions]
             gram = sub.data_weight * np.array([[float(a @ b) for b in images] for a in images])
             damping = 1e-12 * float(np.trace(gram))
@@ -634,7 +644,6 @@ def time_subproblems(
     if not delta >= 0.0:
         raise InvalidParameterError(f"noise level must be >= 0, got {delta}")
     _check_data(forward, data)
-    fam = forward.static
     n_t = forward.time_grid.n_t
     if sections is not None and not 1 <= sections <= n_t:
         raise InvalidParameterError(f"sections must lie in [1, {n_t}], got {sections}")
@@ -650,39 +659,34 @@ def time_subproblems(
     blocks = [(int(b[0]), int(b[-1]) + 1) for b in np.array_split(np.arange(n_t), count)]
     weight = 1.0 if sections is None else forward.time_grid.dt
     return [
-        LinearSubproblem(
-            *_block(forward, first, end, weight),
-            data=data.values[first:end].reshape(-1),
-            noise_level=level,
-            data_weight=weight * fam.out_weight,
-            unknown_weight=fam.in_weight,
-        )
+        _block(forward, first, end, weight, data.values[first:end].reshape(-1), level)
         for (first, end), level in zip(blocks, levels)
     ]
 
 
-def _block(
-    forward: DynamicForward, first: int, end: int, weight: float
-) -> tuple[Callable[[np.ndarray], np.ndarray], Callable[[np.ndarray], np.ndarray]]:
-    """Sub-problem maps of the block of nodes [first, end).
+def _block(forward: DynamicForward, first: int, end: int, weight: float, data, level: float):
+    """The LinearSubproblem of the block of nodes [first, end), with its data and noise level.
 
-    apply evaluates the forward map on the tiled x over the nodes the block
-    depends on (its own for a pointwise map, 0..end-1 for the causal kinds)
-    and keeps rows [first, end).  The adjoint pads the block residual into
-    those rows, maps them back (the anticausal sum skipping the zero
-    padding) and sums over the nodes; weight is the block's data-side
-    quadrature factor (1 for one node, dt for a section).
+    apply maps the tiled x over the nodes the block depends on (its own for a
+    pointwise map, 0..end-1 for the causal kinds) and keeps rows [first, end).
+    adjoint pads a residual, or a stack of them (adjoint_rows), into those rows,
+    maps it back in one call (the anticausal sum skipping the padding) and sums
+    over the nodes in C order, so NumPy sums each stack as it sums one residual.
+    weight is the data-side quadrature factor (1 for one node, dt for a section).
     """
-    n_out = forward.static.n_out
+    fam = forward.static
     lo = first if forward.kind == POINTWISE else 0
 
     def apply(x: np.ndarray) -> np.ndarray:
         tiled = np.asarray(x, dtype=float)[None, :].repeat(end - lo, axis=0)  # faster than np.tile
         return _forward_rows(forward, tiled, lo)[first - lo :].reshape(-1)
 
-    def adjoint(r: np.ndarray) -> np.ndarray:
-        padded = np.zeros((end - lo, n_out))
-        padded[first - lo :] = np.asarray(r, dtype=float).reshape(end - first, n_out)
-        return weight * _adjoint_rows(forward, padded, lo, first - lo).sum(axis=0)
+    def adjoint(R: np.ndarray) -> np.ndarray:  # one residual, or each row of a stack
+        R = np.asarray(R, dtype=float)
+        padded = np.zeros(R.shape[:-1] + (end - lo, fam.n_out))
+        padded[..., first - lo :, :] = R.reshape(R.shape[:-1] + (end - first, fam.n_out))
+        return weight * np.ascontiguousarray(_adjoint_rows(forward, padded, lo, first - lo)).sum(-2)
 
-    return apply, adjoint
+    sub = LinearSubproblem(apply, adjoint, data, level, weight * fam.out_weight, fam.in_weight)
+    object.__setattr__(sub, "adjoint_rows", adjoint)
+    return sub

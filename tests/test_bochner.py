@@ -491,6 +491,62 @@ class TestCsvFormatting:
         assert b"inf,-inf,nan\n" in written_bytes(u)
 
 
+def row_by_row_csv(nodes, values) -> bytes:
+    """The CSV text formatted one row at a time: one %.17g format string per row."""
+    header = "t," + ",".join(f"x_{j}" for j in range(values.shape[1]))
+    line = ",".join(["%.17g"] * (values.shape[1] + 1))
+    rows = [line % tuple(row) for row in np.column_stack([nodes, values]).tolist()]
+    return ("\n".join([header] + rows) + "\n").encode()
+
+
+def read_back(text: bytes) -> BochnerFunction:
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "u.csv")
+        with open(path, "wb") as f:
+            f.write(text)
+        return read_csv(path)
+
+
+@st.composite
+def constant_functions(draw):
+    """Functions constant in time: one drawn row, repeated at every node."""
+    n_t, n_x = draw(st.integers(1, 40)), draw(st.integers(1, 5))
+    finite = st.floats(allow_nan=False, allow_infinity=False)
+    row = draw(arrays(float, n_x, elements=st.one_of(st.sampled_from(EDGE_FLOATS), finite)))
+    return BochnerFunction(TimeGrid(draw(st.floats(1e-3, 1e3)), n_t), np.tile(row, (n_t, 1)))
+
+
+class TestConstantRows:
+    """write_csv formats the values of a time-constant function once; the bytes do not change."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(constant_functions())
+    def test_bytes_match_row_by_row_formatting_and_read_back(self, u):
+        text = written_bytes(u)
+        assert text == row_by_row_csv(u.grid.nodes, u.values)
+        assert text == per_element_csv(u.grid.nodes, u.values)
+        back = read_back(text)
+        assert back.values.tobytes() == u.values.tobytes()
+        assert back.grid.nodes.tobytes() == u.grid.nodes.tobytes()
+
+    @pytest.mark.parametrize(
+        "rows",
+        [
+            [[0.0, 1.5], [-0.0, 1.5], [0.0, 1.5]],  # equal under ==, not bitwise
+            [[-0.0, -0.0]] * 4,  # constant, every value -0.0
+            [[0.0, 2.0]] * 3 + [[0.0, -2.0]],  # the last row differs
+        ],
+    )
+    def test_signed_zero_rows_stay_distinct(self, rows):
+        values = np.array(rows)
+        u = BochnerFunction(TimeGrid(1.0, len(values)), values)
+        text = written_bytes(u)
+        assert text == row_by_row_csv(u.grid.nodes, values)
+        back = read_back(text)
+        assert back.values.tobytes() == values.tobytes()
+        assert np.array_equal(np.signbit(back.values), np.signbit(values))
+
+
 class TestCsv:
     def test_round_trip_bit_exact(self, tmp_path):
         u = random_function(17, n_t=6, n_x=4, horizon=1.7, weight=0.25)

@@ -5,9 +5,11 @@ written into tmp_path and inspects the emitted artifacts.
 """
 
 import dataclasses
+import importlib
 import math
 import os
 import textwrap
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -105,7 +107,8 @@ class TestLoadConfig:
                 load_config(path)
 
     def test_every_key_at_its_default_text(self, tmp_path):
-        # All 31 keys but the five whose default is None, which has no text.
+        # All 31 keys but the five whose default is None, which has no text;
+        # decay is mpi's key, so it is written in a second, mpi config.
         cfg = load_config(write_config(tmp_path / "a.ini", """\
             [problem]
             kind = dct
@@ -113,7 +116,6 @@ class TestLoadConfig:
             n_x = 32
             T = 1.0
             sigma = 0.1
-            decay = 1.0
 
             [noise]
             delta = 0.01
@@ -146,9 +148,39 @@ class TestLoadConfig:
             dir = out
             """))
         assert cfg == ExperimentConfig(kind="dct")
+        mpi = load_config(write_config(tmp_path / "b.ini", "[problem]\nkind = mpi\ndecay = 1.0\n"))
+        assert mpi == ExperimentConfig(kind="mpi")
         unset = [f.name for f in dataclasses.fields(ExperimentConfig) if f.default is None]
         assert unset == ["window", "pattern_csv", "kernel_csv", "alpha", "sections"]
         assert len(dataclasses.fields(ExperimentConfig)) == 31
+
+    @pytest.mark.parametrize(
+        "body, key",
+        [
+            ("kind = dct\nkernel_csv = /nonexistent.csv\n", "kernel_csv"),
+            ("kind = dct\ndecay = 2.0\n", "decay"),
+            ("kind = mpi\nwindow = 4\n", "window"),
+            ("kind = mpi\nsigma = 0.2\n", "sigma"),
+            ("kind = mpi\npattern_csv = /nonexistent.csv\n", "pattern_csv"),
+            ("kind = nonuniform\nwindow = 4\n", "window"),
+            ("kind = identity\ndecay = 2.0\n", "decay"),
+        ],
+    )
+    def test_keys_of_another_kind_exit_2_before_any_output(self, tmp_path, capsys, body, key):
+        path = write_config(tmp_path / "a.ini", "[problem]\n" + body)
+        out = tmp_path / "out"
+        assert main(["solve", "--config", path, "--out", str(out), "--quiet"]) == 2
+        assert not out.exists()
+        assert f"config error: {path}: [problem] {key} is a key of kind" in capsys.readouterr().err
+
+    def test_benchmark_configs_are_accepted(self, tmp_path, monkeypatch):
+        monkeypatch.syspath_prepend(str(Path(__file__).resolve().parent.parent / "benchmarks"))
+        workloads = importlib.import_module("workloads")
+        calls = [call for ops in workloads.WORKLOADS.values() for call in ops]
+        assert len(calls) == 6
+        for call in calls:
+            cfg = load_config(write_config(tmp_path / f"{call.name}.ini", call.config_text()))
+            assert cfg.kind == call.problem["kind"]
 
     def test_probe_list_parsing(self, tmp_path):
         cfg = load_config(write_config(tmp_path / "a.ini", """\

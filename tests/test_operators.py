@@ -495,6 +495,17 @@ class TestOrderedSumKernel:
                 later = _anticausal_sum(kernel, 0.1, bumped)[cut + 1 :]
                 assert later.tobytes() == anticausal[cut + 1 :].tobytes()
 
+    @pytest.mark.parametrize("batch", [(1,), (5,), (2, 3), (2, 1, 3)])
+    def test_batch_axes_fold_into_the_width(self, batch):
+        # each stack's sums are its own, bit for bit, however the lanes are ordered
+        kernel, dt, rows = narrow_stack(30, 2, len(batch), 0.05)
+        stacks = np.random.default_rng(7).standard_normal((*batch, 30, 2)) * rows
+        for causal, start in [(True, 0), (False, 0), (False, 11)]:
+            got = operators._ordered_sum(kernel, dt, stacks, causal, start)
+            for k in np.ndindex(*batch):
+                alone = operators._ordered_sum(kernel, dt, stacks[k], causal, start)
+                assert got[k].tobytes() == alone.tobytes()
+
     @pytest.mark.parametrize("shape", [(0, 2), (3, 0)])
     def test_empty_stacks(self, shape):
         kernel = np.ones(shape[0])
@@ -527,6 +538,88 @@ class TestOrderedSumKernel:
             finally:
                 tracemalloc.stop()
             assert peak < bound_mb * 2**20
+
+
+class MaskSpy:
+    """A stand-in for the operators module's np that records every np.multiply where= mask."""
+
+    def __init__(self):
+        self.masks = []
+
+    def __getattr__(self, name):
+        return getattr(np, name)
+
+    def multiply(self, *args, where, **kwargs):
+        self.masks.append(where)
+        return np.multiply(*args, where=where, **kwargs)
+
+
+def per_call_masks(n_t: int, width: int, causal: bool, start: int) -> list[np.ndarray]:
+    """Each block's reach mask as a fresh comparison of node indices, block by block."""
+    step = max(1, operators._TERM_BUDGET // (n_t * width))
+    node = np.arange(n_t)
+    reaches = np.greater_equal if causal else np.less_equal
+    masks = []
+    for s0 in range(start, n_t, step):
+        s1 = min(s0 + step, n_t)
+        span = slice(s0, None) if causal else slice(s1)
+        masks.append(reaches(node[span], node[s0:s1, None])[:, :, None])
+    return masks
+
+
+class TestReachMasks:
+    """The ordered sums take their reach masks as read-only views of one cached pattern."""
+
+    # n_t at the one-block / two-block boundary, and around _TERM_BUDGET // width
+    # (one-row blocks), for widths 1, 12 and 64
+    @pytest.mark.parametrize(
+        "width, n_t",
+        [(1, 181), (1, 182), (12, 52), (12, 53), (12, 2730), (12, 2731), (64, 22), (64, 23),
+         (64, 511), (64, 512), (64, 513)],
+    )
+    def test_views_equal_per_call_comparison(self, width, n_t):
+        rng = np.random.default_rng(n_t)
+        kernel, rows = rng.standard_normal(n_t), rng.standard_normal((n_t, width))
+        for causal, start in [(True, 0), (False, 0), (False, n_t // 3)]:
+            spy = MaskSpy()
+            with mock.patch.object(operators, "np", spy):
+                operators._ordered_sum(kernel, 0.1, rows, causal, start)
+            expected = per_call_masks(n_t, width, causal, start)
+            assert len(spy.masks) == len(expected)
+            for got, want in zip(spy.masks, expected):
+                assert got.shape == want.shape and np.array_equal(got, want)
+                assert not got.flags.writeable
+                assert got.base.size <= max(n_t, operators._TERM_BUDGET)
+
+    def test_cache_has_a_fixed_bound(self):
+        operators._reach_pattern.cache_clear()
+        for n_t in range(1, 200):
+            _causal_sum(np.ones(n_t), 1.0, np.ones((n_t, 1)))
+        info = operators._reach_pattern.cache_info()
+        assert info.maxsize == 64 and info.currsize == 64
+        pattern = operators._reach_pattern(3, 5)
+        assert not pattern.flags.writeable
+        np.testing.assert_array_equal(pattern, np.triu(np.ones((3, 5), bool)))
+
+    @pytest.mark.parametrize("block", [None, 1, 3])
+    def test_inf_in_a_later_row_of_a_wide_stack(self, block):
+        # 40 x 64: blocks of 12 rows under the default budget
+        rng = np.random.default_rng(4)
+        kernel = rng.standard_normal(40)
+        kernel[::3] = 0.0
+        rows = rng.standard_normal((40, 64))
+        with blocks_of(block, rows) if block else contextlib.nullcontext():
+            causal = _causal_sum(kernel, 0.1, rows)
+            anticausal = _anticausal_sum(kernel, 0.1, rows)
+            for cut in range(0, 40, 3):
+                bumped = rows.copy()
+                bumped[cut] = np.inf
+                bumped[cut, ::2] = -np.inf
+                with np.errstate(invalid="ignore"):  # 0 * inf where reached
+                    earlier = _causal_sum(kernel, 0.1, bumped)[:cut]
+                    later = _anticausal_sum(kernel, 0.1, bumped)[cut + 1 :]
+                assert earlier.tobytes() == causal[:cut].tobytes()
+                assert later.tobytes() == anticausal[cut + 1 :].tobytes()
 
 
 class TestAdjoints:

@@ -6,12 +6,15 @@ np.linalg.pinv, so every solver answer is checked against direct linear
 algebra at small sizes.
 """
 
+import dataclasses
 import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from dynreg import (
+    ACCUMULATE_THEN_OBSERVE,
     BUILTIN_PROBLEMS,
     BochnerFunction,
     DimensionError,
@@ -49,7 +52,8 @@ from dynreg import (
     time_subproblems,
 )
 from dynreg.bochner import SpatialGrid, TimeGrid
-from dynreg.solvers import _estimate_omegas
+from dynreg.operators import _adjoint_rows
+from dynreg.solvers import _cg, _estimate_omegas
 
 
 def matrix_subproblem(m: np.ndarray, y: np.ndarray, level: float) -> LinearSubproblem:
@@ -144,6 +148,109 @@ def matrix_free_omegas(subs, n_in: int, config: KaczmarzConfig) -> list[float]:
             v = w / norm
         omegas.append(0.9 / lam if lam > 0.0 else 1.0)
     return omegas
+
+
+def power_omegas(normals, n_in: int, config: KaczmarzConfig) -> list[float]:
+    """The power iteration of _estimate_omegas on the maps normals[i] = F_i* F_i."""
+    omegas = []
+    for idx, normal in enumerate(normals):
+        v = np.random.default_rng(config.power_seed + idx).standard_normal(n_in)
+        lam = 0.0
+        for _ in range(config.power_iterations):
+            w = normal(v)
+            norm = math.sqrt(float(w @ w))
+            if norm == 0.0:
+                lam = 0.0
+                break
+            lam = float(w @ v) / float(v @ v)
+            v = w / norm
+        omegas.append(0.9 / lam if lam > 0.0 else 1.0)
+    return omegas
+
+
+def per_unit_vector_omegas(subs, n_in: int, config: KaczmarzConfig) -> list[float]:
+    """Step estimates with F_i's rows assembled from one 1-D adjoint call per
+    unit data vector (matrix-free from 2 * power_iterations data rows on)."""
+
+    def normal(sub):
+        n_data = sub.data.shape[0]
+        if n_data >= 2 * config.power_iterations:
+            return lambda v: np.asarray(sub.adjoint(sub.apply(v)), dtype=float)
+        rows = np.array([sub.adjoint(e) for e in np.eye(n_data)], dtype=float)
+        scale = sub.unknown_weight / sub.data_weight
+        return lambda v: scale * (rows.T @ (rows @ v))
+
+    return power_omegas([normal(sub) for sub in subs], n_in, config)
+
+
+def block_adjoint_reference(forward, first: int, end: int, weight: float, r) -> np.ndarray:
+    """A block sub-problem's adjoint of one residual: pad it into the block's
+    rows, map them back with _adjoint_rows, sum over the nodes."""
+    lo = first if forward.kind == POINTWISE else 0
+    n_out = forward.static.n_out
+    padded = np.zeros((end - lo, n_out))
+    padded[first - lo :] = np.asarray(r, dtype=float).reshape(end - first, n_out)
+    return weight * _adjoint_rows(forward, padded, lo, first - lo).sum(axis=0)
+
+
+def tally_in_place(sub: LinearSubproblem) -> dict:
+    """Count the calls of sub's apply, adjoint and adjoint_rows fields, in place."""
+    counts: dict = {}
+    for name in ("apply", "adjoint", "adjoint_rows"):
+
+        def call(v, name=name, fn=getattr(sub, name)):
+            counts[name] = counts.get(name, 0) + 1
+            return fn(v)
+
+        object.__setattr__(sub, name, call)
+    return counts
+
+
+def split_iterations(subs) -> int:
+    """Power iterations that put the sub-problems on both sides of the assembly rule."""
+    sizes = sorted(sub.data.shape[0] for sub in subs)
+    return max(1, (sizes[len(sizes) // 2] + 1) // 2)
+
+
+@st.composite
+def block_subproblems(draw):
+    """time_subproblems of a pointwise, accumulate-then-observe or hand-built
+    observe-then-accumulate map, per node or in sections, on a built-in row
+    family or a family of per-node matrices built from 1-D callables."""
+    kind = draw(st.sampled_from([POINTWISE, ACCUMULATE_THEN_OBSERVE, OBSERVE_THEN_ACCUMULATE]))
+    n_t, n_in = draw(st.integers(1, 9)), draw(st.integers(1, 5))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    family_name = draw(st.sampled_from(["matrices", "dct", "mpi", "gaussian"]))
+    if family_name == "matrices":
+        mats = rng.standard_normal((n_t, draw(st.integers(1, 4)), n_in))
+        mats[rng.random(mats.shape) < 0.2] = 0.0
+        family = OperatorFamily(
+            n_in, mats.shape[1], lambda i, x: mats[i] @ x, lambda i, y: mats[i].T @ y
+        )
+    elif family_name == "gaussian":
+        family = make_gaussian_smoothing(SpatialGrid(0.0, 1.0, n_in), 0.3)
+    else:
+        family = BUILTIN_PROBLEMS[family_name](n_t, n_in).forward.static
+    grid = TimeGrid(1.0, n_t)
+    kernel = None
+    if kind != POINTWISE:
+        kernel = rng.standard_normal(n_t)
+        kernel[rng.random(n_t) < 0.2] = -0.0
+    forward = DynamicForward(kind, family, grid, kernel)
+    data = forward.data_template(rng.standard_normal((n_t, family.n_out)))
+    sections = draw(st.one_of(st.none(), st.integers(1, n_t)))
+    subs = time_subproblems(forward, data, 1e-2, sections=sections)
+    blocks = np.array_split(np.arange(n_t), n_t if sections is None else sections)
+    weight = 1.0 if sections is None else grid.dt
+    stacks = []
+    for sub in subs:
+        n_data = sub.data.shape[0]
+        extra = draw(st.integers(0, 3))
+        residuals = rng.standard_normal((extra, n_data))
+        residuals[rng.random(residuals.shape) < 0.3] *= 0.0
+        residuals[rng.random(residuals.shape) < 0.2] = -0.0
+        stacks.append(np.vstack([np.eye(n_data), -np.eye(n_data), residuals]))
+    return forward, subs, [(int(b[0]), int(b[-1]) + 1) for b in blocks], weight, stacks
 
 
 def stacked_residual(mats, ys, x) -> float:
@@ -308,6 +415,52 @@ class TestTikhonovTemporal:
         )
         with pytest.raises(UnsupportedGeometryError):
             tikhonov_temporal(problem.forward, data, 1e-2)
+
+
+def overflowing_problem(data_scale: float, counts: dict):
+    """The pointwise map 1e200 * x on three components at four nodes, its
+    family calls counted, with data of constant value data_scale."""
+
+    def scaled(name):
+        def call(i, v):
+            counts[name] = counts.get(name, 0) + 1
+            return 1e200 * np.asarray(v)
+
+        return call
+
+    fam = OperatorFamily(3, 3, scaled("apply"), scaled("adjoint"))
+    forward = DynamicForward(POINTWISE, fam, TimeGrid(1.0, 4))
+    return forward, forward.data_template(np.full((4, 3), data_scale))
+
+
+class TestCgOverflow:
+    """A map that overflows from finite data is a divergence, not bad input."""
+
+    # data 1: ||A* y||^2 overflows; data 1e-150: A* A p overflows inside CG
+    @pytest.mark.parametrize("data_scale", [1.0, 1e-150])
+    @pytest.mark.parametrize("solver", [tikhonov_temporal, tikhonov_uniform])
+    def test_overflow_raises_divergence(self, solver, data_scale):
+        counts: dict = {}
+        forward, data = overflowing_problem(data_scale, counts)
+        with np.errstate(over="ignore"), pytest.raises(DivergenceError):
+            solver(forward, data, 1.0)
+        if solver is tikhonov_temporal:  # stops at node 0, in its first iteration
+            assert counts == {"adjoint": 1} if data_scale == 1.0 else {"adjoint": 2, "apply": 1}
+
+    @pytest.mark.parametrize("bad", [math.inf, -math.inf, math.nan])
+    def test_non_finite_cg_quantities_raise(self, bad):
+        with pytest.raises(DivergenceError, match="right-hand side"):
+            _cg(lambda v: v, np.array([1.0, bad]), 1e-10, 10)
+        with pytest.raises(DivergenceError, match="p.Ap"):
+            _cg(lambda v: np.full_like(v, bad), np.ones(2), 1e-10, 10)
+
+    def test_overflowing_residual_raises(self):
+        # p.Ap = 1e-300 is finite, the step 1e300 overflows r's second entry
+        def operator(v):
+            return np.array([1e-300, 1e300]) * v[0]
+
+        with np.errstate(over="ignore"), pytest.raises(DivergenceError, match="residual"):
+            _cg(operator, np.array([1.0, 0.0]), 1e-10, 10)
 
 
 class TestTikhonovUniform:
@@ -689,6 +842,71 @@ class TestMultiDirection(KaczmarzContract):
         report = kaczmarz_multi_direction([sub], KaczmarzConfig(memory=3), np.zeros(4))
         assert report.stop_reason == "discrepancy"
         assert report.residuals[-1] <= 2.0 * 5e-3
+
+
+class TestAdjointRows:
+    """LinearSubproblem.adjoint_rows: the batched form of adjoint, bit for bit."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(block_subproblems())
+    def test_rows_equal_stacked_adjoints_bytes(self, case):
+        forward, subs, blocks, weight, stacks = case
+        for sub, (first, end), R in zip(subs, blocks, stacks):
+            got = sub.adjoint_rows(R)
+            assert got.shape == (len(R), forward.static.n_in) and got.dtype == float
+            assert got.tobytes() == np.array([sub.adjoint(r) for r in R]).tobytes()
+            reference = [block_adjoint_reference(forward, first, end, weight, r) for r in R]
+            assert got.tobytes() == np.array(reference).tobytes()  # signbits included
+
+    @settings(max_examples=60, deadline=None)
+    @given(block_subproblems())
+    def test_step_estimate_equals_per_unit_vector_loop(self, case):
+        forward, subs, _, _, _ = case
+        n_in = forward.static.n_in
+        config = KaczmarzConfig(power_iterations=split_iterations(subs))
+        reference = per_unit_vector_omegas(subs, n_in, config)
+        tallies = [tally_in_place(sub) for sub in subs]
+        assert _estimate_omegas(subs, config, np.zeros(n_in)) == reference
+        for sub, counts in zip(subs, tallies):
+            if sub.data.shape[0] < 2 * config.power_iterations:
+                assert counts == {"adjoint_rows": 1}
+            else:  # two calls per step; a step mapping to zero ends the loop early
+                assert counts["apply"] == counts["adjoint"] <= config.power_iterations
+                assert set(counts) == {"apply", "adjoint"}
+
+    def test_causal_solve_assembly_is_one_call_per_section(self):
+        """The Kaczmarz call of the causal-solve benchmark: 12 data rows per section."""
+        forward, data = forward_and_data("mpi", 96, 32)
+        subs = time_subproblems(forward, data, 1e-3, sections=8)
+        tallies = [tally_in_place(sub) for sub in subs]
+        _estimate_omegas(subs, KaczmarzConfig(), np.zeros(32))
+        assert tallies == [{"adjoint_rows": 1}] * 8
+
+    def test_one_dimensional_callables_stack_and_solve(self):
+        rng = np.random.default_rng(40)
+        mats = [rng.standard_normal((3, 4)), rng.standard_normal((5, 4))]
+        x_star = rng.standard_normal(4)
+        subs = [matrix_subproblem(m, m @ x_star, 0.0) for m in mats]
+        R = rng.standard_normal((6, 3))
+        R[0] = -0.0
+        rows = subs[0].adjoint_rows(R)
+        assert rows.tobytes() == np.array([mats[0].T @ r for r in R]).tobytes()
+        report = landweber_kaczmarz(subs, KaczmarzConfig(max_sweeps=3000, tau=1.0), np.zeros(4))
+        np.testing.assert_allclose(report.reconstruction, x_star, rtol=1e-8)
+        report = kaczmarz_multi_direction(subs, KaczmarzConfig(memory=2), np.zeros(4))
+        assert report.stop_reason == "discrepancy"
+
+    @pytest.mark.parametrize("loop", [landweber_kaczmarz, kaczmarz_multi_direction])
+    def test_batched_and_per_vector_rows_give_the_same_bytes(self, loop):
+        # dataclasses.replace rebuilds adjoint_rows as the loop over adjoint
+        forward, data = forward_and_data("mpi", 24, 8)
+        noisy = add_noise(data, NoiseSpec(1e-3, 0))
+        subs = time_subproblems(forward, noisy, 1e-3, sections=4)
+        config = KaczmarzConfig(memory=3, max_sweeps=20)
+        batched = loop(subs, config, np.zeros(8))
+        looped = loop([dataclasses.replace(sub) for sub in subs], config, np.zeros(8))
+        assert batched.reconstruction.tobytes() == looped.reconstruction.tobytes()
+        assert batched.trace == looped.trace
 
 
 class TestTimeSubproblems:
