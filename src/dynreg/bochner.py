@@ -337,16 +337,15 @@ def _atomic_write_text(path: str, text: str) -> None:
 def write_csv(u: BochnerFunction, path: str) -> None:
     """Write u as CSV with header t,x_0,...,x_{n-1}, one row per time node.
 
-    Floats are formatted with %.17g, which round-trips doubles exactly; the
-    values of a constant-in-time u (rows bitwise equal) are formatted once.
-    The file is written atomically (temp file + rename).
+    Floats are formatted with %.17g, which round-trips doubles exactly, the values
+    of a bitwise constant-in-time u once.  Written atomically (temp file + rename).
     """
     header = "t," + ",".join(f"x_{j}" for j in range(u.n_dim))
-    bits = u.values.view(np.int64)
-    table = u.values[:1] if (bits == bits[0]).all() else u.values  # one format per distinct row
-    cells = [",%.17g" * u.n_dim % tuple(row) for row in table.tolist()] * (len(bits) // len(table))
-    rows = ["%.17g" % t + row for t, row in zip(u.grid.nodes.tolist(), cells)]
-    _atomic_write_text(path, "\n".join([header] + rows) + "\n")
+    line = ",".join(["%.17g"] * (u.n_dim + 1))  # one format per row, not one per number
+    table, bits = np.column_stack([u.grid.nodes, u.values]), u.values.view(np.int64)
+    if (bits == bits[0]).all():  # constant in time: the values go into the row format, once
+        line, table = "%.17g" + line[5:] % tuple(u.values[0].tolist()), table[:, :1]
+    _atomic_write_text(path, "\n".join([header] + [line % tuple(row) for row in table.tolist()]) + "\n")
 
 
 def read_csv(

@@ -370,9 +370,7 @@ def _ordered_sum(kernel, dt: float, rows, causal: bool, start: int = 0) -> np.nd
 @functools.lru_cache(maxsize=64)
 def _reach_pattern(rows: int, n_t: int) -> np.ndarray:
     """Read-only U[a, b] = b >= a, shape (rows, n_t), a block's reach: row a reaches output b."""
-    pattern = np.arange(n_t) >= np.arange(rows)[:, None]
-    pattern.setflags(write=False)
-    return pattern
+    return np.broadcast_to(np.arange(n_t) >= np.arange(rows)[:, None], (rows, n_t))  # read-only
 
 
 def _causal_sum(kernel: np.ndarray, dt: float, rows: np.ndarray) -> np.ndarray:

@@ -12,7 +12,7 @@ from __future__ import annotations
 import math
 import time
 from collections import deque
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Optional, Sequence, Union
 
 import numpy as np
@@ -141,8 +141,6 @@ class LinearSubproblem:
     noise budget.  KaczmarzConfig's omega = "auto" relies on the adjoint
     being exact in those weighted inner products: with a plain transpose
     and data_weight != unknown_weight its step is off by their ratio.
-    Row contract: adjoint_rows(R) stacks adjoint(R[k]) over k, bit for bit; a derived
-    field, the loop over adjoint unless time_subproblems sets one batched adjoint.
     """
 
     apply: Callable[[np.ndarray], np.ndarray]
@@ -151,7 +149,6 @@ class LinearSubproblem:
     noise_level: float
     data_weight: float = 1.0
     unknown_weight: float = 1.0
-    adjoint_rows: Callable[[np.ndarray], np.ndarray] = field(init=False, repr=False)
 
     def __post_init__(self) -> None:
         data = np.array(self.data, dtype=float)
@@ -165,7 +162,10 @@ class LinearSubproblem:
             raise InvalidParameterError("weights must be positive")
         data.setflags(write=False)
         object.__setattr__(self, "data", data)
-        object.__setattr__(self, "adjoint_rows", lambda R: np.array([*map(self.adjoint, R)], float))
+
+    def adjoint_rows(self, R: np.ndarray) -> np.ndarray:
+        """Row k is adjoint(R[k]), bit for bit; time_subproblems shadows this loop with one call."""
+        return np.array([*map(self.adjoint, R)], float)
 
     def residual(self, x: np.ndarray) -> np.ndarray:
         return np.asarray(self.apply(x), dtype=float) - self.data
@@ -388,15 +388,18 @@ def tikhonov_uniform(
     t0 = time.perf_counter()
     _require_hilbert(forward, data)
     _check_data(forward, data)
-    a = float(_resolve_alphas(alpha, 1, delta)[0])
+    alphas = _resolve_alphas(alpha, 1, delta)
+    a = float(alphas[0])
 
     def normal_op(v: np.ndarray) -> np.ndarray:
         image = apply_forward(forward, rhs_fn.with_values(v))
-        return apply_adjoint(forward, image).values + a * v
+        back = apply_adjoint(forward, image)
+        return back.values + a * v
 
     try:  # the data and the CG iterates are finite: a non-finite image is an overflow
         rhs_fn = apply_adjoint(forward, data)
-        theta, iters, reason, history = _cg(normal_op, rhs_fn.values, config.tol, config.max_iter)
+        rhs = rhs_fn.values
+        theta, iters, stop_reason, history = _cg(normal_op, rhs, config.tol, config.max_iter)
     except InvalidInputError as exc:
         raise DivergenceError(f"the forward map overflowed: {exc}") from exc
     reconstruction = rhs_fn.with_values(theta)
@@ -404,7 +407,7 @@ def tikhonov_uniform(
     return SolveReport(
         reconstruction=reconstruction,
         alphas=[a],
-        stop_reason=reason,
+        stop_reason=stop_reason,
         iterations=iters,
         error=_relative_error(reconstruction, truth),
         wall_time=time.perf_counter() - t0,
@@ -600,7 +603,7 @@ def kaczmarz_multi_direction(
         def step(i: int, sub: LinearSubproblem, x: np.ndarray, r: np.ndarray) -> np.ndarray:
             # history[-1] is x, whose residual r is already known
             past = [sub.residual(xk) for xk in list(history)[:-1]]
-            directions = sub.adjoint_rows(past + [r])
+            directions = [np.asarray(sub.adjoint(rk), dtype=float) for rk in past + [r]]
             images = [np.asarray(sub.apply(d), dtype=float) for d in directions]
             gram = sub.data_weight * np.array([[float(a @ b) for b in images] for a in images])
             damping = 1e-12 * float(np.trace(gram))

@@ -173,6 +173,23 @@ class TestLoadConfig:
         assert not out.exists()
         assert f"config error: {path}: [problem] {key} is a key of kind" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("kind", sorted(cli.BUILTIN_PROBLEMS))
+    def test_kind_metadata_names_the_keys_the_build_reads(self, kind):
+        """The kind= metadata and _build_problem's branches name the same keys."""
+        read: set = set()
+
+        class Recording:
+            def __getattr__(self, name):
+                read.add(name)
+                return getattr(ExperimentConfig(kind=kind, n_t=8, n_x=8), name)
+
+        cli._build_problem(Recording())
+        specific = {f.name: f.metadata["kind"] for f in dataclasses.fields(ExperimentConfig)
+                    if f.metadata["kind"] is not None}
+        assert {name for name in read if name in specific} == {
+            name for name, owner in specific.items() if owner == kind
+        }
+
     def test_benchmark_configs_are_accepted(self, tmp_path, monkeypatch):
         monkeypatch.syspath_prepend(str(Path(__file__).resolve().parent.parent / "benchmarks"))
         workloads = importlib.import_module("workloads")

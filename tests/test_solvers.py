@@ -8,6 +8,7 @@ algebra at small sizes.
 
 import dataclasses
 import math
+import pickle
 
 import numpy as np
 import pytest
@@ -194,7 +195,7 @@ def block_adjoint_reference(forward, first: int, end: int, weight: float, r) -> 
 
 
 def tally_in_place(sub: LinearSubproblem) -> dict:
-    """Count the calls of sub's apply, adjoint and adjoint_rows fields, in place."""
+    """Count the calls of sub's apply, adjoint and adjoint_rows, in place."""
     counts: dict = {}
     for name in ("apply", "adjoint", "adjoint_rows"):
 
@@ -896,9 +897,14 @@ class TestAdjointRows:
         report = kaczmarz_multi_direction(subs, KaczmarzConfig(memory=2), np.zeros(4))
         assert report.stop_reason == "discrepancy"
 
+    def test_subproblem_of_picklable_callables_pickles(self):
+        sub = pickle.loads(pickle.dumps(LinearSubproblem(np.negative, np.negative, [1.0], 0.0)))
+        rows = sub.adjoint_rows(np.array([[2.0], [-0.0]]))
+        assert rows.tobytes() == np.array([[-2.0], [0.0]]).tobytes()
+
     @pytest.mark.parametrize("loop", [landweber_kaczmarz, kaczmarz_multi_direction])
     def test_batched_and_per_vector_rows_give_the_same_bytes(self, loop):
-        # dataclasses.replace rebuilds adjoint_rows as the loop over adjoint
+        # a dataclasses.replace copy drops the batched adjoint_rows: the loop over adjoint
         forward, data = forward_and_data("mpi", 24, 8)
         noisy = add_noise(data, NoiseSpec(1e-3, 0))
         subs = time_subproblems(forward, noisy, 1e-3, sections=4)
