@@ -312,12 +312,7 @@ def interpolate_tracked(
     snaps = list(snapshots)
     if not snaps:
         raise InvalidInputError("no snapshots given")
-    if len(snaps) != grid.n_t:
-        raise DimensionError(f"got {len(snaps)} snapshots for a grid with {grid.n_t} nodes")
-    arr = np.array(snaps, dtype=float)
-    if arr.ndim != 2:
-        raise DimensionError("snapshots must all be 1-d vectors of equal length")
-    return BochnerFunction(grid, arr, p, space_exponent, space_weight)
+    return BochnerFunction(grid, snaps, p, space_exponent, space_weight)
 
 
 def _atomic_write_text(path: str, text: str) -> None:

@@ -17,7 +17,7 @@ from typing import Callable, Optional, Sequence, Union
 
 import numpy as np
 
-from .bochner import BochnerFunction, bochner_norm, interpolate_tracked
+from .bochner import BochnerFunction, bochner_norm
 from .errors import (
     DimensionError,
     DivergenceError,
@@ -129,6 +129,8 @@ class KaczmarzConfig:
             raise InvalidParameterError(f"memory must be >= 1, got {self.memory}")
         if self.power_iterations < 1:
             raise InvalidParameterError("power_iterations must be >= 1")
+        if self.power_seed < 0:
+            raise InvalidParameterError(f"power_seed must be >= 0, got {self.power_seed}")
 
 
 @dataclass(frozen=True, eq=False)
@@ -178,19 +180,17 @@ class LinearSubproblem:
 class SolveReport:
     """Outcome of one solver run.
 
-    reconstruction is a BochnerFunction for the space-time solvers and a
-    single spatial vector for the static-source Kaczmarz loops.  trace rows
-    are (iteration, subproblem, residual, alpha, error) with NaN for fields
-    a method does not produce; residuals is derived from the trace's
-    residual column.  alphas holds one weight per time node for
-    tikhonov_temporal, the single weight [alpha] for tikhonov_uniform, and
-    nothing for the Kaczmarz loops.  error is the relative distance to the
-    supplied truth, when given.  stop_reason is one of "tolerance" (CG met
-    its tolerance, at every node for the tracking solver), "discrepancy" (a
-    full Kaczmarz cycle met the discrepancy principle), "max_iter" (the
-    iteration or sweep cap ran out) or "breakdown" (CG met p.Ap <= 0: the
-    normal operator is not positive definite, as with a wrong adjoint).
-    Non-finite residuals or CG quantities raise DivergenceError instead.
+    reconstruction is a BochnerFunction for the space-time solvers, a spatial
+    vector for the Kaczmarz loops.  trace rows are (iteration, subproblem,
+    residual, alpha, error), NaN where a method has no value; residuals is
+    their residual column.  alphas holds tikhonov_temporal's weight per node,
+    tikhonov_uniform's [alpha], or nothing.  error is the relative distance to
+    the truth, when given.  stop_reason is "tolerance" (CG met its tolerance),
+    "discrepancy" (a Kaczmarz cycle met the discrepancy principle), "max_iter"
+    (the iteration or sweep cap ran out) or "breakdown" (CG met p.Ap <= 0: the
+    normal operator is not positive definite, as with a wrong adjoint); the
+    tracking solver's lock-step CG reports its worst node's, with a trace row
+    and an iteration per node.  Non-finite values raise DivergenceError.
     """
 
     reconstruction: Union[BochnerFunction, np.ndarray]
@@ -206,49 +206,68 @@ class SolveReport:
         return [row[2] for row in self.trace]
 
 
+def _dot(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Row-wise a.b, each row by the BLAS ddot of a_row @ b_row (einsum rounds otherwise)."""
+    return np.matmul(a[..., None, :], b[..., :, None])[..., 0, 0]
+
+
 def _cg(
     operator: Callable[[np.ndarray], np.ndarray],
     rhs: np.ndarray,
     tol: float,
     max_iter: int,
-) -> tuple[np.ndarray, int, str, list[float]]:
-    """Conjugate gradients for an SPD map, matrix-free.
+) -> tuple[np.ndarray, int, np.ndarray, np.ndarray, list[np.ndarray]]:
+    """Lock-step, matrix-free CG for a stack of SPD systems rhs (..., N); 1-D is one system.
 
-    Returns (solution, iterations, stop reason, relative residual history),
-    the reason being "tolerance", "max_iter" or "breakdown" (p.Ap <= 0); a
-    non-finite ||rhs||, p.Ap or residual raises DivergenceError.  Residuals are
-    relative to ||rhs||; a zero rhs returns the zero solution immediately.
+    Each runs as if alone; at its stop ("tolerance", "max_iter", "breakdown":
+    p.Ap <= 0) its x freezes, its r and p become 0.  Returns (x, iterations
+    summed, per-system reasons and counts, relative residuals by iteration).
+    A running system's non-finite ||rhs||, p.Ap or residual raises
+    DivergenceError; a zero rhs stops at once.
     """
     x = np.zeros_like(rhs)
     r = rhs.copy()
-    rhs_norm = _finite(math.sqrt(float(r.ravel() @ r.ravel())), "right-hand side norm")
-    if rhs_norm == 0.0:
-        return x, 0, "tolerance", [0.0]
     p = r.copy()
-    rs = float(r.ravel() @ r.ravel())
-    history: list[float] = []
+    rs = _dot(r, r)
+    rhs_norm = _finite(np.sqrt(rs), "right-hand side norm")
+    reasons = np.full(rs.shape, "max_iter", "U9")
+    counts = np.full(rs.shape, max_iter)
+    running = np.ones(rs.shape, bool)
+
+    def stop(done: np.ndarray, reason: str, count: int) -> bool:
+        if not done.any():
+            return False
+        reasons[done], counts[done] = reason, count
+        r[done] = p[done] = 0.0
+        running[done] = False
+        return not running.any()
+
+    if stop(rhs_norm == 0.0, "tolerance", 0):
+        return x, 0, reasons, counts, [np.zeros_like(rs)]
+    history: list[np.ndarray] = []
     for k in range(1, max_iter + 1):
         Ap = operator(p)
-        pAp = _finite(float(p.ravel() @ Ap.ravel()), "p.Ap")
-        if pAp <= 0.0:
-            return x, k - 1, "breakdown", history
-        step = rs / pAp
+        pAp = _finite(_dot(p, Ap), "p.Ap", running)
+        if stop(running & (pAp <= 0.0), "breakdown", k - 1):
+            break
+        step = (rs / np.where(running, pAp, np.inf))[..., None]
         x = x + step * p
         r = r - step * Ap
-        rs_next = _finite(float(r.ravel() @ r.ravel()), "squared residual")
-        rel = math.sqrt(rs_next) / rhs_norm
+        rs_next = _finite(_dot(r, r), "squared residual", running)
+        rel = np.sqrt(rs_next) / np.where(running, rhs_norm, np.inf)
         history.append(rel)
-        if rel <= tol:
-            return x, k, "tolerance", history
-        p = r + (rs_next / rs) * p
+        if stop(running & (rel <= tol), "tolerance", k):
+            break
+        p = r + (rs_next / np.where(running, rs, np.inf))[..., None] * p
         rs = rs_next
-    return x, max_iter, "max_iter", history
+    return x, int(counts.sum()), reasons, counts, history
 
 
-def _finite(value: float, what: str) -> float:
-    if not math.isfinite(value):
-        raise DivergenceError(f"CG met a non-finite {what} ({value})")
-    return value
+def _finite(values: np.ndarray, what: str, running=True) -> np.ndarray:
+    bad = values[running & ~np.isfinite(values)]
+    if bad.size:
+        raise DivergenceError(f"CG met a non-finite {what} ({bad[0]})")
+    return values
 
 
 def _resolve_alphas(
@@ -310,7 +329,7 @@ def tikhonov_temporal(
 
         (A_i* A_i + alpha_i I) x_i = A_i* y(t_i)
 
-    by conjugate gradients and assembles the snapshots into the
+    by one lock-step CG over all nodes and assembles the snapshots into the
     piecewise-constant tracked reconstruction.
 
     Parameters
@@ -327,46 +346,30 @@ def tikhonov_temporal(
     _require_hilbert(forward, data)
     _check_data(forward, data)
     fam = forward.static
-    n_t = forward.time_grid.n_t
-    alphas = _resolve_alphas(alpha, n_t, delta)
-    snapshots = np.empty((n_t, fam.n_in))
-    trace: list[tuple[int, int, float, float, float]] = []
-    reasons: set[str] = set()
-    for i in range(n_t):
-        y_i = data.values[i : i + 1]  # node i as a one-row stack of the row forms
-        rhs = fam.adjoint_rows(i, y_i)
-        a_i = float(alphas[i])
+    alphas = _resolve_alphas(alpha, forward.time_grid.n_t, delta)
 
-        def normal_op(v: np.ndarray, i: int = i, a: float = a_i) -> np.ndarray:
-            return fam.adjoint_rows(i, fam.apply_rows(i, v)) + a * v
+    def normal_op(V: np.ndarray) -> np.ndarray:
+        return fam.adjoint_rows(0, fam.apply_rows(0, V)) + alphas[:, None] * V
 
-        x, _, reason, _ = _cg(normal_op, rhs, config.tol, config.max_iter)
-        reasons.add(reason)
-        r = (fam.apply_rows(i, x) - y_i)[0]
-        x = snapshots[i] = x[0]
-        res = math.sqrt(fam.out_weight * float(r @ r))
-        if truth is not None:
-            diff = x - truth.values[i]
-            denom = math.sqrt(fam.in_weight * float(truth.values[i] @ truth.values[i]))
-            node_err = math.sqrt(fam.in_weight * float(diff @ diff)) / denom if denom else math.nan
-        else:
-            node_err = math.nan
-        trace.append((i, i, res, a_i, node_err))
-    reconstruction = interpolate_tracked(
-        snapshots,
-        forward.time_grid,
-        forward.source_exponent,
-        forward.source_space_exponent,
-        fam.in_weight,
-    )
+    rhs = fam.adjoint_rows(0, data.values)
+    snapshots, _, reasons, _, _ = _cg(normal_op, rhs, config.tol, config.max_iter)
+    r = fam.apply_rows(0, snapshots) - data.values
+    residuals = np.sqrt(fam.out_weight * _dot(r, r))
+    errors = np.full(len(alphas), math.nan)
+    if truth is not None:
+        diff = snapshots - truth.values
+        denom = np.sqrt(fam.in_weight * _dot(truth.values, truth.values))
+        np.divide(np.sqrt(fam.in_weight * _dot(diff, diff)), denom, out=errors, where=denom != 0.0)
+    rows = zip(residuals.tolist(), alphas.tolist(), errors.tolist())
+    reconstruction = forward.source_template(snapshots)
     return SolveReport(
         reconstruction=reconstruction,
-        alphas=[float(a) for a in alphas],
+        alphas=alphas.tolist(),
         stop_reason=next(r for r in ("breakdown", "max_iter", "tolerance") if r in reasons),
-        iterations=n_t,
+        iterations=len(alphas),
         error=_relative_error(reconstruction, truth),
         wall_time=time.perf_counter() - t0,
-        trace=trace,
+        trace=[(i, i, *row) for i, row in enumerate(rows)],
     )
 
 
@@ -392,22 +395,22 @@ def tikhonov_uniform(
     a = float(alphas[0])
 
     def normal_op(v: np.ndarray) -> np.ndarray:
-        image = apply_forward(forward, rhs_fn.with_values(v))
+        image = apply_forward(forward, rhs_fn.with_values(v.reshape(rhs_fn.values.shape)))
         back = apply_adjoint(forward, image)
-        return back.values + a * v
+        return back.values.ravel() + a * v
 
     try:  # the data and the CG iterates are finite: a non-finite image is an overflow
         rhs_fn = apply_adjoint(forward, data)
-        rhs = rhs_fn.values
-        theta, iters, stop_reason, history = _cg(normal_op, rhs, config.tol, config.max_iter)
+        rhs = rhs_fn.values.ravel()
+        theta, iters, stop_reason, _, history = _cg(normal_op, rhs, config.tol, config.max_iter)
     except InvalidInputError as exc:
         raise DivergenceError(f"the forward map overflowed: {exc}") from exc
-    reconstruction = rhs_fn.with_values(theta)
-    trace = [(k, 0, rel, a, math.nan) for k, rel in enumerate(history, start=1)]
+    reconstruction = rhs_fn.with_values(theta.reshape(rhs_fn.values.shape))
+    trace = [(k, 0, float(rel), a, math.nan) for k, rel in enumerate(history, start=1)]
     return SolveReport(
         reconstruction=reconstruction,
         alphas=[a],
-        stop_reason=stop_reason,
+        stop_reason=str(stop_reason),
         iterations=iters,
         error=_relative_error(reconstruction, truth),
         wall_time=time.perf_counter() - t0,
@@ -607,6 +610,8 @@ def kaczmarz_multi_direction(
             images = [np.asarray(sub.apply(d), dtype=float) for d in directions]
             gram = sub.data_weight * np.array([[float(a @ b) for b in images] for a in images])
             damping = 1e-12 * float(np.trace(gram))
+            if not math.isfinite(damping):
+                raise DivergenceError(f"sub-problem {i} gave a Gram trace of {damping}")
             if damping > 0.0:
                 rhs = sub.data_weight * np.array([float(a @ r) for a in images])
                 coeff = np.linalg.solve(gram + damping * np.eye(len(images)), rhs)

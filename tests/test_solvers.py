@@ -55,6 +55,7 @@ from dynreg import (
 from dynreg.bochner import SpatialGrid, TimeGrid
 from dynreg.operators import _adjoint_rows
 from dynreg.solvers import _cg, _estimate_omegas
+from tracking_reference import tracking_by_node
 
 
 def matrix_subproblem(m: np.ndarray, y: np.ndarray, level: float) -> LinearSubproblem:
@@ -281,6 +282,12 @@ class TestConfigs:
         with pytest.raises(InvalidParameterError):
             KaczmarzConfig(memory=0)
 
+    def test_negative_power_seed_rejected(self):
+        # it would reach np.random.default_rng, whose ValueError is no DynregError
+        with pytest.raises(InvalidParameterError, match="power_seed"):
+            KaczmarzConfig(power_seed=-1)
+        assert KaczmarzConfig(power_seed=0).power_seed == 0
+
     def test_rule_validation(self):
         with pytest.raises(InvalidParameterError):
             ParameterRule(scale=1.0, exponent=2.0)
@@ -383,6 +390,33 @@ class TestTikhonovTemporal:
         assert report.stop_reason == "breakdown"
         assert report.iterations == 4
 
+    def test_one_cg_over_all_nodes_one_row_call_each_way_per_iteration(self, monkeypatch):
+        problem = make_dct_analogue(8, 12, window=5)
+        noisy = add_noise(problem.data_clean, NoiseSpec(1e-2, 5))
+        fam = problem.forward.static
+        calls = {"apply_rows": 0, "adjoint_rows": 0}
+        for name in calls:
+
+            def rows(first, X, name=name, fn=getattr(fam, name)):
+                calls[name] += 1
+                return fn(first, X)
+
+            object.__setattr__(fam, name, rows)
+        results = []
+
+        def cg(*args):
+            results.append(_cg(*args))
+            return results[-1]
+
+        monkeypatch.setattr("dynreg.solvers._cg", cg)
+        tikhonov_temporal(problem.forward, noisy, 1e-4)
+        ((_, total, reasons, counts, _),) = results
+        assert set(reasons) == {"tolerance"} and len(set(counts.tolist())) > 1
+        assert type(total) is int and total == counts.sum()
+        iterations = int(counts.max())  # the slowest node sets the lock-step count
+        # plus the rhs (adjoint) and the trace residuals (apply)
+        assert calls == {"apply_rows": iterations + 1, "adjoint_rows": iterations + 1}
+
     def test_rejects_causal_kind(self):
         problem = make_mpi_analogue(4, 4)
         with pytest.raises(UnsupportedKindError):
@@ -434,6 +468,131 @@ def overflowing_problem(data_scale: float, counts: dict):
     return forward, forward.data_template(np.full((4, 3), data_scale))
 
 
+def tracking_case(name: str):
+    """(forward, data, alphas, config, truth) of one tracking-solver case."""
+    if name.startswith("negated"):  # nodes 1 and 3 break down, the others converge
+        forward, data = negated_adjoint_problem(broken={1, 3})
+        max_iter = 1 if name == "negated-truncated" else 5000
+        return forward, data, [1e-2] * 4, TikhonovConfig(max_iter=max_iter), None
+    kind, variant = name.split("-")
+    make = {"dct": make_dct_analogue, "nonuniform": make_nonuniform_example,
+            "identity": make_identity_problem}[kind]
+    problem = make(6, 10)
+    data = add_noise(problem.data_clean, NoiseSpec(1e-2, len(name)))
+    alphas, config, truth = [1e-3] * 6, TikhonovConfig(), None
+    if variant == "alphas":  # one weight per node
+        alphas = [1e-4, 1e-1, 3e-3, 1e-2, 1e-3, 3e-4]
+    elif variant == "truth":  # node 2 of the truth is zero: its relative error is NaN
+        values = problem.truth.values.copy()
+        values[2] = 0.0
+        truth = problem.forward.source_template(values)
+    elif variant == "truncated":
+        config = TikhonovConfig(max_iter=3)
+    return problem.forward, data, alphas, config, truth
+
+
+class TestTrackingOracle:
+    """tikhonov_temporal's lock-step CG against one scalar CG per node, bit for bit."""
+
+    @pytest.mark.parametrize(
+        "name",
+        [
+            f"{kind}-{variant}"
+            for kind in ("dct", "nonuniform", "identity")
+            for variant in ("scalar", "alphas", "truth", "truncated")
+        ]
+        + ["negated-full", "negated-truncated"],
+    )
+    def test_matches_per_node_reference(self, name):
+        forward, data, alphas, config, truth = tracking_case(name)
+        report = tikhonov_temporal(forward, data, alphas, config=config, truth=truth)
+        snapshots, trace, reason = tracking_by_node(
+            forward, data, alphas, config.tol, config.max_iter, truth
+        )
+        np.testing.assert_array_equal(
+            report.reconstruction.values.view(np.int64), snapshots.view(np.int64)
+        )
+        assert len(report.trace) == len(trace) == forward.time_grid.n_t
+        for got, want in zip(report.trace, trace):
+            assert got[:2] == want[:2]
+            np.testing.assert_array_equal(
+                np.array(got[2:]).view(np.int64), np.array(want[2:]).view(np.int64)
+            )
+        assert (report.stop_reason, report.iterations) == (reason, forward.time_grid.n_t)
+        if name == "dct-truth":
+            assert math.isnan(report.trace[2][4]) and math.isfinite(report.error)
+        if name in ("dct-truncated", "nonuniform-truncated", "negated-truncated"):
+            assert report.stop_reason == ("breakdown" if "negated" in name else "max_iter")
+
+
+@st.composite
+def spd_stacks(draw):
+    """A stack of m small systems: SPD matrices with a few distinct eigenvalues
+    (CG meets its tolerance after about that many steps), negated ones (breakdown
+    at step 1) and zero right-hand sides, with a tolerance and an iteration cap."""
+    m, n = draw(st.integers(1, 6)), draw(st.integers(1, 12))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    mats, rhs = np.empty((m, n, n)), rng.standard_normal((m, n))
+    for i in range(m):
+        q, _ = np.linalg.qr(rng.standard_normal((n, n)))
+        levels = 10.0 ** rng.uniform(-3, 2, draw(st.integers(1, n)))
+        mats[i] = (q * rng.choice(levels, n)) @ q.T
+        row = draw(st.sampled_from(["spd", "spd", "negated", "zero"]))
+        if row == "negated":
+            mats[i] *= -1.0
+        elif row == "zero":
+            rhs[i] = 0.0
+    tol = draw(st.sampled_from([1e-2, 1e-8, 1e-13]))
+    return mats, rhs, tol, draw(st.integers(1, n + 2))
+
+
+class TestStackedCg:
+    """_cg over a stack of systems equals _cg on each system alone, bit for bit."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(spd_stacks())
+    def test_stack_equals_each_system_alone(self, case):
+        mats, rhs, tol, max_iter = case
+
+        def operator(stack):
+            return lambda v: (stack @ v[..., None])[..., 0]
+
+        x, total, reasons, counts, history = _cg(operator(mats), rhs, tol, max_iter)
+        assert type(total) is int and total == counts.sum()
+        for i in range(len(rhs)):
+            xi, ki, reason_i, counts_i, history_i = _cg(operator(mats[i]), rhs[i], tol, max_iter)
+            np.testing.assert_array_equal(x[i].view(np.int64), xi.view(np.int64))
+            assert (reasons[i], counts[i]) == (reason_i, ki) == (reason_i[()], counts_i[()])
+            # a zero rhs alone reports [0.0]; in a stack that stops at once, no iteration
+            assert len(history) >= ki
+            n = min(len(history), len(history_i))
+            rows = np.array([h[i] for h in history[:n]], dtype=float)
+            np.testing.assert_array_equal(
+                rows.view(np.int64), np.array(history_i[:n], dtype=float).view(np.int64)
+            )
+
+    def test_each_system_stops_on_its_own(self):
+        # system 0 converges in one step, 1 breaks down, 2 has a zero rhs, 3 hits max_iter
+        mats = np.stack([np.eye(3), -np.eye(3), np.eye(3), np.diag([1.0, 10.0, 100.0])])
+        rhs = np.array([[1.0, 2.0, 3.0], [1.0, 1.0, 1.0], [0.0, 0.0, 0.0], [1.0, 1.0, 1.0]])
+        x, total, reasons, counts, _ = _cg(lambda v: (mats @ v[..., None])[..., 0], rhs, 1e-12, 2)
+        assert reasons.tolist() == ["tolerance", "breakdown", "tolerance", "max_iter"]
+        assert counts.tolist() == [1, 0, 0, 2] and total == 3
+        np.testing.assert_array_equal(x[:3], [[1.0, 2.0, 3.0], [0.0] * 3, [0.0] * 3])
+
+    def test_non_finite_values_of_stopped_systems_are_ignored(self):
+        # system 1 stops at once on its zero rhs; its rows of the operator are NaN
+        def operator(v):
+            out = v.copy()
+            out[1] = np.nan
+            return out
+
+        x, _, reasons, _, _ = _cg(operator, np.array([[2.0, 0.0], [0.0, 0.0]]), 1e-12, 5)
+        assert reasons.tolist() == ["tolerance", "tolerance"]
+        with pytest.raises(DivergenceError, match="p.Ap"):
+            _cg(operator, np.array([[2.0, 0.0], [0.0, 1.0]]), 1e-12, 5)
+
+
 class TestCgOverflow:
     """A map that overflows from finite data is a divergence, not bad input."""
 
@@ -445,8 +604,9 @@ class TestCgOverflow:
         forward, data = overflowing_problem(data_scale, counts)
         with np.errstate(over="ignore"), pytest.raises(DivergenceError):
             solver(forward, data, 1.0)
-        if solver is tikhonov_temporal:  # stops at node 0, in its first iteration
-            assert counts == {"adjoint": 1} if data_scale == 1.0 else {"adjoint": 2, "apply": 1}
+        if solver is tikhonov_temporal:  # the four nodes' rhs, then their first iteration
+            expected = {"adjoint": 4} if data_scale == 1.0 else {"adjoint": 8, "apply": 4}
+            assert counts == expected
 
     @pytest.mark.parametrize("bad", [math.inf, -math.inf, math.nan])
     def test_non_finite_cg_quantities_raise(self, bad):
@@ -825,6 +985,17 @@ class TestMultiDirection(KaczmarzContract):
         sub = nan_subproblem()
         with pytest.raises(DivergenceError):
             kaczmarz_multi_direction([sub], KaczmarzConfig(max_sweeps=5), np.zeros(2))
+
+    @pytest.mark.parametrize("memory", [1, 3])
+    def test_overflowing_adjoint_raises(self, memory):
+        # the residual is finite, its direction is not: a NaN Gram trace is no stationary point
+        a = np.array([[1.0, -1.0], [1.0, 1.0]])
+        sub = LinearSubproblem(lambda x: a @ x, lambda r: 1e308 * (a.T @ r) * 10, [1.0, 0.0], 0.0)
+        config = KaczmarzConfig(omega=1.0, memory=memory, max_sweeps=5)
+        with np.errstate(over="ignore", invalid="ignore"), pytest.raises(
+            DivergenceError, match="Gram trace"
+        ):
+            kaczmarz_multi_direction([sub], config, np.zeros(2))
 
     def test_zero_operator_is_stationary(self):
         zero = np.zeros((3, 2))
