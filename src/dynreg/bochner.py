@@ -76,14 +76,12 @@ class SpatialGrid:
     a: float
     b: float
     n_x: int
-    exponent: float = 2.0
 
     def __post_init__(self) -> None:
         if not (np.isfinite(self.a) and np.isfinite(self.b)) or self.a >= self.b:
             raise InvalidParameterError(f"need a < b, got [{self.a}, {self.b}]")
         if self.n_x < 1:
             raise InvalidParameterError(f"need at least one cell, got n_x={self.n_x}")
-        _check_exponent(self.exponent, "spatial exponent")
 
     @property
     def dx(self) -> float:
@@ -366,13 +364,13 @@ def read_csv(
     body = [r for r in rows[1:] if r]
     if not body:
         raise InvalidInputError(f"{path}: no data rows")
+    if any(len(r) != n_dim + 1 for r in body):
+        raise InvalidInputError(f"{path}: ragged rows")
     try:
         t = np.array([float(r[0]) for r in body])
         vals = np.array([[float(x) for x in r[1:]] for r in body])
-    except (ValueError, IndexError) as exc:
+    except ValueError as exc:
         raise InvalidInputError(f"{path}: unparsable row ({exc})") from exc
-    if vals.shape[1] != n_dim:
-        raise InvalidInputError(f"{path}: ragged rows")
     if t[0] <= 0.0:
         raise InvalidInputError(f"{path}: first node must be positive, got {t[0]}")
     grid = TimeGrid.from_dt(2.0 * t[0], len(body))

@@ -201,20 +201,26 @@ def _validate(cfg: ExperimentConfig, path: str, explicit: set[str]) -> None:
     for probe in cfg.probes:
         if probe not in _PROBES:
             raise ConfigError(f"{path}: unknown probe {probe!r}, pick from {list(_PROBES)}")
-    # Cross-field probe checks fire only for keys written in the file; the
-    # defaults are not consumed outside cmd_probe, which reports the module
-    # error itself when a defaulted combination cannot run.
+    _check_probe_plan(cfg, path, explicit)
+    _check_library_values(cfg, path)
+
+
+def _check_probe_plan(cfg: ExperimentConfig, where: str, keys) -> None:
+    """The [probe] keys fit the problem; probes and shift_steps only if in keys.
+
+    load_config passes the keys written in the file, since other commands never
+    run the defaults; cmd_probe passes the ones it is about to run.
+    """
     if (
-        "probes" in explicit
+        "probes" in keys
         and "temporal_spectrum" in cfg.probes
         and cfg.kind not in _POINTWISE_KINDS
     ):
-        raise ConfigError(f"{path}: temporal_spectrum needs a pointwise problem, not {cfg.kind!r}")
+        raise ConfigError(f"{where}: temporal_spectrum needs a pointwise problem, not {cfg.kind!r}")
     if not 0 <= cfg.time_index < cfg.n_t:
-        raise ConfigError(f"{path}: time_index {cfg.time_index} outside [0, {cfg.n_t})")
-    if "shift_steps" in explicit and any(k >= cfg.n_t for k in cfg.shift_steps):
-        raise ConfigError(f"{path}: shift steps must stay below n_t = {cfg.n_t}")
-    _check_library_values(cfg, path)
+        raise ConfigError(f"{where}: time_index {cfg.time_index} outside [0, {cfg.n_t})")
+    if "shift_steps" in keys and any(k >= cfg.n_t for k in cfg.shift_steps):
+        raise ConfigError(f"{where}: shift steps must stay below n_t = {cfg.n_t}")
 
 
 # The keys each library object takes, in its argument order.  A value the
@@ -419,6 +425,8 @@ def _probe_ensemble(cfg: ExperimentConfig, problem: ProblemInstance) -> list[Boc
 
 def cmd_probe(cfg: ExperimentConfig, quiet: bool = False) -> None:
     """Run the configured probes and export one table (and plot) each."""
+    keys = {"probes"} | ({"shift_steps"} if "translation" in cfg.probes else set())
+    _check_probe_plan(cfg, "[probe] defaults", keys)
     problem = _build_problem(cfg)
     forward = problem.forward
     os.makedirs(cfg.out_dir, exist_ok=True)

@@ -47,8 +47,7 @@ class OperatorFamily:
 
     apply(i, x) evaluates A(t_i) x; adjoint_apply(i, y) evaluates the adjoint
     with respect to the weighted inner products <x, x'> = in_weight * x.x'
-    and <y, y'> = out_weight * y.y'.  norm_bound, when set, is a uniform
-    bound on the operator norms sup_i ||A(t_i)||.
+    and <y, y'> = out_weight * y.y'.
 
     Row contract.  apply_rows(first, X) maps a stack of rows, row k of X at
     node first + k: it returns the (len(X), n_out) float array whose row k
@@ -74,7 +73,6 @@ class OperatorFamily:
     adjoint_apply: Callable[[int, np.ndarray], np.ndarray]
     in_weight: float = 1.0
     out_weight: float = 1.0
-    norm_bound: Optional[float] = None
     apply_rows: RowMap = field(init=False, repr=False)
     adjoint_rows: RowMap = field(init=False, repr=False)
 
@@ -85,8 +83,6 @@ class OperatorFamily:
             )
         if not (self.in_weight > 0.0 and self.out_weight > 0.0):
             raise InvalidParameterError("space weights must be positive")
-        if self.norm_bound is not None and not self.norm_bound >= 0.0:
-            raise InvalidParameterError(f"norm bound must be >= 0, got {self.norm_bound}")
         object.__setattr__(self, "apply_rows", _stacked(self.apply))
         object.__setattr__(self, "adjoint_rows", _stacked(self.adjoint_apply))
 
@@ -102,16 +98,13 @@ def _stacked(apply: RowMap) -> RowMap:
     return rows
 
 
-def _row_family(n_in, n_out, apply_rows: RowMap, adjoint_rows: RowMap, *weights_and_bound):
-    """A family defined by its row forms; apply(i, x) is row 0 of apply_rows(i, [x]).
-
-    weights_and_bound are OperatorFamily's in_weight, out_weight, norm_bound.
-    """
+def _row_family(n_in, n_out, apply_rows: RowMap, adjoint_rows: RowMap, in_weight, out_weight):
+    """A family defined by its row forms; apply(i, x) is row 0 of apply_rows(i, [x])."""
 
     def node(rows: RowMap) -> RowMap:
         return lambda i, x: rows(i, np.asarray(x, dtype=float)[None])[0]
 
-    fam = OperatorFamily(n_in, n_out, node(apply_rows), node(adjoint_rows), *weights_and_bound)
+    fam = OperatorFamily(n_in, n_out, node(apply_rows), node(adjoint_rows), in_weight, out_weight)
     object.__setattr__(fam, "apply_rows", apply_rows)
     object.__setattr__(fam, "adjoint_rows", adjoint_rows)
     return fam
@@ -132,7 +125,7 @@ def identity_family(dim: int, weight: float = 1.0) -> OperatorFamily:
     def rows(first: int, X: np.ndarray) -> np.ndarray:
         return np.array(X, dtype=float)
 
-    return _row_family(dim, dim, rows, rows, weight, weight, 1.0)
+    return _row_family(dim, dim, rows, rows, weight, weight)
 
 
 def compose(outer: OperatorFamily, inner: OperatorFamily) -> OperatorFamily:
@@ -150,11 +143,9 @@ def compose(outer: OperatorFamily, inner: OperatorFamily) -> OperatorFamily:
     def adjoint_rows(first: int, Y: np.ndarray) -> np.ndarray:
         return inner.adjoint_rows(first, outer.adjoint_rows(first, Y))
 
-    bound = None
-    if inner.norm_bound is not None and outer.norm_bound is not None:
-        bound = inner.norm_bound * outer.norm_bound
-    weights = (inner.in_weight, outer.out_weight)
-    return _row_family(inner.n_in, outer.n_out, apply_rows, adjoint_rows, *weights, bound)
+    return _row_family(
+        inner.n_in, outer.n_out, apply_rows, adjoint_rows, inner.in_weight, outer.out_weight
+    )
 
 
 def make_gaussian_smoothing(grid: SpatialGrid, sigma: float) -> OperatorFamily:
@@ -201,7 +192,7 @@ def make_subsample_observer(
     def rows(first: int, X: np.ndarray) -> np.ndarray:
         return _table_rows(masks, first, X.shape[-2], "observation pattern") * X
 
-    return _row_family(dim, dim, rows, rows, weight, weight, 1.0)
+    return _row_family(dim, dim, rows, rows, weight, weight)
 
 
 def rotating_window_pattern(n_t: int, dim: int, width: int) -> list[list[int]]:
@@ -305,15 +296,15 @@ class DynamicForward:
         )
 
 
-def _check_source(forward: DynamicForward, theta: BochnerFunction) -> None:
+def _check_source(forward: DynamicForward, theta: BochnerFunction, what: str = "input") -> None:
     if theta.grid != forward.time_grid:
-        raise DimensionError("input lives on a different time grid than the forward map")
+        raise DimensionError(f"{what} lives on a different time grid than the forward map")
     if theta.n_dim != forward.static.n_in:
         raise DimensionError(
-            f"input has {theta.n_dim} components, the family expects {forward.static.n_in}"
+            f"{what} has {theta.n_dim} components, the family expects {forward.static.n_in}"
         )
     if theta.space_weight != forward.static.in_weight:
-        raise DimensionError("input carries a different spatial weight than the source space")
+        raise DimensionError(f"{what} carries a different spatial weight than the source space")
 
 
 def _check_data(forward: DynamicForward, y: BochnerFunction) -> None:

@@ -31,6 +31,7 @@ from .operators import (
     POINTWISE,
     _adjoint_rows,
     _check_data,
+    _check_source,
     _forward_rows,
     apply_adjoint,
     apply_forward,
@@ -55,24 +56,20 @@ class TikhonovConfig:
 class ParameterRule:
     """A-priori choice alpha(delta) = scale * delta^exponent.
 
-    The exponent must lie strictly between 0 and residual_power (the power
-    of the data-fit term, 2 here), which is exactly the regime where
-    alpha(delta) -> 0 and delta^residual_power / alpha(delta) -> 0.
+    The exponent must lie strictly between 0 and 2, the power of the
+    data-fit term, which is exactly the regime where alpha(delta) -> 0 and
+    delta^2 / alpha(delta) -> 0.
     """
 
     scale: float
     exponent: float
-    kind: str = "a_priori"
-    residual_power: float = 2.0
 
     def __post_init__(self) -> None:
-        if self.kind != "a_priori":
-            raise InvalidParameterError(f"unknown rule kind {self.kind!r}")
         if not self.scale > 0.0:
             raise InvalidParameterError(f"rule scale must be positive, got {self.scale}")
-        if not 0.0 < self.exponent < self.residual_power:
+        if not 0.0 < self.exponent < 2.0:
             raise InvalidParameterError(
-                f"rule exponent must lie in (0, {self.residual_power}), got {self.exponent}"
+                f"rule exponent must lie in (0, 2.0), got {self.exponent}"
             )
 
 
@@ -95,11 +92,9 @@ class KaczmarzConfig:
 
     omega is the step size, either a positive real or "auto" (per
     sub-problem power-iteration estimate, omega_i = 0.9 / ||F_i||^2, which
-    keeps the per-sub-problem residual monotone in its own step), from
-    power_iterations steps on F_i* F_i seeded by power_seed + i; a
-    sub-problem with few data rows is assembled first, which takes fewer
-    calls.  tau are the discrepancy factors (scalar or one per
-    sub-problem, each >= 1).
+    keeps the per-sub-problem residual monotone in its own step), from 30
+    steps on F_i* F_i started from a vector seeded by i.  tau are the
+    discrepancy factors (scalar or one per sub-problem, each >= 1).
     memory is the number of remembered iterates for the multi-direction
     variant; memory = 1 is plain optimal-step Landweber-Kaczmarz, so a
     default config means the same method in both loops.  The CLI's
@@ -111,8 +106,6 @@ class KaczmarzConfig:
     tau: Union[float, Sequence[float]] = 2.0
     max_sweeps: int = 500
     memory: int = 1
-    power_iterations: int = 30
-    power_seed: int = 0
 
     def __post_init__(self) -> None:
         if isinstance(self.omega, str):
@@ -127,10 +120,6 @@ class KaczmarzConfig:
             raise InvalidParameterError(f"max_sweeps must be >= 0, got {self.max_sweeps}")
         if self.memory < 1:
             raise InvalidParameterError(f"memory must be >= 1, got {self.memory}")
-        if self.power_iterations < 1:
-            raise InvalidParameterError("power_iterations must be >= 1")
-        if self.power_seed < 0:
-            raise InvalidParameterError(f"power_seed must be >= 0, got {self.power_seed}")
 
 
 @dataclass(frozen=True, eq=False)
@@ -294,16 +283,22 @@ def _resolve_alphas(
     return alphas
 
 
-def _require_hilbert(forward: DynamicForward, data: BochnerFunction) -> None:
+def _check_inputs(
+    forward: DynamicForward, data: BochnerFunction, truth: Optional[BochnerFunction]
+) -> None:
+    """Before any solve: p = s = 2 throughout, data in the data space, truth in the source space."""
+    functions = [data] if truth is None else [data, truth]
     if (
         forward.source_exponent != 2.0
         or forward.source_space_exponent != 2.0
         or forward.data_exponent != 2.0
         or forward.data_space_exponent != 2.0
-        or data.p != 2.0
-        or data.space_exponent != 2.0
+        or any(u.p != 2.0 or u.space_exponent != 2.0 for u in functions)
     ):
         raise UnsupportedGeometryError("solvers need the Hilbert geometry p = s = 2")
+    _check_data(forward, data)
+    if truth is not None:
+        _check_source(forward, truth, "truth")
 
 
 def _relative_error(rec: BochnerFunction, truth: Optional[BochnerFunction]) -> Optional[float]:
@@ -343,8 +338,7 @@ def tikhonov_temporal(
     t0 = time.perf_counter()
     if forward.kind != POINTWISE:
         raise UnsupportedKindError(f"tracking solver needs a pointwise map, not {forward.kind}")
-    _require_hilbert(forward, data)
-    _check_data(forward, data)
+    _check_inputs(forward, data, truth)
     fam = forward.static
     alphas = _resolve_alphas(alpha, forward.time_grid.n_t, delta)
 
@@ -389,8 +383,7 @@ def tikhonov_uniform(
     matches the tracking solver to solver tolerance.
     """
     t0 = time.perf_counter()
-    _require_hilbert(forward, data)
-    _check_data(forward, data)
+    _check_inputs(forward, data, truth)
     alphas = _resolve_alphas(alpha, 1, delta)
     a = float(alphas[0])
 
@@ -418,13 +411,14 @@ def tikhonov_uniform(
     )
 
 
-def _normal_operator(
-    sub: LinearSubproblem, iterations: int
-) -> Callable[[np.ndarray], np.ndarray]:
-    """The map v -> F_i* F_i v for a power iteration of `iterations` steps.
+_POWER_STEPS = 30  # power-iteration steps per step-size estimate
+
+
+def _normal_operator(sub: LinearSubproblem) -> Callable[[np.ndarray], np.ndarray]:
+    """The map v -> F_i* F_i v for a power iteration of _POWER_STEPS steps.
 
     Matrix-free, each step costs two sub-problem calls.  When F_i has
-    fewer than 2 * iterations data rows, its rows are assembled instead,
+    fewer than 2 * _POWER_STEPS data rows, its rows are assembled instead,
     in one adjoint_rows call on the unit data vectors: the weighted adjoint is
     F_i* = (data_weight / unknown_weight) F_i^T, so R = [F_i* e_r] =
     (data_weight / unknown_weight) F_i and
@@ -435,7 +429,7 @@ def _normal_operator(
     two agree to rounding level.
     """
     n_data = sub.data.shape[0]
-    if n_data >= 2 * iterations:
+    if n_data >= 2 * _POWER_STEPS:
         return lambda v: np.asarray(sub.adjoint(sub.apply(v)), dtype=float)
     rows = sub.adjoint_rows(np.eye(n_data))
     scale = sub.unknown_weight / sub.data_weight
@@ -449,19 +443,19 @@ def _estimate_omegas(
 ) -> list[float]:
     """Per-sub-problem steps 0.9 / ||F_i||^2 via power iteration on F_i* F_i.
 
-    Each sub-problem runs config.power_iterations steps from the start
-    vector seeded by power_seed + index, stopping early if an iterate maps
-    to zero; see _normal_operator for how F_i* F_i is applied.
+    Sub-problem i runs _POWER_STEPS steps from a standard normal start
+    vector seeded by i, stopping early if an iterate maps to zero; see
+    _normal_operator for how F_i* F_i is applied.
     """
     if not isinstance(config.omega, str):
         return [float(config.omega)] * len(subproblems)
     omegas = []
     for idx, sub in enumerate(subproblems):
-        normal = _normal_operator(sub, config.power_iterations)
-        rng = np.random.default_rng(config.power_seed + idx)
+        normal = _normal_operator(sub)
+        rng = np.random.default_rng(idx)
         v = rng.standard_normal(start.shape)
         lam = 0.0
-        for _ in range(config.power_iterations):
+        for _ in range(_POWER_STEPS):
             w = normal(v)
             norm = math.sqrt(float(w @ w))
             if norm == 0.0:
@@ -480,7 +474,6 @@ def _static_error(
 ) -> Optional[float]:
     if truth is None:
         return None
-    truth = np.asarray(truth, dtype=float)
     denom = math.sqrt(weight * float(truth @ truth))
     if denom == 0.0:
         raise InvalidInputError("truth has zero norm, relative error undefined")
@@ -511,6 +504,10 @@ def _kaczmarz(
         raise DimensionError(f"start must be a vector, got shape {x.shape}")
     if not np.all(np.isfinite(x)):
         raise InvalidInputError("start contains non-finite entries")
+    if truth is not None:
+        truth = np.asarray(truth, dtype=float)
+        if truth.shape != x.shape:
+            raise DimensionError(f"truth must have the start's shape {x.shape}, got {truth.shape}")
     n_sub = len(subproblems)
     scalar = np.isscalar(config.tau)
     taus = [float(config.tau)] * n_sub if scalar else [float(t) for t in config.tau]

@@ -37,7 +37,7 @@ from dynreg import (
     translate,
     write_csv,
 )
-from dynreg.bochner import _ascending_sum, _mixed_norm, _row_norms
+from dynreg.bochner import _ascending_sum, _atomic_write_text, _mixed_norm, _row_norms
 
 
 def loop_norm(u):
@@ -148,12 +148,6 @@ class TestGrids:
 
 
 BAD_EXPONENTS = [math.inf, -math.inf, math.nan, 0.5, 0.0]
-
-
-@pytest.mark.parametrize("exponent", BAD_EXPONENTS)
-def test_spatial_grid_rejects_bad_exponent(exponent):
-    with pytest.raises(InvalidParameterError):
-        SpatialGrid(0.0, 1.0, 4, exponent)
 
 
 @pytest.mark.parametrize("exponent", BAD_EXPONENTS)
@@ -577,6 +571,41 @@ class TestCsv:
             f.write("t,x_0\n0.1,1.0\n0.9,2.0\n")
         with pytest.raises(InvalidInputError):
             read_csv(path)
+
+    @pytest.mark.parametrize(
+        "text, fragment",
+        [
+            ("", "missing t,x_0,... header"),
+            ("0.25,1.0\n0.75,2.0\n", "missing t,x_0,... header"),
+            ("t\n0.25\n", r"malformed header \['t'\]"),
+            ("t,x_0,x_2\n0.25,1,2\n", r"malformed header \['t', 'x_0', 'x_2'\]"),
+            ("t,x_0\n\n", "no data rows"),
+            ("t,x_0\n0.25,one\n", "unparsable row"),
+            ("t,x_0,x_1\n0.25,1.0,2.0\n0.75,3.0\n", "ragged rows"),
+            ("t,x_0,x_1\n0.25,1.0\n0.75,3.0\n", "ragged rows"),
+            ("t,x_0\n-0.25,1.0\n0.25,2.0\n", "first node must be positive, got -0.25"),
+            ("t,x_0\n0,1.0\n", "first node must be positive, got 0.0"),
+        ],
+        ids=["empty", "no-header", "no-columns", "column-names", "no-rows", "cell", "ragged",
+             "short", "negative-node", "zero-node"],
+    )
+    def test_rejects_bad_file(self, tmp_path, text, fragment):
+        path = tmp_path / "bad.csv"
+        path.write_text(text)
+        with pytest.raises(InvalidInputError, match=fragment):
+            read_csv(str(path))
+
+    @pytest.mark.parametrize("failure", ["write", "rename"])
+    def test_failed_write_leaves_no_temp_file(self, tmp_path, failure):
+        target = tmp_path / "out.csv"
+        text = "t,x_0\n"
+        if failure == "write":
+            text += "\ud800\n"  # a lone surrogate no encoding writes
+        else:
+            target.mkdir()  # a file cannot replace a directory
+        with pytest.raises((UnicodeEncodeError, IsADirectoryError)):
+            _atomic_write_text(str(target), text)
+        assert [p.name for p in tmp_path.iterdir()] == (["out.csv"] if failure == "rename" else [])
 
 
 def cumsum_sum(terms):

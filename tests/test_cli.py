@@ -14,7 +14,14 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from dynreg import NoiseSpec, add_noise, bochner_norm, make_identity_problem, read_csv
+from dynreg import (
+    NoiseSpec,
+    add_noise,
+    bochner_norm,
+    make_identity_problem,
+    read_csv,
+    rotating_window_pattern,
+)
 from dynreg import cli
 from dynreg.cli import ExperimentConfig, load_config, main
 
@@ -294,6 +301,79 @@ class TestExitCodes:
         code = main(["solve", "--config", path, "--out", str(tmp_path / "out"), "--quiet"])
         assert code == 3
         assert "numeric failure" in capsys.readouterr().err
+
+
+    @pytest.mark.parametrize(
+        "problem, message",
+        [
+            ("kind = mpi\nn_t = 16\nn_x = 8\n",
+             "temporal_spectrum needs a pointwise problem, not 'mpi'"),
+            ("kind = dct\nn_t = 4\nn_x = 4\n", "shift steps must stay below n_t = 4"),
+        ],
+        ids=["mpi-spectrum", "dct-shifts"],
+    )
+    def test_probe_defaults_that_cannot_run_exit_2_before_any_output(
+        self, tmp_path, capsys, problem, message
+    ):
+        path = write_config(tmp_path / "a.ini", "[problem]\n" + problem)
+        out = tmp_path / "out"
+        assert main(["probe", "--config", path, "--out", str(out), "--quiet"]) == 2
+        assert capsys.readouterr().err == f"config error: [probe] defaults: {message}\n"
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["a.ini"]
+
+    def test_probe_defaults_bind_only_the_probes_that_run(self, tmp_path):
+        # shift_steps 1, 2, 4 exceed n_t = 4, but no translation probe runs them;
+        # and solve runs no probe at all
+        path = write_config(tmp_path / "a.ini", """\
+            [problem]
+            kind = dct
+            n_t = 4
+            n_x = 4
+
+            [probe]
+            probes = stacked_spectrum
+            """)
+        assert main(["probe", "--config", path, "--out", str(tmp_path / "p"), "--quiet"]) == 0
+        path = write_config(tmp_path / "b.ini", "[problem]\nkind = mpi\nn_t = 16\nn_x = 8\n")
+        assert main(["solve", "--config", path, "--out", str(tmp_path / "s"), "--quiet"]) == 0
+
+
+class TestPatternCsv:
+    """[problem] pattern_csv: observation sets read from a file, one row per node."""
+
+    @pytest.mark.parametrize("command", ["forward", "solve"])
+    def test_window_pattern_file_equals_window_key(self, tmp_path, command):
+        pattern = tmp_path / "pattern.csv"
+        rows = rotating_window_pattern(8, 6, 3)
+        pattern.write_text("".join(",".join(map(str, row)) + "\n" for row in rows))
+        trees = []
+        for name, key in [("file", f"pattern_csv = {pattern}"), ("key", "window = 3")]:
+            body = f"[problem]\nkind = dct\nn_t = 8\nn_x = 6\n{key}\n"
+            path = write_config(tmp_path / f"{name}.ini", body)
+            out = tmp_path / name
+            assert main([command, "--config", path, "--out", str(out), "--quiet"]) == 0
+            trees.append(read_tree(out))
+        assert trees[0] == trees[1]
+
+    @pytest.mark.parametrize(
+        "text, fragment",
+        [
+            ("0,1\n1,2\n2,3\n", "need one pattern row per time node"),
+            ("0\n1\n2\n6\n", "observation indices at time 3 fall outside"),
+            ("0\n1\n,\n3\n", "empty observation set at time index 2"),
+        ],
+        ids=["rows", "index", "empty-row"],
+    )
+    def test_bad_pattern_file_exits_2(self, tmp_path, capsys, text, fragment):
+        pattern = tmp_path / "pattern.csv"
+        pattern.write_text(text)
+        body = f"[problem]\nkind = dct\nn_t = 4\nn_x = 6\npattern_csv = {pattern}\n"
+        path = write_config(tmp_path / "a.ini", body)
+        out = tmp_path / "out"
+        assert main(["solve", "--config", path, "--out", str(out), "--quiet"]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("config error: cannot build problem: ") and fragment in err
+        assert not out.exists()
 
 
 class TestForward:

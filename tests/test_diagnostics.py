@@ -196,6 +196,12 @@ class TestAssembleDense:
         m = assemble_dense(problem.forward)
         np.testing.assert_allclose(m, np.eye(6), atol=1e-15)
 
+    @pytest.mark.parametrize("time_index", [-1, 4, 7])
+    def test_rejects_time_index_off_the_grid(self, time_index):
+        problem = make_dct_analogue(4, 5)
+        with pytest.raises(DomainError, match=rf"time index {time_index} outside \[0, 4\)"):
+            assemble_dense(problem.forward, time_index)
+
     def test_family_slice(self):
         space = SpatialGrid(0.0, 1.0, 5)
         fam = make_gaussian_smoothing(space, 0.2)

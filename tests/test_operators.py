@@ -106,7 +106,6 @@ class TestOperatorFamily:
         x = np.arange(4.0)
         np.testing.assert_array_equal(fam.apply(0, x), x)
         np.testing.assert_array_equal(fam.adjoint_apply(3, x), x)
-        assert fam.norm_bound == 1.0
 
     def test_validation(self):
         with pytest.raises(InvalidParameterError):
@@ -119,12 +118,8 @@ class TestOperatorFamily:
         b = identity_family(4, weight=1.0)
         with pytest.raises(DimensionError):
             compose(a, b)
-
-    def test_compose_norm_bound_multiplies(self):
-        space = SpatialGrid(0.0, 1.0, 6)
-        observer = make_subsample_observer([[0, 1]], 6, weight=space.dx)
-        composed = compose(observer, identity_family(6, weight=space.dx))
-        assert composed.norm_bound == 1.0
+        with pytest.raises(DimensionError, match="intermediate space weights differ"):
+            compose(a, identity_family(3, weight=0.5))
 
 
 class TestGaussianSmoothing:
@@ -247,6 +242,11 @@ class TestCausalKernel:
         with pytest.raises(DimensionError):
             make_causal_kernel(TimeGrid(1.0, 4), np.ones(3))
 
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf"), -float("inf")])
+    def test_rejects_non_finite_sample(self, bad):
+        with pytest.raises(InvalidInputError, match="non-finite"):
+            make_causal_kernel(TimeGrid(1.0, 4), [1.0, 0.5, bad, 0.25])
+
 
 class TestKernelCsv:
     SAMPLES = ["1e-3", "+2.5", "-3E+2", ".5"]
@@ -353,6 +353,37 @@ class TestApplyForward:
     def test_exponents_checked_at_construction(self, field, value):
         with pytest.raises(InvalidParameterError, match=field.replace("_", " ")):
             DynamicForward(POINTWISE, identity_family(2), TimeGrid(1.0, 3), **{field: value})
+
+    @pytest.mark.parametrize(
+        "kind, kernel, fragment",
+        [
+            ("sideways", None, "unknown composition kind 'sideways'"),
+            (POINTWISE, np.ones(3), "pointwise composition takes no kernel"),
+            (ACCUMULATE_THEN_OBSERVE, None, "accumulate_then_observe needs kernel samples"),
+            (OBSERVE_THEN_ACCUMULATE, None, "observe_then_accumulate needs kernel samples"),
+        ],
+        ids=["unknown-kind", "pointwise-with-kernel", "ato-without", "ota-without"],
+    )
+    def test_kind_and_kernel_checked_at_construction(self, kind, kernel, fragment):
+        with pytest.raises(InvalidParameterError, match=fragment):
+            DynamicForward(kind, identity_family(2), TimeGrid(1.0, 3), kernel)
+
+    @pytest.mark.parametrize("side", ["forward", "adjoint"])
+    @pytest.mark.parametrize(
+        "grid, weight, fragment",
+        [
+            (TimeGrid(1.0, 5), 0.5, "different time grid"),
+            (TimeGrid(2.0, 4), 0.5, "different time grid"),
+            (TimeGrid(1.0, 4), 0.25, "different spatial weight"),
+        ],
+        ids=["n_t", "horizon", "weight"],
+    )
+    def test_rejects_function_of_another_space(self, side, grid, weight, fragment):
+        forward = DynamicForward(POINTWISE, identity_family(2, weight=0.5), TimeGrid(1.0, 4))
+        u = BochnerFunction(grid, np.ones((grid.n_t, 2)), space_weight=weight)
+        apply = apply_forward if side == "forward" else apply_adjoint
+        with pytest.raises(DimensionError, match=fragment):
+            apply(forward, u)
 
 
 class TestCausality:

@@ -7,6 +7,7 @@ import pytest
 
 from dynreg import (
     BUILTIN_PROBLEMS,
+    DimensionError,
     InvalidParameterError,
     NoiseSpec,
     add_noise,
@@ -18,6 +19,7 @@ from dynreg import (
     make_mpi_analogue,
     make_nonuniform_example,
     read_csv,
+    rotating_window_pattern,
 )
 
 
@@ -46,6 +48,12 @@ class TestInstances:
         assert all(
             np.array_equal(problem.truth.values[i], problem.truth.values[0]) for i in range(6)
         )
+
+    @pytest.mark.parametrize("rows", [3, 5])
+    def test_dct_pattern_needs_one_row_per_node(self, rows):
+        pattern = rotating_window_pattern(rows, 6, 3)
+        with pytest.raises(DimensionError, match=f"need one pattern row per time node, got {rows}"):
+            make_dct_analogue(4, 6, pattern=pattern)
 
     def test_mpi_rejects_negative_decay(self):
         with pytest.raises(InvalidParameterError):

@@ -9,6 +9,7 @@ algebra at small sizes.
 import dataclasses
 import math
 import pickle
+import re
 
 import numpy as np
 import pytest
@@ -54,7 +55,7 @@ from dynreg import (
 )
 from dynreg.bochner import SpatialGrid, TimeGrid
 from dynreg.operators import _adjoint_rows
-from dynreg.solvers import _cg, _estimate_omegas
+from dynreg.solvers import _POWER_STEPS, _cg, _estimate_omegas
 from tracking_reference import tracking_by_node
 
 
@@ -134,31 +135,13 @@ def weighted_subproblem(m: np.ndarray, data_weight: float, unknown_weight: float
     )
 
 
-def matrix_free_omegas(subs, n_in: int, config: KaczmarzConfig) -> list[float]:
-    """The power iteration on F_i* F_i through two sub-problem calls per step."""
-    omegas = []
-    for idx, sub in enumerate(subs):
-        v = np.random.default_rng(config.power_seed + idx).standard_normal(n_in)
-        lam = 0.0
-        for _ in range(config.power_iterations):
-            w = np.asarray(sub.adjoint(sub.apply(v)), dtype=float)
-            norm = math.sqrt(float(w @ w))
-            if norm == 0.0:
-                lam = 0.0
-                break
-            lam = float(w @ v) / float(v @ v)
-            v = w / norm
-        omegas.append(0.9 / lam if lam > 0.0 else 1.0)
-    return omegas
-
-
-def power_omegas(normals, n_in: int, config: KaczmarzConfig) -> list[float]:
+def power_omegas(normals, n_in: int) -> list[float]:
     """The power iteration of _estimate_omegas on the maps normals[i] = F_i* F_i."""
     omegas = []
     for idx, normal in enumerate(normals):
-        v = np.random.default_rng(config.power_seed + idx).standard_normal(n_in)
+        v = np.random.default_rng(idx).standard_normal(n_in)
         lam = 0.0
-        for _ in range(config.power_iterations):
+        for _ in range(_POWER_STEPS):
             w = normal(v)
             norm = math.sqrt(float(w @ w))
             if norm == 0.0:
@@ -170,19 +153,25 @@ def power_omegas(normals, n_in: int, config: KaczmarzConfig) -> list[float]:
     return omegas
 
 
-def per_unit_vector_omegas(subs, n_in: int, config: KaczmarzConfig) -> list[float]:
+def per_unit_vector_omegas(subs, n_in: int) -> list[float]:
     """Step estimates with F_i's rows assembled from one 1-D adjoint call per
-    unit data vector (matrix-free from 2 * power_iterations data rows on)."""
+    unit data vector (matrix-free from 2 * _POWER_STEPS data rows on)."""
 
     def normal(sub):
         n_data = sub.data.shape[0]
-        if n_data >= 2 * config.power_iterations:
+        if n_data >= 2 * _POWER_STEPS:
             return lambda v: np.asarray(sub.adjoint(sub.apply(v)), dtype=float)
         rows = np.array([sub.adjoint(e) for e in np.eye(n_data)], dtype=float)
         scale = sub.unknown_weight / sub.data_weight
         return lambda v: scale * (rows.T @ (rows @ v))
 
-    return power_omegas([normal(sub) for sub in subs], n_in, config)
+    return power_omegas([normal(sub) for sub in subs], n_in)
+
+
+def matrix_free_omegas(subs, n_in: int) -> list[float]:
+    """The power iteration on F_i* F_i through two sub-problem calls per step."""
+    normals = [lambda v, sub=sub: np.asarray(sub.adjoint(sub.apply(v)), float) for sub in subs]
+    return power_omegas(normals, n_in)
 
 
 def block_adjoint_reference(forward, first: int, end: int, weight: float, r) -> np.ndarray:
@@ -208,19 +197,13 @@ def tally_in_place(sub: LinearSubproblem) -> dict:
     return counts
 
 
-def split_iterations(subs) -> int:
-    """Power iterations that put the sub-problems on both sides of the assembly rule."""
-    sizes = sorted(sub.data.shape[0] for sub in subs)
-    return max(1, (sizes[len(sizes) // 2] + 1) // 2)
-
-
 @st.composite
-def block_subproblems(draw):
+def block_subproblems(draw, nodes=st.integers(1, 9), max_sections: int = 9):
     """time_subproblems of a pointwise, accumulate-then-observe or hand-built
     observe-then-accumulate map, per node or in sections, on a built-in row
     family or a family of per-node matrices built from 1-D callables."""
     kind = draw(st.sampled_from([POINTWISE, ACCUMULATE_THEN_OBSERVE, OBSERVE_THEN_ACCUMULATE]))
-    n_t, n_in = draw(st.integers(1, 9)), draw(st.integers(1, 5))
+    n_t, n_in = draw(nodes), draw(st.integers(1, 5))
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
     family_name = draw(st.sampled_from(["matrices", "dct", "mpi", "gaussian"]))
     if family_name == "matrices":
@@ -240,7 +223,7 @@ def block_subproblems(draw):
         kernel[rng.random(n_t) < 0.2] = -0.0
     forward = DynamicForward(kind, family, grid, kernel)
     data = forward.data_template(rng.standard_normal((n_t, family.n_out)))
-    sections = draw(st.one_of(st.none(), st.integers(1, n_t)))
+    sections = draw(st.one_of(st.none(), st.integers(1, min(n_t, max_sections))))
     subs = time_subproblems(forward, data, 1e-2, sections=sections)
     blocks = np.array_split(np.arange(n_t), n_t if sections is None else sections)
     weight = 1.0 if sections is None else grid.dt
@@ -282,12 +265,6 @@ class TestConfigs:
         with pytest.raises(InvalidParameterError):
             KaczmarzConfig(memory=0)
 
-    def test_negative_power_seed_rejected(self):
-        # it would reach np.random.default_rng, whose ValueError is no DynregError
-        with pytest.raises(InvalidParameterError, match="power_seed"):
-            KaczmarzConfig(power_seed=-1)
-        assert KaczmarzConfig(power_seed=0).power_seed == 0
-
     def test_rule_validation(self):
         with pytest.raises(InvalidParameterError):
             ParameterRule(scale=1.0, exponent=2.0)
@@ -295,8 +272,6 @@ class TestConfigs:
             ParameterRule(scale=1.0, exponent=0.0)
         with pytest.raises(InvalidParameterError):
             ParameterRule(scale=0.0, exponent=1.0)
-        with pytest.raises(InvalidParameterError):
-            ParameterRule(scale=1.0, exponent=1.0, kind="a_posteriori")
 
 
 class TestChooseAlpha:
@@ -715,6 +690,50 @@ class TestTikhonovUniform:
         assert report.stop_reason == "tolerance"
 
 
+def unevaluable_family(n: int) -> OperatorFamily:
+    """An n x n family that fails the test if the solver evaluates it."""
+
+    def fail(i, x):
+        raise AssertionError("the family was evaluated")
+
+    return OperatorFamily(n, n, fail, fail)
+
+
+class TestTruthIsCheckedFirst:
+    """A truth that does not fit the unknown raises before any solver work:
+    DimensionError, or UnsupportedGeometryError for a Banach-space truth."""
+
+    @pytest.mark.parametrize("solver", [tikhonov_temporal, tikhonov_uniform])
+    @pytest.mark.parametrize(
+        "n_t, n_dim, weight, p, fragment",
+        [
+            (4, 2, 1.0, 2.0, "truth has 2 components, the family expects 3"),
+            (5, 3, 1.0, 2.0, "truth lives on a different time grid"),
+            (4, 3, 0.5, 2.0, "truth carries a different spatial weight"),
+            (4, 3, 1.0, 1.5, "Hilbert geometry"),
+        ],
+        ids=["components", "grid", "weight", "exponent"],
+    )
+    def test_tikhonov(self, solver, n_t, n_dim, weight, p, fragment):
+        forward = DynamicForward(POINTWISE, unevaluable_family(3), TimeGrid(1.0, 4))
+        data = forward.data_template(np.ones((4, 3)))
+        truth = BochnerFunction(TimeGrid(1.0, n_t), np.ones((n_t, n_dim)), p, 2.0, weight)
+        error = DimensionError if p == 2.0 else UnsupportedGeometryError
+        with pytest.raises(error, match=fragment):
+            solver(forward, data, 1e-2, truth=truth)
+
+    @pytest.mark.parametrize("loop", [landweber_kaczmarz, kaczmarz_multi_direction])
+    @pytest.mark.parametrize("shape", [(2,), (1,), (3, 1)])
+    def test_kaczmarz(self, loop, shape):
+        # a length-1 truth used to broadcast against the 3 unknowns
+        def fail(v):
+            raise AssertionError("the sub-problem was evaluated")
+
+        sub = LinearSubproblem(fail, fail, np.zeros(2), 0.0)
+        with pytest.raises(DimensionError, match=re.escape(f"start's shape (3,), got {shape}")):
+            loop([sub], KaczmarzConfig(), np.zeros(3), truth=np.ones(shape))
+
+
 class KaczmarzContract:
     """What both Kaczmarz loops share: start and tau checks, the discrepancy
     stop at a sweep boundary, the divergence guard and the report.  Each
@@ -784,6 +803,8 @@ class KaczmarzContract:
             self.loop([sub], KaczmarzConfig(), np.array([1.0, math.nan]))
         with pytest.raises(DimensionError):
             self.loop([sub], KaczmarzConfig(tau=[1.0, 2.0, 3.0]), np.zeros(2))
+        with pytest.raises(DimensionError, match=r"start must be a vector, got shape \(2, 1\)"):
+            self.loop([sub], KaczmarzConfig(), np.zeros((2, 1)))
 
 
 class TestLandweberKaczmarz(KaczmarzContract):
@@ -844,16 +865,20 @@ class TestLandweberKaczmarz(KaczmarzContract):
             matrix_subproblem(np.eye(2), np.array([1.0, math.inf]), 0.0)
         with pytest.raises(InvalidParameterError):
             matrix_subproblem(np.eye(2), np.ones(2), -1.0)
+        for weights in [(0.0, 1.0), (1.0, -1.0), (math.nan, 1.0)]:
+            with pytest.raises(InvalidParameterError, match="weights must be positive"):
+                LinearSubproblem(lambda x: x, lambda r: r, np.ones(2), 0.0, *weights)
 
 
 class TestStepEstimate:
     """omega = "auto": power iteration on F_i* F_i, matrix-free or assembled.
 
-    A sub-problem with n_data < 2 * power_iterations data rows is assembled
-    from n_data adjoint calls, else the loop takes two calls per step.
-    Shapes below take both paths: mpi has one output per node, dct,
-    nonuniform and ota n_x, so 12 x 8 unsectioned is 96 rows (matrix-free)
-    and with 3 sections 32 rows (assembled).
+    A sub-problem with n_data < 2 * _POWER_STEPS = 60 data rows is assembled
+    from n_data adjoint calls, else the loop takes two calls per step.  A
+    node gives one data row on mpi and n_x on dct, nonuniform and ota, so
+    below nonuniform 128 x 64 in 8 sections (1,024 rows) is matrix-free and
+    the other shapes are assembled; TestAdjointRows takes both paths on
+    pointwise and causal blocks.
     """
 
     @pytest.mark.parametrize(
@@ -865,16 +890,14 @@ class TestStepEstimate:
     def test_assembled_matches_matrix_free(self, name, n_t, n_x, sections):
         forward, data = forward_and_data(name, n_t, n_x)
         subs = time_subproblems(forward, data, 1e-2, sections=sections)
-        config = KaczmarzConfig()
-        got = _estimate_omegas(subs, config, np.zeros(n_x))
-        np.testing.assert_allclose(got, matrix_free_omegas(subs, n_x, config), rtol=1e-12)
+        got = _estimate_omegas(subs, KaczmarzConfig(), np.zeros(n_x))
+        np.testing.assert_allclose(got, matrix_free_omegas(subs, n_x), rtol=1e-12)
 
     def test_matrix_free_with_many_data_rows(self):
         forward, data = forward_and_data("nonuniform", 128, 64)
         subs = time_subproblems(forward, data, 1e-2, sections=8)
-        config = KaczmarzConfig()
-        got = _estimate_omegas(subs, config, np.zeros(64))
-        assert np.array_equal(got, matrix_free_omegas(subs, 64, config))
+        got = _estimate_omegas(subs, KaczmarzConfig(), np.zeros(64))
+        assert np.array_equal(got, matrix_free_omegas(subs, 64))
 
     @pytest.mark.parametrize("shape", [(5, 40), (40, 5), (70, 6)], ids=["wide", "tall", "long"])
     def test_weighted_subproblem(self, shape):
@@ -885,29 +908,27 @@ class TestStepEstimate:
         v = np.linalg.qr(rng.standard_normal((shape[1], k)))[0]
         m = (u * 0.5 ** np.arange(k)) @ v.T
         subs = [weighted_subproblem(m, 0.5, 0.125), weighted_subproblem(2.0 * m, 0.125, 0.5)]
-        config = KaczmarzConfig()
-        got = _estimate_omegas(subs, config, np.zeros(shape[1]))
-        np.testing.assert_allclose(got, matrix_free_omegas(subs, shape[1], config), rtol=1e-12)
+        got = _estimate_omegas(subs, KaczmarzConfig(), np.zeros(shape[1]))
+        np.testing.assert_allclose(got, matrix_free_omegas(subs, shape[1]), rtol=1e-12)
         # F_0* F_0 = 4 m^T m and F_1* F_1 = m^T m
         np.testing.assert_allclose(got, [0.9 / 4.0, 0.9], rtol=1e-12)
 
     @pytest.mark.parametrize(
-        "shape, iterations, expected",
+        "shape, steps, expected",
         [
             ((3, 50), 30, {"adjoint": 3}),
             ((50, 3), 30, {"adjoint": 50}),
             ((59, 70), 30, {"adjoint": 59}),
             ((60, 3), 30, {"apply": 30, "adjoint": 30}),
             ((70, 70), 30, {"apply": 30, "adjoint": 30}),
-            ((3, 8), 2, {"adjoint": 3}),
-            ((4, 8), 2, {"apply": 2, "adjoint": 2}),
         ],
     )
-    def test_calls_follow_the_data_rows(self, shape, iterations, expected):
+    def test_calls_follow_the_data_rows(self, shape, steps, expected):
+        assert _POWER_STEPS == steps  # assembled below 2 * steps data rows
         m = np.random.default_rng(31).standard_normal(shape)
         counts: dict = {}
         sub = counted(weighted_subproblem(m, 1.0, 1.0), counts)
-        _estimate_omegas([sub], KaczmarzConfig(power_iterations=iterations), np.zeros(shape[1]))
+        _estimate_omegas([sub], KaczmarzConfig(), np.zeros(shape[1]))
         assert counts == expected
 
     def test_mpi_sections_call_counts(self):
@@ -1030,21 +1051,47 @@ class TestAdjointRows:
             reference = [block_adjoint_reference(forward, first, end, weight, r) for r in R]
             assert got.tobytes() == np.array(reference).tobytes()  # signbits included
 
-    @settings(max_examples=60, deadline=None)
-    @given(block_subproblems())
-    def test_step_estimate_equals_per_unit_vector_loop(self, case):
-        forward, subs, _, _, _ = case
-        n_in = forward.static.n_in
-        config = KaczmarzConfig(power_iterations=split_iterations(subs))
-        reference = per_unit_vector_omegas(subs, n_in, config)
+    @staticmethod
+    def check_step_estimate(n_in: int, subs) -> list[bool]:
+        """_estimate_omegas equals the per-unit-vector loop and takes the path
+        its data rows select; returns which sub-problems were assembled."""
+        reference = per_unit_vector_omegas(subs, n_in)
         tallies = [tally_in_place(sub) for sub in subs]
-        assert _estimate_omegas(subs, config, np.zeros(n_in)) == reference
-        for sub, counts in zip(subs, tallies):
-            if sub.data.shape[0] < 2 * config.power_iterations:
+        assert _estimate_omegas(subs, KaczmarzConfig(), np.zeros(n_in)) == reference
+        assembled = [sub.data.shape[0] < 2 * _POWER_STEPS for sub in subs]
+        for small, counts in zip(assembled, tallies):
+            if small:
                 assert counts == {"adjoint_rows": 1}
             else:  # two calls per step; a step mapping to zero ends the loop early
-                assert counts["apply"] == counts["adjoint"] <= config.power_iterations
+                assert counts["apply"] == counts["adjoint"] <= _POWER_STEPS
                 assert set(counts) == {"apply", "adjoint"}
+        return assembled
+
+    @settings(max_examples=100, deadline=None)
+    @given(block_subproblems(st.integers(1, 9) | st.integers(30, 60), max_sections=2))
+    def test_step_estimate_equals_per_unit_vector_loop(self, case):
+        # up to 60 nodes of 1 to 5 outputs in at most 2 sections: blocks of 1 to
+        # 300 data rows, so both sides of 2 * _POWER_STEPS rows
+        forward, subs, _, _, _ = case
+        self.check_step_estimate(forward.static.n_in, subs)
+
+    @pytest.mark.parametrize(
+        "name, n_t, n_x, sections, assembled",
+        [
+            ("nonuniform", 59, 1, 1, True),
+            ("nonuniform", 60, 1, 1, False),
+            ("dct", 16, 8, 2, False),
+            ("mpi", 59, 8, 1, True),
+            ("mpi", 60, 8, 1, False),
+            ("ota", 30, 2, 1, False),
+            ("ota", 29, 2, 1, True),
+        ],
+    )
+    def test_step_estimate_at_the_switch(self, name, n_t, n_x, sections, assembled):
+        """Pointwise and causal blocks of 2 * _POWER_STEPS - 1 and 2 * _POWER_STEPS rows."""
+        forward, data = forward_and_data(name, n_t, n_x)
+        subs = time_subproblems(forward, data, 1e-2, sections=sections)
+        assert self.check_step_estimate(n_x, subs) == [assembled] * sections
 
     def test_causal_solve_assembly_is_one_call_per_section(self):
         """The Kaczmarz call of the causal-solve benchmark: 12 data rows per section."""
