@@ -295,24 +295,6 @@ def translate(u: BochnerFunction, z: float) -> BochnerFunction:
     return BochnerFunction(grid, u.values[k:], u.p, u.space_exponent, u.space_weight)
 
 
-def interpolate_tracked(
-    snapshots,
-    grid: TimeGrid,
-    p: float = 2.0,
-    space_exponent: float = 2.0,
-    space_weight: float = 1.0,
-) -> BochnerFunction:
-    """Piecewise-constant interpolant of per-node snapshots.
-
-    Takes exactly one spatial vector per grid node and returns the grid
-    function holding them; its norm is bounded by T^(1/p) * max_k ||x_k||_X.
-    """
-    snaps = list(snapshots)
-    if not snaps:
-        raise InvalidInputError("no snapshots given")
-    return BochnerFunction(grid, snaps, p, space_exponent, space_weight)
-
-
 def _atomic_write_text(path: str, text: str) -> None:
     """Write text via a temp file and rename, so readers never see partials."""
     directory = os.path.dirname(os.path.abspath(path))

@@ -249,10 +249,11 @@ def _check_library_values(cfg: ExperimentConfig, path: str) -> None:
     """
     defaults = ExperimentConfig(cfg.kind)
     for section, keys, build in _LIBRARY_OBJECTS:
-        for key in keys:
+        args = [getattr(defaults, key) for key in keys]
+        for n, key in enumerate(keys):
             value = getattr(cfg, key)
             try:
-                _from_config(build, replace(defaults, **{key: value}))
+                build(*args[:n], value, *args[n + 1 :])
             except InvalidParameterError as exc:
                 raise ConfigError(f"{path}: [{section}] {key} = {value!r}: {exc}") from exc
 

@@ -321,25 +321,28 @@ def _check_data(forward: DynamicForward, y: BochnerFunction) -> None:
 _TERM_BUDGET = 32768  # product terms one block of source rows may form: bounds scratch memory
 
 
-def _ordered_sum(kernel, dt: float, rows, causal: bool, start: int = 0) -> np.ndarray:
+def _ordered_sum(kernel, dt: float, rows, causal: bool, start: int = 0, keep: int = 0) -> np.ndarray:
     """Sum of dt * kernel[|o-s|] * rows[s] over s <= o (causal) or s >= o, ascending s.
 
+    A causal sum forms only outputs o >= keep; an anticausal one skips the zero rows s < start.
     A block of source rows forms its terms in one masked multiply (no term outside
     the triangle, so no 0 * inf) from weights[s, o], a strided Toeplitz view built on
     its buffer (sliding_window_view's __array_interface__ path holds ~0.5 MB more per
     process after thousands of shapes).  np.add.reduce adds them to the running sums
     (+0.0 at first, like the loop's) in ascending s: a block of two rows or more has
-    two lanes or more, and NumPy sums only a single lane pairwise.  A block holds
-    _TERM_BUDGET // rows.size rows, at least one, so wide stacks get small blocks.
-    Leading batch axes of rows, (..., n_t, width), fold into the width.
+    two lanes or more, and NumPy sums only a single lane pairwise (a one-wide sum
+    forms two outputs at least).  A block holds _TERM_BUDGET // rows.size rows, at
+    least one, so wide stacks get small blocks.  Leading batch axes of rows,
+    (..., n_t, width), fold into the width.
     """
     if rows.ndim > 2:  # swapaxes reorders the lanes, not a lane's sum, and costs less than moveaxis
         folded = rows.swapaxes(0, -2)
-        sums = _ordered_sum(kernel, dt, folded.reshape(len(folded), -1), causal, start)
-        return sums.reshape(folded.shape).swapaxes(0, -2)
+        sums = _ordered_sum(kernel, dt, folded.reshape(len(folded), -1), causal, start, keep)
+        return sums.reshape((-1,) + folded.shape[1:]).swapaxes(0, -2)
     n_t, w, out = len(rows), (dt * kernel)[:, None], np.zeros(rows.shape)
     if rows.size == 0:
-        return out
+        return out[keep:]
+    lead = min(keep, n_t - 2) if keep and rows.shape[1] == 1 else keep  # outputs not formed
     step = max(1, _TERM_BUDGET // rows.size)
     padded = np.concatenate([w[::-1, 0], np.zeros(n_t - 1)])  # padded[n_t - 1 - k] = w[k]
     b = padded.itemsize
@@ -347,15 +350,16 @@ def _ordered_sum(kernel, dt: float, rows, causal: bool, start: int = 0) -> np.nd
     pattern = _reach_pattern(min(step, n_t), n_t)
     for s0 in range(start, n_t, step):
         s1 = min(s0 + step, n_t)
-        span = slice(s0, None) if causal else slice(s1)  # the outputs these rows reach
+        o0 = max(s0, lead)
+        span = slice(o0, None) if causal else slice(s1)  # the outputs these rows reach and form
         sums = out[span]
         terms = np.zeros((s1 - s0,) + sums.shape)
         block = pattern[: s1 - s0, :, None]  # read-only views of U, reversed if anticausal
-        reached = block[:, : n_t - s0] if causal else block[:, :s1][::-1, ::-1]
+        reached = block[:, o0 - s0 : n_t - s0] if causal else block[:, :s1][::-1, ::-1]
         np.multiply(weights[s0:s1, span, None], rows[s0:s1, None, :], out=terms, where=reached)
         terms[0] += sums
         np.add.reduce(terms, axis=0, out=sums)
-    return out
+    return out[keep:]
 
 
 @functools.lru_cache(maxsize=64)
@@ -364,13 +368,13 @@ def _reach_pattern(rows: int, n_t: int) -> np.ndarray:
     return np.broadcast_to(np.arange(n_t) >= np.arange(rows)[:, None], (rows, n_t))  # read-only
 
 
-def _causal_sum(kernel: np.ndarray, dt: float, rows: np.ndarray) -> np.ndarray:
-    """y_i = sum_{j<=i} dt * kernel[i-j] * rows[j], ascending j, bit for bit as the loop.
+def _causal_sum(kernel: np.ndarray, dt: float, rows: np.ndarray, keep: int = 0) -> np.ndarray:
+    """y_i = sum_{j<=i} dt * kernel[i-j] * rows[j], i >= keep, ascending j, bit for bit as the loop.
 
     Order matters: uniform Tikhonov's CG count on causal maps sits at the rounding floor
     of its tolerance, and a BLAS Toeplitz matmul or an FFT reorders the terms and moves it.
     """
-    return _ordered_sum(kernel, dt, rows, causal=True)
+    return _ordered_sum(kernel, dt, rows, causal=True, keep=keep)
 
 
 def _anticausal_sum(kernel: np.ndarray, dt: float, rows: np.ndarray, start: int = 0) -> np.ndarray:
@@ -388,20 +392,21 @@ def _causal_kernel(forward: DynamicForward, values, first: int) -> tuple[np.ndar
     return forward.kernel[: values.shape[-2]], forward.time_grid.dt
 
 
-def _forward_rows(forward: DynamicForward, values, first: int = 0) -> np.ndarray:
+def _forward_rows(forward: DynamicForward, values, first: int = 0, keep: int = 0) -> np.ndarray:
     """Rows first, first+1, ... of the forward map, from source rows at those nodes.
 
     The one evaluation path of the package.  A pointwise map evaluates only
-    the given nodes; a causal kind needs the rows from node 0 on (first = 0).
-    Leading batch axes of values map stack by stack, as in the row contract.
+    the given nodes; a causal kind needs the rows from node 0 on (first = 0)
+    and forms only rows keep, keep+1, ....  Leading batch axes of values map
+    stack by stack, as in the row contract.
     """
     fam = forward.static
     if forward.kind == POINTWISE:
         return fam.apply_rows(first, values)
     kernel, dt = _causal_kernel(forward, values, first)
     if forward.kind == ACCUMULATE_THEN_OBSERVE:
-        return _causal_sum(kernel, dt, fam.apply_rows(0, values))
-    return fam.apply_rows(0, _causal_sum(kernel, dt, values))
+        return _causal_sum(kernel, dt, fam.apply_rows(0, values), keep)
+    return fam.apply_rows(keep, _causal_sum(kernel, dt, values, keep))
 
 
 def _adjoint_rows(

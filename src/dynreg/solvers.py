@@ -91,9 +91,9 @@ class KaczmarzConfig:
     """Cycling iteration parameters.
 
     omega is the step size, either a positive real or "auto" (per
-    sub-problem power-iteration estimate, omega_i = 0.9 / ||F_i||^2, which
-    keeps the per-sub-problem residual monotone in its own step), from 30
-    steps on F_i* F_i started from a vector seeded by i.  tau are the
+    sub-problem omega_i = 0.9 / ||F_i||^2, which keeps the per-sub-problem
+    residual monotone in its own step, from 30 power-iteration steps on all
+    F_i* F_i in lock-step, F_i's from a vector seeded by i).  tau are the
     discrepancy factors (scalar or one per sub-problem, each >= 1).
     memory is the number of remembered iterates for the multi-direction
     variant; memory = 1 is plain optimal-step Landweber-Kaczmarz, so a
@@ -162,7 +162,7 @@ class LinearSubproblem:
         return np.asarray(self.apply(x), dtype=float) - self.data
 
     def residual_norm(self, r: np.ndarray) -> float:
-        return math.sqrt(self.data_weight * float(r @ r))
+        return _norm(r, self.data_weight)
 
 
 @dataclass
@@ -198,6 +198,10 @@ class SolveReport:
 def _dot(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """Row-wise a.b, each row by the BLAS ddot of a_row @ b_row (einsum rounds otherwise)."""
     return np.matmul(a[..., None, :], b[..., :, None])[..., 0, 0]
+
+
+def _norm(v: np.ndarray, weight: float) -> float:
+    return math.sqrt(weight * float(v @ v))
 
 
 def _cg(
@@ -285,8 +289,11 @@ def _resolve_alphas(
 
 def _check_inputs(
     forward: DynamicForward, data: BochnerFunction, truth: Optional[BochnerFunction]
-) -> None:
-    """Before any solve: p = s = 2 throughout, data in the data space, truth in the source space."""
+) -> Optional[float]:
+    """Before any solve: p = s = 2 throughout, data in the data space, truth in the source space.
+
+    Returns the truth's norm, which must not be zero (None without a truth).
+    """
     functions = [data] if truth is None else [data, truth]
     if (
         forward.source_exponent != 2.0
@@ -297,17 +304,17 @@ def _check_inputs(
     ):
         raise UnsupportedGeometryError("solvers need the Hilbert geometry p = s = 2")
     _check_data(forward, data)
-    if truth is not None:
-        _check_source(forward, truth, "truth")
-
-
-def _relative_error(rec: BochnerFunction, truth: Optional[BochnerFunction]) -> Optional[float]:
     if truth is None:
         return None
-    denom = bochner_norm(truth)
-    if denom == 0.0:
+    _check_source(forward, truth, "truth")
+    return _nonzero(bochner_norm(truth))
+
+
+def _nonzero(truth_norm: float) -> float:
+    """A relative error's denominator, checked before the solve."""
+    if truth_norm == 0.0:
         raise InvalidInputError("truth has zero norm, relative error undefined")
-    return bochner_norm(rec - truth) / denom
+    return truth_norm
 
 
 def tikhonov_temporal(
@@ -338,7 +345,7 @@ def tikhonov_temporal(
     t0 = time.perf_counter()
     if forward.kind != POINTWISE:
         raise UnsupportedKindError(f"tracking solver needs a pointwise map, not {forward.kind}")
-    _check_inputs(forward, data, truth)
+    truth_norm = _check_inputs(forward, data, truth)
     fam = forward.static
     alphas = _resolve_alphas(alpha, forward.time_grid.n_t, delta)
 
@@ -361,7 +368,7 @@ def tikhonov_temporal(
         alphas=alphas.tolist(),
         stop_reason=next(r for r in ("breakdown", "max_iter", "tolerance") if r in reasons),
         iterations=len(alphas),
-        error=_relative_error(reconstruction, truth),
+        error=None if truth is None else bochner_norm(reconstruction - truth) / truth_norm,
         wall_time=time.perf_counter() - t0,
         trace=[(i, i, *row) for i, row in enumerate(rows)],
     )
@@ -383,7 +390,7 @@ def tikhonov_uniform(
     matches the tracking solver to solver tolerance.
     """
     t0 = time.perf_counter()
-    _check_inputs(forward, data, truth)
+    truth_norm = _check_inputs(forward, data, truth)
     alphas = _resolve_alphas(alpha, 1, delta)
     a = float(alphas[0])
 
@@ -405,7 +412,7 @@ def tikhonov_uniform(
         alphas=[a],
         stop_reason=str(stop_reason),
         iterations=iters,
-        error=_relative_error(reconstruction, truth),
+        error=None if truth is None else bochner_norm(reconstruction - truth) / truth_norm,
         wall_time=time.perf_counter() - t0,
         trace=trace,
     )
@@ -414,71 +421,53 @@ def tikhonov_uniform(
 _POWER_STEPS = 30  # power-iteration steps per step-size estimate
 
 
-def _normal_operator(sub: LinearSubproblem) -> Callable[[np.ndarray], np.ndarray]:
-    """The map v -> F_i* F_i v for a power iteration of _POWER_STEPS steps.
-
-    Matrix-free, each step costs two sub-problem calls.  When F_i has
-    fewer than 2 * _POWER_STEPS data rows, its rows are assembled instead,
-    in one adjoint_rows call on the unit data vectors: the weighted adjoint is
-    F_i* = (data_weight / unknown_weight) F_i^T, so R = [F_i* e_r] =
-    (data_weight / unknown_weight) F_i and
-
-        F_i* F_i = (unknown_weight / data_weight) R^T R,
-
-    kept factored (two mat-vecs per step, no n_in x n_in matrix).  The
-    two agree to rounding level.
-    """
-    n_data = sub.data.shape[0]
-    if n_data >= 2 * _POWER_STEPS:
-        return lambda v: np.asarray(sub.adjoint(sub.apply(v)), dtype=float)
-    rows = sub.adjoint_rows(np.eye(n_data))
-    scale = sub.unknown_weight / sub.data_weight
-    return lambda v: scale * (rows.T @ (rows @ v))
-
-
 def _estimate_omegas(
     subproblems: Sequence[LinearSubproblem],
     config: KaczmarzConfig,
     start: np.ndarray,
 ) -> list[float]:
-    """Per-sub-problem steps 0.9 / ||F_i||^2 via power iteration on F_i* F_i.
+    """Steps 0.9 / ||F_i||^2 from one lock-step power iteration on all F_i* F_i.
 
-    Sub-problem i runs _POWER_STEPS steps from a standard normal start
-    vector seeded by i, stopping early if an iterate maps to zero; see
-    _normal_operator for how F_i* F_i is applied.
+    Sub-problem i runs _POWER_STEPS steps from a standard normal vector seeded
+    by i, as if alone, and stops with lambda = 0 once an iterate maps to zero.
+    From 2 * _POWER_STEPS data rows on, a step costs two sub-problem calls.
+    Below, one adjoint_rows call assembles R = [F_i* e_r] = (data_weight /
+    unknown_weight) F_i, so F_i* F_i = (unknown_weight / data_weight) R^T R, and
+    a step applies all R of one shape at once, in the BLAS calls of R.T @ (R @ v).
     """
     if not isinstance(config.omega, str):
         return [float(config.omega)] * len(subproblems)
-    omegas = []
-    for idx, sub in enumerate(subproblems):
-        normal = _normal_operator(sub)
-        rng = np.random.default_rng(idx)
-        v = rng.standard_normal(start.shape)
-        lam = 0.0
-        for _ in range(_POWER_STEPS):
-            w = normal(v)
-            norm = math.sqrt(float(w @ w))
-            if norm == 0.0:
-                lam = 0.0
-                break
-            lam = float(w @ v) / float(v @ v)
-            v = w / norm
-        if not math.isfinite(lam):
-            raise DivergenceError(f"power iteration on sub-problem {idx} gave {lam}")
-        omegas.append(0.9 / lam if lam > 0.0 else 1.0)
-    return omegas
-
-
-def _static_error(
-    x: np.ndarray, truth: Optional[np.ndarray], weight: float
-) -> Optional[float]:
-    if truth is None:
-        return None
-    denom = math.sqrt(weight * float(truth @ truth))
-    if denom == 0.0:
-        raise InvalidInputError("truth has zero norm, relative error undefined")
-    diff = x - truth
-    return math.sqrt(weight * float(diff @ diff)) / denom
+    n_sub = len(subproblems)
+    V = np.array([np.random.default_rng(i).standard_normal(start.shape) for i in range(n_sub)])
+    shapes: dict[int, list[int]] = {}  # data rows -> the assembled ones
+    free = []
+    for i, sub in enumerate(subproblems):
+        n_data = sub.data.shape[0]
+        (free if n_data >= 2 * _POWER_STEPS else shapes.setdefault(n_data, [])).append(i)
+    stacks = [
+        (ids, np.array([subproblems[i].adjoint_rows(np.eye(n)) for i in ids]),
+         np.array([[subproblems[i].unknown_weight / subproblems[i].data_weight] for i in ids]))
+        for n, ids in shapes.items()
+    ]
+    running = np.ones(n_sub, bool)
+    for _ in range(_POWER_STEPS):
+        W = np.zeros_like(V)
+        for ids, R, scale in stacks:
+            W[ids] = scale * (R.swapaxes(-1, -2) @ (R @ V[ids, :, None]))[..., 0]
+        for i in free:
+            if running[i]:
+                W[i] = subproblems[i].adjoint(subproblems[i].apply(V[i]))
+        W[~running] = 0.0
+        norm = np.sqrt(_dot(W, W))
+        running &= norm != 0.0
+        lam = np.where(running, _dot(W, V) / _dot(V, V), 0.0)
+        V = np.divide(W, norm[:, None], out=V.copy(), where=running[:, None])
+        if not running.any():
+            break
+    bad = np.flatnonzero(~np.isfinite(lam))
+    if bad.size:
+        raise DivergenceError(f"power iteration on sub-problem {bad[0]} gave {lam[bad[0]]}")
+    return [0.9 / x if x > 0.0 else 1.0 for x in lam.tolist()]
 
 
 def _kaczmarz(
@@ -508,6 +497,7 @@ def _kaczmarz(
         truth = np.asarray(truth, dtype=float)
         if truth.shape != x.shape:
             raise DimensionError(f"truth must have the start's shape {x.shape}, got {truth.shape}")
+        truth_norm = _nonzero(_norm(truth, subproblems[0].unknown_weight))
     n_sub = len(subproblems)
     scalar = np.isscalar(config.tau)
     taus = [float(config.tau)] * n_sub if scalar else [float(t) for t in config.tau]
@@ -539,7 +529,7 @@ def _kaczmarz(
         alphas=[],
         stop_reason=stop_reason,
         iterations=len(trace) // n_sub,
-        error=_static_error(x, truth, subproblems[0].unknown_weight),
+        error=None if truth is None else _norm(x - truth, subproblems[0].unknown_weight) / truth_norm,
         wall_time=time.perf_counter() - t0,
         trace=trace,
     )
@@ -673,7 +663,7 @@ def _block(forward: DynamicForward, first: int, end: int, weight: float, data, l
     """The LinearSubproblem of the block of nodes [first, end), with its data and noise level.
 
     apply maps the tiled x over the nodes the block depends on (its own for a
-    pointwise map, 0..end-1 for the causal kinds) and keeps rows [first, end).
+    pointwise map, 0..end-1 for the causal kinds) and forms only rows [first, end).
     adjoint pads a residual, or a stack of them (adjoint_rows), into those rows,
     maps it back in one call (the anticausal sum skipping the padding) and sums
     over the nodes in C order, so NumPy sums each stack as it sums one residual.
@@ -684,7 +674,7 @@ def _block(forward: DynamicForward, first: int, end: int, weight: float, data, l
 
     def apply(x: np.ndarray) -> np.ndarray:
         tiled = np.asarray(x, dtype=float)[None, :].repeat(end - lo, axis=0)  # faster than np.tile
-        return _forward_rows(forward, tiled, lo)[first - lo :].reshape(-1)
+        return _forward_rows(forward, tiled, lo, first - lo).reshape(-1)
 
     def adjoint(R: np.ndarray) -> np.ndarray:  # one residual, or each row of a stack
         R = np.asarray(R, dtype=float)

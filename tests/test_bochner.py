@@ -31,7 +31,6 @@ from dynreg import (
     bochner_inner,
     bochner_norm,
     holder_pairing,
-    interpolate_tracked,
     read_csv,
     spatial_norm,
     translate,
@@ -399,38 +398,6 @@ class TestTranslate:
             translate(u, -0.1)
         with pytest.raises(DomainError):
             translate(u, u.grid.horizon)
-
-
-class TestInterpolateTracked:
-    def test_single_snapshot(self):
-        grid = TimeGrid(4.0, 1)
-        x = np.array([3.0, 4.0])
-        u = interpolate_tracked([x], grid, space_weight=0.5)
-        x_norm = spatial_norm(x, 0.5, 2.0)
-        assert bochner_norm(u) == pytest.approx(2.0 * x_norm, rel=1e-14)
-
-    def test_zero_snapshots(self):
-        grid = TimeGrid(1.0, 3)
-        u = interpolate_tracked([np.zeros(2)] * 3, grid)
-        assert bochner_norm(u) == 0.0
-
-    def test_norm_oracle_and_bound(self):
-        rng = np.random.default_rng(16)
-        grid = TimeGrid(2.0, 6)
-        snaps = [rng.standard_normal(4) for _ in range(6)]
-        u = interpolate_tracked(snaps, grid, space_weight=0.25)
-        expected = math.sqrt(sum(grid.dt * spatial_norm(x, 0.25, 2.0) ** 2 for x in snaps))
-        assert bochner_norm(u) == pytest.approx(expected, rel=1e-13)
-        bound = math.sqrt(2.0) * max(spatial_norm(x, 0.25, 2.0) for x in snaps)
-        assert bochner_norm(u) <= bound * (1.0 + 1e-12)
-
-    def test_rejects_empty(self):
-        with pytest.raises(InvalidInputError):
-            interpolate_tracked([], TimeGrid(1.0, 1))
-
-    def test_rejects_wrong_count(self):
-        with pytest.raises(DimensionError):
-            interpolate_tracked([np.zeros(2)], TimeGrid(1.0, 3))
 
 
 def per_element_csv(nodes, values) -> bytes:

@@ -437,7 +437,8 @@ SIGNED = st.one_of(st.sampled_from([0.0, -0.0]), st.floats(-1e6, 1e6, allow_nan=
 
 @st.composite
 def blocked_sum_inputs(draw):
-    """Sum inputs holding +0.0 and -0.0, a zero prefix, and a block size in source rows."""
+    """Sum inputs holding +0.0 and -0.0, a zero prefix (or as many causal outputs
+    not formed), and a block size in source rows."""
     n_t = draw(st.integers(1, 40))
     kernel = draw(arrays(float, n_t, elements=SIGNED))
     rows = draw(arrays(float, (n_t, draw(st.integers(1, 4))), elements=SIGNED))
@@ -479,7 +480,9 @@ class TestOrderedSumKernel:
             causal = _causal_sum(kernel, dt, rows)
             anticausal = _anticausal_sum(kernel, dt, rows)
             skipped = _anticausal_sum(kernel, dt, zero_prefix, start)
+            kept = operators._ordered_sum(kernel, dt, rows, True, keep=start)
         assert causal.tobytes() == causal_sum_reference(kernel, dt, rows).tobytes()
+        assert kept.tobytes() == causal[start:].tobytes()
         assert anticausal.tobytes() == anticausal_sum_reference(kernel, dt, rows).tobytes()
         assert skipped.tobytes() == anticausal_sum_reference(kernel, dt, zero_prefix).tobytes()
 
@@ -526,15 +529,33 @@ class TestOrderedSumKernel:
                 later = _anticausal_sum(kernel, 0.1, bumped)[cut + 1 :]
                 assert later.tobytes() == anticausal[cut + 1 :].tobytes()
 
+    @pytest.mark.parametrize("block", [1, 2, 5, 64])
+    @pytest.mark.parametrize("width", [1, 2])
+    def test_kept_rows_before_an_inf_row_are_bit_identical(self, block, width):
+        # every keep, a one-wide sum's last outputs among them (one lane would fold pairwise)
+        kernel, dt, rows = narrow_stack(40, width, 5, 0.1)
+        kernel[::3] = 0.0
+        full = _causal_sum(kernel, dt, rows)
+        rng = np.random.default_rng(5)
+        with blocks_of(block, rows), np.errstate(invalid="ignore"):  # 0 * inf where reached
+            for keep in range(40):
+                assert _causal_sum(kernel, dt, rows, keep).tobytes() == full[keep:].tobytes()
+                cut = rng.integers(keep, 40)
+                bumped = rows.copy()
+                bumped[cut] = np.inf
+                kept = _causal_sum(kernel, dt, bumped, keep)
+                assert kept.shape == (40 - keep, width)
+                assert kept[: cut - keep].tobytes() == full[keep:cut].tobytes()
+
     @pytest.mark.parametrize("batch", [(1,), (5,), (2, 3), (2, 1, 3)])
     def test_batch_axes_fold_into_the_width(self, batch):
         # each stack's sums are its own, bit for bit, however the lanes are ordered
         kernel, dt, rows = narrow_stack(30, 2, len(batch), 0.05)
         stacks = np.random.default_rng(7).standard_normal((*batch, 30, 2)) * rows
-        for causal, start in [(True, 0), (False, 0), (False, 11)]:
-            got = operators._ordered_sum(kernel, dt, stacks, causal, start)
+        for causal, start, keep in [(True, 0, 0), (True, 0, 29), (False, 0, 0), (False, 11, 0)]:
+            got = operators._ordered_sum(kernel, dt, stacks, causal, start, keep)
             for k in np.ndindex(*batch):
-                alone = operators._ordered_sum(kernel, dt, stacks[k], causal, start)
+                alone = operators._ordered_sum(kernel, dt, stacks[k], causal, start, keep)
                 assert got[k].tobytes() == alone.tobytes()
 
     @pytest.mark.parametrize("shape", [(0, 2), (3, 0)])

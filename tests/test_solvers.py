@@ -184,14 +184,15 @@ def block_adjoint_reference(forward, first: int, end: int, weight: float, r) -> 
     return weight * _adjoint_rows(forward, padded, lo, first - lo).sum(axis=0)
 
 
-def tally_in_place(sub: LinearSubproblem) -> dict:
-    """Count the calls of sub's apply, adjoint and adjoint_rows, in place."""
+def tally_in_place(sub, names=("apply", "adjoint", "adjoint_rows")) -> dict:
+    """Count the calls of sub's apply, adjoint and adjoint_rows (or of the
+    named methods of a family), in place."""
     counts: dict = {}
-    for name in ("apply", "adjoint", "adjoint_rows"):
+    for name in names:
 
-        def call(v, name=name, fn=getattr(sub, name)):
+        def call(*args, name=name, fn=getattr(sub, name)):
             counts[name] = counts.get(name, 0) + 1
-            return fn(v)
+            return fn(*args)
 
         object.__setattr__(sub, name, call)
     return counts
@@ -701,7 +702,8 @@ def unevaluable_family(n: int) -> OperatorFamily:
 
 class TestTruthIsCheckedFirst:
     """A truth that does not fit the unknown raises before any solver work:
-    DimensionError, or UnsupportedGeometryError for a Banach-space truth."""
+    DimensionError, UnsupportedGeometryError for a Banach-space truth, or
+    InvalidInputError for a truth of zero norm."""
 
     @pytest.mark.parametrize("solver", [tikhonov_temporal, tikhonov_uniform])
     @pytest.mark.parametrize(
@@ -732,6 +734,24 @@ class TestTruthIsCheckedFirst:
         sub = LinearSubproblem(fail, fail, np.zeros(2), 0.0)
         with pytest.raises(DimensionError, match=re.escape(f"start's shape (3,), got {shape}")):
             loop([sub], KaczmarzConfig(), np.zeros(3), truth=np.ones(shape))
+
+    @pytest.mark.parametrize("loop", [landweber_kaczmarz, kaczmarz_multi_direction])
+    def test_zero_truth_kaczmarz(self, loop):
+        forward, data = forward_and_data("mpi", 96, 32)
+        subs = time_subproblems(forward, data, 1e-3, sections=8)
+        tallies = [tally_in_place(sub) for sub in subs]
+        with pytest.raises(InvalidInputError, match="truth has zero norm"):
+            loop(subs, KaczmarzConfig(), np.zeros(32), truth=np.zeros(32))
+        assert tallies == [{}] * 8
+
+    @pytest.mark.parametrize("solver, name", [(tikhonov_uniform, "mpi"), (tikhonov_temporal, "dct")])
+    def test_zero_truth_tikhonov(self, solver, name):
+        forward, data = forward_and_data(name, 12, 8)
+        counts = tally_in_place(forward.static, ("apply_rows", "adjoint_rows"))
+        truth = forward.source_template(np.zeros((12, 8)))
+        with pytest.raises(InvalidInputError, match="truth has zero norm"):
+            solver(forward, data, 1e-2, truth=truth)
+        assert counts == {}
 
 
 class KaczmarzContract:
@@ -871,7 +891,7 @@ class TestLandweberKaczmarz(KaczmarzContract):
 
 
 class TestStepEstimate:
-    """omega = "auto": power iteration on F_i* F_i, matrix-free or assembled.
+    """omega = "auto": lock-step power iteration on F_i* F_i, matrix-free or assembled.
 
     A sub-problem with n_data < 2 * _POWER_STEPS = 60 data rows is assembled
     from n_data adjoint calls, else the loop takes two calls per step.  A
@@ -946,6 +966,35 @@ class TestStepEstimate:
         for shape in [(3, 50), (50, 3), (70, 6)]:
             sub = weighted_subproblem(np.zeros(shape), 1.0, 1.0)
             assert _estimate_omegas([sub], KaczmarzConfig(), np.zeros(shape[1])) == [1.0]
+
+    def test_lock_step_equals_one_sub_problem_at_a_time(self):
+        """One call over sections of 13 and 12 rows (mpi 100 x 32 in 8, assembled),
+        a matrix-free sub-problem of 70 rows, and a zero map on either path, which
+        stops at step 1 while the others run all _POWER_STEPS steps."""
+        forward, data = forward_and_data("mpi", 100, 32)
+        subs = time_subproblems(forward, data, 1e-3, sections=8)
+        assert [len(sub.data) for sub in subs] == [13] * 4 + [12] * 4
+        m = np.random.default_rng(32).standard_normal((70, 32))
+        subs += [
+            weighted_subproblem(m, 0.5, 2.0),
+            weighted_subproblem(np.zeros((5, 32)), 1.0, 1.0),
+            weighted_subproblem(np.zeros((70, 32)), 1.0, 1.0),
+        ]
+        reference = per_unit_vector_omegas(subs, 32)
+        tallies = [tally_in_place(sub) for sub in subs]
+        got = _estimate_omegas(subs, KaczmarzConfig(), np.zeros(32))
+        assert got == reference and got[-2:] == [1.0, 1.0]
+        assert tallies[:8] == [{"adjoint_rows": 1}] * 8
+        assert tallies[8:] == [
+            {"apply": _POWER_STEPS, "adjoint": _POWER_STEPS},
+            {"adjoint_rows": 1, "adjoint": 5},  # the method's loop over adjoint
+            {"apply": 1, "adjoint": 1},
+        ]
+        nan_sub = weighted_subproblem(np.full((3, 32), math.nan), 1.0, 1.0)
+        for index in (0, 4, 11):
+            mixed = subs[:index] + [nan_sub] + subs[index:]
+            with pytest.raises(DivergenceError, match=f"sub-problem {index} gave nan"):
+                _estimate_omegas(mixed, KaczmarzConfig(), np.zeros(32))
 
 
 class TestMultiDirection(KaczmarzContract):
@@ -1185,6 +1234,18 @@ class TestTimeSubproblems:
         blocks = np.array_split(np.arange(12), 12 if sections is None else sections)
         for sub, nodes in zip(subs, blocks):
             assert np.array_equal(sub.apply(x), tiled[nodes].reshape(-1))
+
+    @pytest.mark.parametrize("name", ["mpi", "ota"])
+    @pytest.mark.parametrize("n_t", [1, 2, 3, 40])
+    def test_one_wide_node_blocks_form_the_forward_rows_bytes(self, name, n_t):
+        """Per-node blocks of a causal map with one output (on ota also one input)
+        form only the rows they keep, two at least, as the full forward's bytes."""
+        forward, data = forward_and_data(name, n_t, 1)
+        assert forward.static.n_out == 1
+        x = np.random.default_rng(6).standard_normal(1)
+        tiled = apply_forward(forward, forward.source_template(np.tile(x, (n_t, 1)))).values
+        for i, sub in enumerate(time_subproblems(forward, data, 1e-2)):
+            assert sub.apply(x).tobytes() == tiled[i].tobytes()
 
     def test_sections_partition_data(self):
         problem = make_identity_problem(10, 3)
