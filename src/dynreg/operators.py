@@ -14,10 +14,12 @@ both sides; the adjoint of a causal sum is the matching anticausal sum.
 _forward_rows and _adjoint_rows are the one evaluation path: apply_forward,
 apply_adjoint, every Kaczmarz sub-problem (solvers.time_subproblems) and the
 stacked dense assembly (diagnostics.assemble_dense) evaluate the map through
-them, on all nodes or on a block of rows.  Each stage is a few NumPy calls,
-bit-identical to evaluating term by term: a built-in family maps the stack
-through its row form (OperatorFamily.apply_rows / adjoint_rows), and a causal
-sum is a block-Toeplitz product that adds its terms in the loop's order.
+them.  Their one window, first, selects the data rows first, first+1, ...; a
+pointwise map reads the source rows from node first on, a causal kind from
+node 0 on.  Each stage is a few NumPy calls, bit-identical to evaluating term
+by term: a built-in family maps the stack through its row form
+(OperatorFamily.apply_rows / adjoint_rows), and a causal sum is a block-Toeplitz
+product that adds its terms in the loop's order.
 """
 
 from __future__ import annotations
@@ -321,34 +323,35 @@ def _check_data(forward: DynamicForward, y: BochnerFunction) -> None:
 _TERM_BUDGET = 32768  # product terms one block of source rows may form: bounds scratch memory
 
 
-def _ordered_sum(kernel, dt: float, rows, causal: bool, start: int = 0, keep: int = 0) -> np.ndarray:
+def _ordered_sum(kernel, dt: float, rows, causal: bool, first: int = 0) -> np.ndarray:
     """Sum of dt * kernel[|o-s|] * rows[s] over s <= o (causal) or s >= o, ascending s.
 
-    A causal sum forms only outputs o >= keep; an anticausal one skips the zero rows s < start.
-    A block of source rows forms its terms in one masked multiply (no term outside
-    the triangle, so no 0 * inf) from weights[s, o], a strided Toeplitz view built on
-    its buffer (sliding_window_view's __array_interface__ path holds ~0.5 MB more per
-    process after thousands of shapes).  np.add.reduce adds them to the running sums
-    (+0.0 at first, like the loop's) in ascending s: a block of two rows or more has
-    two lanes or more, and NumPy sums only a single lane pairwise (a one-wide sum
-    forms two outputs at least).  A block holds _TERM_BUDGET // rows.size rows, at
-    least one, so wide stacks get small blocks.  Leading batch axes of rows,
+    A causal sum forms only the outputs o >= first; an anticausal one skips the zero
+    rows s < first.  A block of source rows forms its terms in one masked multiply (no
+    term outside the triangle, so no 0 * inf) from weights[s, o], a strided Toeplitz
+    view built on its buffer (sliding_window_view's __array_interface__ path holds
+    ~0.5 MB more per process after thousands of shapes).  np.add.reduce adds them to
+    the running sums (+0.0 at first, like the loop's) in ascending s: a block of two
+    rows or more has two lanes or more, and NumPy sums only a single lane pairwise (a
+    one-wide sum forms two outputs at least).  A block holds _TERM_BUDGET // rows.size
+    rows, at least one, so wide stacks get small blocks.  Leading batch axes of rows,
     (..., n_t, width), fold into the width.
     """
     if rows.ndim > 2:  # swapaxes reorders the lanes, not a lane's sum, and costs less than moveaxis
         folded = rows.swapaxes(0, -2)
-        sums = _ordered_sum(kernel, dt, folded.reshape(len(folded), -1), causal, start, keep)
+        sums = _ordered_sum(kernel, dt, folded.reshape(len(folded), -1), causal, first)
         return sums.reshape((-1,) + folded.shape[1:]).swapaxes(0, -2)
     n_t, w, out = len(rows), (dt * kernel)[:, None], np.zeros(rows.shape)
+    kept = first if causal else 0  # outputs returned
     if rows.size == 0:
-        return out[keep:]
-    lead = min(keep, n_t - 2) if keep and rows.shape[1] == 1 else keep  # outputs not formed
+        return out[kept:]
+    lead = min(kept, n_t - 2) if kept and rows.shape[1] == 1 else kept  # outputs not formed
     step = max(1, _TERM_BUDGET // rows.size)
     padded = np.concatenate([w[::-1, 0], np.zeros(n_t - 1)])  # padded[n_t - 1 - k] = w[k]
     b = padded.itemsize
     weights = np.ndarray((n_t, n_t), padded.dtype, padded, b * (n_t - 1), (b, -b) if causal else (-b, b))
     pattern = _reach_pattern(min(step, n_t), n_t)
-    for s0 in range(start, n_t, step):
+    for s0 in range(0 if causal else first, n_t, step):
         s1 = min(s0 + step, n_t)
         o0 = max(s0, lead)
         span = slice(o0, None) if causal else slice(s1)  # the outputs these rows reach and form
@@ -359,7 +362,7 @@ def _ordered_sum(kernel, dt: float, rows, causal: bool, start: int = 0, keep: in
         np.multiply(weights[s0:s1, span, None], rows[s0:s1, None, :], out=terms, where=reached)
         terms[0] += sums
         np.add.reduce(terms, axis=0, out=sums)
-    return out[keep:]
+    return out[kept:]
 
 
 @functools.lru_cache(maxsize=64)
@@ -368,62 +371,47 @@ def _reach_pattern(rows: int, n_t: int) -> np.ndarray:
     return np.broadcast_to(np.arange(n_t) >= np.arange(rows)[:, None], (rows, n_t))  # read-only
 
 
-def _causal_sum(kernel: np.ndarray, dt: float, rows: np.ndarray, keep: int = 0) -> np.ndarray:
-    """y_i = sum_{j<=i} dt * kernel[i-j] * rows[j], i >= keep, ascending j, bit for bit as the loop.
+def _causal_sum(kernel: np.ndarray, dt: float, rows: np.ndarray, first: int = 0) -> np.ndarray:
+    """y_i = sum_{j<=i} dt * kernel[i-j] * rows[j], i >= first, ascending j: the loop's bits.
 
     Order matters: uniform Tikhonov's CG count on causal maps sits at the rounding floor
     of its tolerance, and a BLAS Toeplitz matmul or an FFT reorders the terms and moves it.
     """
-    return _ordered_sum(kernel, dt, rows, causal=True, keep=keep)
+    return _ordered_sum(kernel, dt, rows, True, first)
 
 
-def _anticausal_sum(kernel: np.ndarray, dt: float, rows: np.ndarray, start: int = 0) -> np.ndarray:
+def _anticausal_sum(kernel: np.ndarray, dt: float, rows: np.ndarray, first: int = 0) -> np.ndarray:
     """Adjoint of _causal_sum: v_j = sum_{i>=j} dt * kernel[i-j] * rows[i], ascending i.
 
-    Rows before `start` must be zero; skipping their exact-zero terms changes no bit.
+    Rows before `first` must be zero; skipping their exact-zero terms changes no bit.
     """
-    return _ordered_sum(kernel, dt, rows, causal=False, start=start)
+    return _ordered_sum(kernel, dt, rows, False, first)
 
 
-def _causal_kernel(forward: DynamicForward, values, first: int) -> tuple[np.ndarray, float]:
-    """Kernel samples and dt for causal rows 0..n-1, values of shape (..., n, width)."""
-    if first != 0:
-        raise InvalidParameterError(f"{forward.kind} rows start at node 0, not {first}")
-    return forward.kernel[: values.shape[-2]], forward.time_grid.dt
+def _forward_rows(forward: DynamicForward, values, first: int = 0) -> np.ndarray:
+    """Data rows first, first+1, ... of the forward map from the source rows it reads.
 
-
-def _forward_rows(forward: DynamicForward, values, first: int = 0, keep: int = 0) -> np.ndarray:
-    """Rows first, first+1, ... of the forward map, from source rows at those nodes.
-
-    The one evaluation path of the package.  A pointwise map evaluates only
-    the given nodes; a causal kind needs the rows from node 0 on (first = 0)
-    and forms only rows keep, keep+1, ....  Leading batch axes of values map
-    stack by stack, as in the row contract.
+    Leading batch axes of values map stack by stack, as in the row contract.
     """
     fam = forward.static
     if forward.kind == POINTWISE:
         return fam.apply_rows(first, values)
-    kernel, dt = _causal_kernel(forward, values, first)
+    kernel, dt = forward.kernel[: values.shape[-2]], forward.time_grid.dt
     if forward.kind == ACCUMULATE_THEN_OBSERVE:
-        return _causal_sum(kernel, dt, fam.apply_rows(0, values), keep)
-    return fam.apply_rows(keep, _causal_sum(kernel, dt, values, keep))
+        return _causal_sum(kernel, dt, fam.apply_rows(0, values), first)
+    return fam.apply_rows(first, _causal_sum(kernel, dt, values, first))
 
 
-def _adjoint_rows(
-    forward: DynamicForward, values, first: int = 0, zero_rows: int = 0
-) -> np.ndarray:
-    """Adjoint of _forward_rows on data rows first, first+1, ...; same node rules.
-
-    values[:zero_rows] are zero rows (a causal block's padding), which the
-    anticausal sum skips; the result is the same bit for bit.
-    """
+def _adjoint_rows(forward: DynamicForward, values, first: int = 0) -> np.ndarray:
+    """Adjoint of _forward_rows; a causal kind puts first zero rows before the data rows."""
     fam = forward.static
     if forward.kind == POINTWISE:
         return fam.adjoint_rows(first, values)
-    kernel, dt = _causal_kernel(forward, values, first)
-    if forward.kind == ACCUMULATE_THEN_OBSERVE:
-        return fam.adjoint_rows(0, _anticausal_sum(kernel, dt, values, zero_rows))
-    return _anticausal_sum(kernel, dt, fam.adjoint_rows(0, values), zero_rows)
+    if forward.kind == OBSERVE_THEN_ACCUMULATE:
+        values = fam.adjoint_rows(first, values)
+    rows = np.concatenate([np.zeros(values.shape[:-2] + (first, values.shape[-1])), values], -2)
+    sums = _anticausal_sum(forward.kernel[: rows.shape[-2]], forward.time_grid.dt, rows, first)
+    return fam.adjoint_rows(0, sums) if forward.kind == ACCUMULATE_THEN_OBSERVE else sums
 
 
 def apply_forward(forward: DynamicForward, theta: BochnerFunction) -> BochnerFunction:

@@ -92,8 +92,7 @@ class KaczmarzConfig:
 
     omega is the step size, either a positive real or "auto" (per
     sub-problem omega_i = 0.9 / ||F_i||^2, which keeps the per-sub-problem
-    residual monotone in its own step, from 30 power-iteration steps on all
-    F_i* F_i in lock-step, F_i's from a vector seeded by i).  tau are the
+    residual monotone in its own step, by power iteration).  tau are the
     discrepancy factors (scalar or one per sub-problem, each >= 1).
     memory is the number of remembered iterates for the multi-direction
     variant; memory = 1 is plain optimal-step Landweber-Kaczmarz, so a
@@ -202,6 +201,14 @@ def _dot(a: np.ndarray, b: np.ndarray) -> np.ndarray:
 
 def _norm(v: np.ndarray, weight: float) -> float:
     return math.sqrt(weight * float(v @ v))
+
+
+def _formed(values, shape: tuple, index: int, what: str) -> np.ndarray:
+    """Sub-problem index's values as floats; DimensionError unless they have `shape`."""
+    values = np.asarray(values, dtype=float)
+    if values.shape != shape:
+        raise DimensionError(f"sub-problem {index}: {what} gave shape {values.shape}, not {shape}")
+    return values
 
 
 def _cg(
@@ -444,8 +451,12 @@ def _estimate_omegas(
     for i, sub in enumerate(subproblems):
         n_data = sub.data.shape[0]
         (free if n_data >= 2 * _POWER_STEPS else shapes.setdefault(n_data, [])).append(i)
+
+    def rows(i: int, n: int) -> np.ndarray:
+        return _formed(subproblems[i].adjoint_rows(np.eye(n)), (n, len(start)), i, "adjoint_rows")
+
     stacks = [
-        (ids, np.array([subproblems[i].adjoint_rows(np.eye(n)) for i in ids]),
+        (ids, np.array([rows(i, n) for i in ids]),
          np.array([[subproblems[i].unknown_weight / subproblems[i].data_weight] for i in ids]))
         for n, ids in shapes.items()
     ]
@@ -456,7 +467,8 @@ def _estimate_omegas(
             W[ids] = scale * (R.swapaxes(-1, -2) @ (R @ V[ids, :, None]))[..., 0]
         for i in free:
             if running[i]:
-                W[i] = subproblems[i].adjoint(subproblems[i].apply(V[i]))
+                sub = subproblems[i]
+                W[i] = _formed(sub.adjoint(sub.apply(V[i])), start.shape, i, "adjoint")
         W[~running] = 0.0
         norm = np.sqrt(_dot(W, W))
         running &= norm != 0.0
@@ -488,6 +500,9 @@ def _kaczmarz(
         raise InvalidParameterError("start vector is required (its length sets the unknown)")
     if not subproblems:
         raise InvalidParameterError("need at least one sub-problem")
+    for i, sub in enumerate(subproblems):
+        if not sub.data.size:
+            raise DimensionError(f"sub-problem {i} has no data rows")
     x = np.array(start, dtype=float)
     if x.ndim != 1:
         raise DimensionError(f"start must be a vector, got shape {x.shape}")
@@ -503,9 +518,10 @@ def _kaczmarz(
     taus = [float(config.tau)] * n_sub if scalar else [float(t) for t in config.tau]
     if len(taus) != n_sub:
         raise DimensionError(f"need one tau per sub-problem ({n_sub}), got {len(taus)}")
-    step = make_step(x)
-    guard = max(sub.residual_norm(sub.residual(x)) for sub in subproblems)
+    images = [_formed(s.apply(x), s.data.shape, i, "apply") for i, s in enumerate(subproblems)]
+    guard = max(sub.residual_norm(y - sub.data) for sub, y in zip(subproblems, images))
     guard = max(guard, np.finfo(float).tiny)
+    step = make_step(x)
     trace: list[tuple[int, int, float, float, float]] = []
     stop_reason = "max_iter"
     for _ in range(config.max_sweeps):
@@ -562,7 +578,7 @@ def landweber_kaczmarz(
 
     def make_step(x0: np.ndarray) -> Callable[..., np.ndarray]:
         omegas = _estimate_omegas(subproblems, config, x0)
-        return lambda i, sub, x, r: x - omegas[i] * np.asarray(sub.adjoint(r), dtype=float)
+        return lambda i, sub, x, r: x - omegas[i] * _formed(sub.adjoint(r), x.shape, i, "adjoint")
 
     return _kaczmarz(subproblems, config, start, truth, make_step)
 
@@ -593,7 +609,7 @@ def kaczmarz_multi_direction(
         def step(i: int, sub: LinearSubproblem, x: np.ndarray, r: np.ndarray) -> np.ndarray:
             # history[-1] is x, whose residual r is already known
             past = [sub.residual(xk) for xk in list(history)[:-1]]
-            directions = [np.asarray(sub.adjoint(rk), dtype=float) for rk in past + [r]]
+            directions = [_formed(sub.adjoint(rk), x.shape, i, "adjoint") for rk in past + [r]]
             images = [np.asarray(sub.apply(d), dtype=float) for d in directions]
             gram = sub.data_weight * np.array([[float(a @ b) for b in images] for a in images])
             damping = 1e-12 * float(np.trace(gram))
@@ -631,8 +647,9 @@ def time_subproblems(
         observe_then_accumulate  F_i x = A_i (sum_{j<=i} dt a(t_i-t_j) x)
 
     With `sections` = N, consecutive nodes are grouped into N contiguous
-    blocks instead, one sub-problem per block; block residuals carry the
-    dt-weighted section norm.  The noise budget delta is split evenly over
+    blocks instead, one sub-problem per block.  Every block, a single node
+    included, measures its residual in the dt-weighted norm of its nodes, so
+    its threshold is on the noise budget's scale: delta is split evenly over
     the N sub-problems, delta_i = delta / sqrt(N), the package convention;
     pass noise_split for explicit per-sub-problem levels.
     """
@@ -640,48 +657,41 @@ def time_subproblems(
         raise InvalidParameterError(f"noise level must be >= 0, got {delta}")
     _check_data(forward, data)
     n_t = forward.time_grid.n_t
-    if sections is not None and not 1 <= sections <= n_t:
-        raise InvalidParameterError(f"sections must lie in [1, {n_t}], got {sections}")
     count = n_t if sections is None else sections
-    if noise_split is None:
-        levels = [delta / math.sqrt(count)] * count
-    else:
-        levels = [float(d) for d in noise_split]
-        if len(levels) != count:
-            raise DimensionError(
-                f"need one noise level per sub-problem ({count}), got {len(levels)}"
-            )
+    if not 1 <= count <= n_t:
+        raise InvalidParameterError(f"sections must lie in [1, {n_t}], got {sections}")
+    even = [delta / math.sqrt(count)] * count
+    levels = even if noise_split is None else [float(d) for d in noise_split]
+    if len(levels) != count:
+        raise DimensionError(f"need one noise level per sub-problem ({count}), got {len(levels)}")
     blocks = [(int(b[0]), int(b[-1]) + 1) for b in np.array_split(np.arange(n_t), count)]
-    weight = 1.0 if sections is None else forward.time_grid.dt
     return [
-        _block(forward, first, end, weight, data.values[first:end].reshape(-1), level)
+        _block(forward, first, end, data.values[first:end].reshape(-1), level)
         for (first, end), level in zip(blocks, levels)
     ]
 
 
-def _block(forward: DynamicForward, first: int, end: int, weight: float, data, level: float):
+def _block(forward: DynamicForward, first: int, end: int, data, level: float):
     """The LinearSubproblem of the block of nodes [first, end), with its data and noise level.
 
-    apply maps the tiled x over the nodes the block depends on (its own for a
-    pointwise map, 0..end-1 for the causal kinds) and forms only rows [first, end).
-    adjoint pads a residual, or a stack of them (adjoint_rows), into those rows,
-    maps it back in one call (the anticausal sum skipping the padding) and sums
-    over the nodes in C order, so NumPy sums each stack as it sums one residual.
-    weight is the data-side quadrature factor (1 for one node, dt for a section).
+    apply maps the tiled x over the nodes the block reads (its own for a pointwise
+    map, 0..end-1 for the causal kinds) to data rows [first, end).
+    adjoint maps a residual, or each row of a stack (adjoint_rows), back in one
+    call and sums over the nodes in C order, as NumPy sums one residual.  The
+    data rows carry the quadrature weight dt, a node's as a section's.
     """
-    fam = forward.static
-    lo = first if forward.kind == POINTWISE else 0
+    fam, dt = forward.static, forward.time_grid.dt
+    nodes = end - (first if forward.kind == POINTWISE else 0)
 
     def apply(x: np.ndarray) -> np.ndarray:
-        tiled = np.asarray(x, dtype=float)[None, :].repeat(end - lo, axis=0)  # faster than np.tile
-        return _forward_rows(forward, tiled, lo, first - lo).reshape(-1)
+        tiled = np.asarray(x, dtype=float)[None, :].repeat(nodes, axis=0)  # faster than np.tile
+        return _forward_rows(forward, tiled, first).reshape(-1)
 
     def adjoint(R: np.ndarray) -> np.ndarray:  # one residual, or each row of a stack
         R = np.asarray(R, dtype=float)
-        padded = np.zeros(R.shape[:-1] + (end - lo, fam.n_out))
-        padded[..., first - lo :, :] = R.reshape(R.shape[:-1] + (end - first, fam.n_out))
-        return weight * np.ascontiguousarray(_adjoint_rows(forward, padded, lo, first - lo)).sum(-2)
+        rows = R.reshape(R.shape[:-1] + (end - first, fam.n_out))
+        return dt * np.ascontiguousarray(_adjoint_rows(forward, rows, first)).sum(-2)
 
-    sub = LinearSubproblem(apply, adjoint, data, level, weight * fam.out_weight, fam.in_weight)
+    sub = LinearSubproblem(apply, adjoint, data, level, dt * fam.out_weight, fam.in_weight)
     object.__setattr__(sub, "adjoint_rows", adjoint)
     return sub

@@ -480,7 +480,7 @@ class TestOrderedSumKernel:
             causal = _causal_sum(kernel, dt, rows)
             anticausal = _anticausal_sum(kernel, dt, rows)
             skipped = _anticausal_sum(kernel, dt, zero_prefix, start)
-            kept = operators._ordered_sum(kernel, dt, rows, True, keep=start)
+            kept = operators._ordered_sum(kernel, dt, rows, True, start)
         assert causal.tobytes() == causal_sum_reference(kernel, dt, rows).tobytes()
         assert kept.tobytes() == causal[start:].tobytes()
         assert anticausal.tobytes() == anticausal_sum_reference(kernel, dt, rows).tobytes()
@@ -552,10 +552,10 @@ class TestOrderedSumKernel:
         # each stack's sums are its own, bit for bit, however the lanes are ordered
         kernel, dt, rows = narrow_stack(30, 2, len(batch), 0.05)
         stacks = np.random.default_rng(7).standard_normal((*batch, 30, 2)) * rows
-        for causal, start, keep in [(True, 0, 0), (True, 0, 29), (False, 0, 0), (False, 11, 0)]:
-            got = operators._ordered_sum(kernel, dt, stacks, causal, start, keep)
+        for causal, first in [(True, 0), (True, 29), (False, 0), (False, 11)]:
+            got = operators._ordered_sum(kernel, dt, stacks, causal, first)
             for k in np.ndindex(*batch):
-                alone = operators._ordered_sum(kernel, dt, stacks[k], causal, start, keep)
+                alone = operators._ordered_sum(kernel, dt, stacks[k], causal, first)
                 assert got[k].tobytes() == alone.tobytes()
 
     @pytest.mark.parametrize("shape", [(0, 2), (3, 0)])

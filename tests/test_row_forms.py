@@ -220,14 +220,69 @@ class TestLeadingBatchAxes:
         forward = DynamicForward(kind, fam, grid, kernel)
         values = rng.standard_normal((batch, n_t, n_x))
         values[rng.random(values.shape) < 0.2] = -0.0
-        zero_rows = int(rng.integers(0, n_t + 1)) if kind != POINTWISE else 0
-        padded = values.copy()
-        padded[:, :zero_rows] = 0.0
-        got = _forward_rows(forward, values), _adjoint_rows(forward, padded, 0, zero_rows)
+        first = int(rng.integers(0, n_t))  # the row window: data rows first, first+1, ...
+        source = values[:, first:] if kind == POINTWISE else values  # causal rows start at 0
+        data = values[:, first:]
+        got = _forward_rows(forward, source, first), _adjoint_rows(forward, data, first)
         for k in range(batch):
-            assert got[0][k].tobytes() == _forward_rows(forward, values[k]).tobytes()
-            alone = _adjoint_rows(forward, padded[k], 0, zero_rows)
-            assert got[1][k].tobytes() == alone.tobytes()
+            assert got[0][k].tobytes() == _forward_rows(forward, source[k], first).tobytes()
+            assert got[1][k].tobytes() == _adjoint_rows(forward, data[k], first).tobytes()
+        if kind != POINTWISE:  # the window's rows of the whole map, signbits included
+            padded = np.concatenate([np.zeros((batch, first, n_x)), data], axis=1)
+            assert got[0].tobytes() == _forward_rows(forward, values)[:, first:].tobytes()
+            assert got[1].tobytes() == _adjoint_rows(forward, padded).tobytes()
+
+
+def matrix_forward(kind, mats, kernel, w_in, w_out) -> DynamicForward:
+    """The map of kind over per-node matrices mats (n_t, n_out, n_in), adjoint in the weights."""
+    n_t, n_out, n_in = mats.shape
+    fam = OperatorFamily(
+        n_in, n_out, lambda i, x: mats[i] @ x, lambda i, y: (w_out / w_in) * (mats[i].T @ y),
+        w_in, w_out,
+    )
+    return DynamicForward(kind, fam, TimeGrid(1.0, n_t), kernel)
+
+
+@st.composite
+def row_windows(draw):
+    """A map of any kind with random weights, per-node matrices of random shape and
+    a kernel holding -0.0; a window [first, end); batch axes; source and data rows."""
+    kind = draw(st.sampled_from(KINDS))
+    n_t, n_in, n_out = draw(st.integers(1, 10)), draw(st.integers(1, 4)), draw(st.integers(1, 4))
+    first = draw(st.integers(0, n_t - 1))
+    end = draw(st.integers(first + 1, n_t))
+    weights = draw(st.floats(1e-3, 1e3)), draw(st.floats(1e-3, 1e3))
+    batch = draw(st.sampled_from([(), (2,), (2, 3)]))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    mats = rng.standard_normal((n_t, n_out, n_in))
+    kernel = None
+    if kind != POINTWISE:
+        kernel = rng.standard_normal(n_t)
+        kernel[rng.random(n_t) < 0.3] = -0.0
+    v = rng.standard_normal((*batch, end - (first if kind == POINTWISE else 0), n_in))
+    R = rng.standard_normal((*batch, end - first, n_out))
+    return kind, mats, kernel, weights, first, v, R
+
+
+class TestWindowedAdjoint:
+    """The row window keeps the adjoint identity: with dt on both sides,
+    <_forward_rows(F, v, first), R> = <v, _adjoint_rows(F, R, first)> per stack."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(row_windows())
+    def test_adjoint_identity(self, case):
+        kind, mats, kernel, (w_in, w_out), first, v, R = case
+        forward = matrix_forward(kind, mats, kernel, w_in, w_out)
+        image, back = _forward_rows(forward, v, first), _adjoint_rows(forward, R, first)
+        assert image.shape == R.shape and back.shape == v.shape
+        dt = forward.time_grid.dt
+        lhs = dt * w_out * (image * R).sum(axis=(-2, -1))
+        rhs = dt * w_in * (v * back).sum(axis=(-2, -1))
+        # rounding scale: the same pairing over absolute values, no cancellation
+        bound = matrix_forward(kind, np.abs(mats), None if kernel is None else np.abs(kernel),
+                               w_in, w_out)
+        terms = dt * w_out * (_forward_rows(bound, np.abs(v), first) * np.abs(R)).sum(axis=(-2, -1))
+        np.testing.assert_array_less(np.abs(lhs - rhs), 1e-13 * terms + 1e-300)
 
 
 class TestNoPerNodeFallback:

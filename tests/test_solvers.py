@@ -181,7 +181,7 @@ def block_adjoint_reference(forward, first: int, end: int, weight: float, r) -> 
     n_out = forward.static.n_out
     padded = np.zeros((end - lo, n_out))
     padded[first - lo :] = np.asarray(r, dtype=float).reshape(end - first, n_out)
-    return weight * _adjoint_rows(forward, padded, lo, first - lo).sum(axis=0)
+    return weight * _adjoint_rows(forward, padded, lo).sum(axis=0)
 
 
 def tally_in_place(sub, names=("apply", "adjoint", "adjoint_rows")) -> dict:
@@ -227,7 +227,7 @@ def block_subproblems(draw, nodes=st.integers(1, 9), max_sections: int = 9):
     sections = draw(st.one_of(st.none(), st.integers(1, min(n_t, max_sections))))
     subs = time_subproblems(forward, data, 1e-2, sections=sections)
     blocks = np.array_split(np.arange(n_t), n_t if sections is None else sections)
-    weight = 1.0 if sections is None else grid.dt
+    weight = grid.dt
     stacks = []
     for sub in subs:
         n_data = sub.data.shape[0]
@@ -890,6 +890,44 @@ class TestLandweberKaczmarz(KaczmarzContract):
                 LinearSubproblem(lambda x: x, lambda r: r, np.ones(2), 0.0, *weights)
 
 
+class TestMalformedSubproblems:
+    """A sub-problem with no data rows, or whose apply or adjoint returns the wrong
+    length, raises DimensionError naming its index (1, after a good one at 0).  The
+    counts are the bad one's calls: the checks read values the loop forms anyway."""
+
+    @staticmethod
+    def counts_at_the_error(bad, config=KaczmarzConfig(), loop=landweber_kaczmarz) -> dict:
+        counts: dict = {}
+        subs = [matrix_subproblem(np.eye(3), np.ones(3), 0.0), counted(bad, counts)]
+        with pytest.raises(DimensionError, match="sub-problem 1"):
+            loop(subs, config, np.zeros(3))
+        return counts
+
+    def test_empty_data_before_any_call(self):
+        bad = LinearSubproblem(lambda x: np.zeros(0), lambda r: np.zeros(3), np.zeros(0), 0.0)
+        assert self.counts_at_the_error(bad) == {}
+
+    def test_short_assembled_adjoint_before_the_first_sweep(self):
+        # two data rows, assembled from two adjoint calls; the start's apply checks first
+        bad = LinearSubproblem(lambda x: x[:2], lambda r: r, np.ones(2), 0.0)
+        assert self.counts_at_the_error(bad) == {"apply": 1, "adjoint": 2}
+
+    def test_short_matrix_free_adjoint_before_the_first_sweep(self):
+        m = np.random.default_rng(33).standard_normal((70, 3))
+        bad = LinearSubproblem(lambda x: m @ x, lambda r: (m.T @ r)[:2], np.ones(70), 0.0)
+        assert self.counts_at_the_error(bad) == {"apply": 2, "adjoint": 1}
+
+    def test_short_apply_at_the_start(self):
+        bad = LinearSubproblem(lambda x: x[:1], lambda r: np.full(3, r.sum()), np.ones(5), 0.0)
+        assert self.counts_at_the_error(bad) == {"apply": 1}
+
+    @pytest.mark.parametrize("loop", [landweber_kaczmarz, kaczmarz_multi_direction])
+    def test_short_adjoint_with_a_fixed_step(self, loop):
+        bad = LinearSubproblem(lambda x: x[:2], lambda r: r[:1], np.ones(2), 0.0)
+        counts = self.counts_at_the_error(bad, KaczmarzConfig(omega=0.1), loop)
+        assert counts == {"apply": 2, "adjoint": 1}  # the start's apply, then the first step
+
+
 class TestStepEstimate:
     """omega = "auto": lock-step power iteration on F_i* F_i, matrix-free or assembled.
 
@@ -1247,6 +1285,37 @@ class TestTimeSubproblems:
         for i, sub in enumerate(time_subproblems(forward, data, 1e-2)):
             assert sub.apply(x).tobytes() == tiled[i].tobytes()
 
+    @pytest.mark.parametrize("name", ["dct", "mpi", "ota"])
+    def test_nodes_are_one_node_sections(self, name):
+        """The default per-node split is sections = n_t byte for byte, dt weight
+        included, for a pointwise, an accumulate- and an observe-then-accumulate map."""
+        forward, data = forward_and_data(name, 7, 4)
+        nodes = time_subproblems(forward, data, 1e-2)
+        sections = time_subproblems(forward, data, 1e-2, sections=7)
+        dt, rng = forward.time_grid.dt, np.random.default_rng(8)
+        for node, section in zip(nodes, sections):
+            assert node.data_weight == section.data_weight == dt * forward.static.out_weight
+            assert node.noise_level == section.noise_level
+            assert node.data.tobytes() == section.data.tobytes()
+            x, R = rng.standard_normal(4), rng.standard_normal((3, len(node.data)))
+            R[0, 0] = -0.0
+            assert node.apply(x).tobytes() == section.apply(x).tobytes()
+            assert node.adjoint(R[0]).tobytes() == section.adjoint(R[0]).tobytes()
+            assert node.adjoint_rows(R).tobytes() == section.adjoint_rows(R).tobytes()
+
+    def test_per_node_stop_follows_the_noise_budget(self):
+        """Identity map, static truth, 32 x 32, delta = 1e-2: per-node residuals in
+        the dt-weighted norm meet tau * delta / sqrt(32) after two sweeps, as the
+        sections = 32 split does."""
+        problem = make_identity_problem(32, 32)
+        forward, x_star = problem.forward, problem.truth.values[16]
+        clean = apply_forward(forward, forward.source_template(np.tile(x_star, (32, 1))))
+        noisy = add_noise(clean, NoiseSpec(1e-2, 0))
+        subs = time_subproblems(forward, noisy, 1e-2)
+        report = landweber_kaczmarz(subs, KaczmarzConfig(), np.zeros(32), truth=x_star)
+        assert report.stop_reason == "discrepancy" and report.iterations == 2
+        assert report.error == pytest.approx(0.0184, abs=1e-4)
+
     def test_sections_partition_data(self):
         problem = make_identity_problem(10, 3)
         subs = time_subproblems(problem.forward, problem.data_clean, 1e-2, sections=4)
@@ -1325,11 +1394,8 @@ class TestDiscrepancyTermination:
         noisy = add_noise(clean, NoiseSpec(delta, 3))
         e = noisy.values - clean.values
         sections = 4 if kind in ("mpi", "nonuniform") else None
-        if sections:
-            blocks = np.array_split(np.arange(n_t), sections)
-            split = [math.sqrt(dt * w * float(e[b].ravel() @ e[b].ravel())) for b in blocks]
-        else:
-            split = [math.sqrt(w * float(e[i] @ e[i])) for i in range(n_t)]
+        blocks = np.array_split(np.arange(n_t), sections or n_t)
+        split = [math.sqrt(dt * w * float(e[b].ravel() @ e[b].ravel())) for b in blocks]
         subs = time_subproblems(forward, noisy, delta, noise_split=split, sections=sections)
         report = landweber_kaczmarz(
             subs, KaczmarzConfig(tau=2.0, max_sweeps=500), np.zeros(n_x), truth=x_star
