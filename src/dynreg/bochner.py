@@ -20,7 +20,7 @@ import csv
 import math
 import os
 import tempfile
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -43,26 +43,27 @@ def _check_exponent(value: float, what: str) -> None:
 class TimeGrid:
     """Uniform midpoint grid on [0, T] with nodes t_i = (i + 1/2) dt.
 
-    The first node sits at dt/2 > 0, which keeps scaling families like
-    1/t finite on the grid.
+    dt = T / n_t is derived; from_dt pins a given dt.  The first node sits at
+    dt/2 > 0, which keeps scaling families like 1/t finite on the grid.
     """
 
     horizon: float
     n_t: int
-    dt: float = None  # type: ignore[assignment]  # derived unless given by from_dt
+    dt: float = field(init=False)
 
     def __post_init__(self) -> None:
         if not np.isfinite(self.horizon) or self.horizon <= 0.0:
             raise InvalidParameterError(f"horizon must be positive, got {self.horizon}")
         if self.n_t < 1:
             raise InvalidParameterError(f"need at least one time node, got n_t={self.n_t}")
-        if self.dt is None:
-            object.__setattr__(self, "dt", self.horizon / self.n_t)
+        object.__setattr__(self, "dt", self.horizon / self.n_t)
 
     @classmethod
     def from_dt(cls, dt: float, n_t: int) -> "TimeGrid":
-        """Build a grid from its step; horizon becomes dt * n_t exactly."""
-        return cls(dt * n_t, n_t, dt)
+        """Build a grid from its step, kept exactly; horizon becomes dt * n_t."""
+        grid = cls(dt * n_t, n_t)
+        object.__setattr__(grid, "dt", dt)
+        return grid
 
     @property
     def nodes(self) -> np.ndarray:
@@ -133,8 +134,8 @@ class BochnerFunction:
             raise InvalidInputError("values contain non-finite entries")
         _check_exponent(p, "time exponent")
         _check_exponent(space_exponent, "space exponent")
-        if not space_weight > 0.0:
-            raise InvalidParameterError(f"space weight must be positive, got {space_weight}")
+        if not 0.0 < space_weight < math.inf:
+            raise InvalidParameterError(f"space weight must lie in (0, inf), got {space_weight}")
         arr.setflags(write=False)
         self.grid = grid
         self.values = arr

@@ -17,16 +17,17 @@ stacked dense assembly (diagnostics.assemble_dense) evaluate the map through
 them.  Their one window, first, selects the data rows first, first+1, ...; a
 pointwise map reads the source rows from node first on, a causal kind from
 node 0 on.  Each stage is a few NumPy calls, bit-identical to evaluating term
-by term: a built-in family maps the stack through its row form
-(OperatorFamily.apply_rows / adjoint_rows), and a causal sum is a block-Toeplitz
-product that adds its terms in the loop's order.
+by term: a family maps the stack through its row forms (OperatorFamily.apply_rows
+/ adjoint_rows, one NumPy expression on a built-in's instance), and a causal sum
+is one _ordered_sum, a block-Toeplitz product adding its terms in the loop's order.
 """
 
 from __future__ import annotations
 
 import csv
 import functools
-from dataclasses import dataclass, field
+import math
+from dataclasses import dataclass
 from typing import Callable, Optional, Sequence
 
 import numpy as np
@@ -56,10 +57,10 @@ class OperatorFamily:
     is apply(first + k, X[k]), bit for bit; adjoint_rows(first, Y) does the
     same for adjoint_apply, and maps leading batch axes, X of shape
     (..., rows, n_in), stack by stack.  The package evaluates families only
-    through the row forms.  They are derived state, not constructor arguments: a
-    family built from per-node callables (and any dataclasses.replace of a
-    family) gets the stacking loop over its apply/adjoint_apply, while the
-    built-in families define each row form as one NumPy expression and
+    through the row forms.  They are methods, the stacking loop over
+    apply/adjoint_apply, so a family built from per-node callables (and any
+    dataclasses.replace of a family) loops node by node; the built-in
+    families set each row form on the instance as one NumPy expression and
     derive apply/adjoint_apply from it.  A matrix stage is written
     K @ X[..., None]: NumPy then issues one BLAS mat-vec per row, the call
     K @ x makes, whereas X @ K.T (one matrix-matrix product) or einsum add
@@ -75,33 +76,31 @@ class OperatorFamily:
     adjoint_apply: Callable[[int, np.ndarray], np.ndarray]
     in_weight: float = 1.0
     out_weight: float = 1.0
-    apply_rows: RowMap = field(init=False, repr=False)
-    adjoint_rows: RowMap = field(init=False, repr=False)
 
     def __post_init__(self) -> None:
         if self.n_in < 1 or self.n_out < 1:
             raise InvalidParameterError(
                 f"dimensions must be positive, got n_in={self.n_in}, n_out={self.n_out}"
             )
-        if not (self.in_weight > 0.0 and self.out_weight > 0.0):
-            raise InvalidParameterError("space weights must be positive")
-        object.__setattr__(self, "apply_rows", _stacked(self.apply))
-        object.__setattr__(self, "adjoint_rows", _stacked(self.adjoint_apply))
+        if not (0.0 < self.in_weight < math.inf and 0.0 < self.out_weight < math.inf):
+            raise InvalidParameterError("space weights must lie in (0, inf)")
+
+    def apply_rows(self, first: int, X) -> np.ndarray:
+        return _stacked(self.apply, first, X)
+
+    def adjoint_rows(self, first: int, Y) -> np.ndarray:
+        return _stacked(self.adjoint_apply, first, Y)
 
 
-def _stacked(apply: RowMap) -> RowMap:
-    """The default row form of a per-node map: stack apply(first + k, X[k]) over k."""
-
-    def rows(first: int, X) -> np.ndarray:
-        if np.ndim(X) > 2:
-            return np.array([rows(first, stack) for stack in X], dtype=float)
-        return np.array([apply(first + k, row) for k, row in enumerate(X)], dtype=float)
-
-    return rows
+def _stacked(apply: RowMap, first: int, X) -> np.ndarray:
+    """The row form of a per-node map: row k is apply(first + k, X[k])."""
+    if np.ndim(X) > 2:
+        return np.array([_stacked(apply, first, stack) for stack in X], dtype=float)
+    return np.array([apply(first + k, row) for k, row in enumerate(X)], dtype=float)
 
 
 def _row_family(n_in, n_out, apply_rows: RowMap, adjoint_rows: RowMap, in_weight, out_weight):
-    """A family defined by its row forms; apply(i, x) is row 0 of apply_rows(i, [x])."""
+    """A family with its row forms on the instance; apply(i, x) is row 0 of apply_rows(i, [x])."""
 
     def node(rows: RowMap) -> RowMap:
         return lambda i, x: rows(i, np.asarray(x, dtype=float)[None])[0]
@@ -326,15 +325,19 @@ _TERM_BUDGET = 32768  # product terms one block of source rows may form: bounds 
 def _ordered_sum(kernel, dt: float, rows, causal: bool, first: int = 0) -> np.ndarray:
     """Sum of dt * kernel[|o-s|] * rows[s] over s <= o (causal) or s >= o, ascending s.
 
-    A causal sum forms only the outputs o >= first; an anticausal one skips the zero
-    rows s < first.  A block of source rows forms its terms in one masked multiply (no
-    term outside the triangle, so no 0 * inf) from weights[s, o], a strided Toeplitz
-    view built on its buffer (sliding_window_view's __array_interface__ path holds
-    ~0.5 MB more per process after thousands of shapes).  np.add.reduce adds them to
-    the running sums (+0.0 at first, like the loop's) in ascending s: a block of two
-    rows or more has two lanes or more, and NumPy sums only a single lane pairwise (a
-    one-wide sum forms two outputs at least).  A block holds _TERM_BUDGET // rows.size
-    rows, at least one, so wide stacks get small blocks.  Leading batch axes of rows,
+    The anticausal sum is the causal one's adjoint.  Both keep the loop's term order:
+    uniform Tikhonov's CG count on causal maps sits at the rounding floor of its
+    tolerance, and a Toeplitz matmul or an FFT reorders the terms and moves it.  A
+    causal sum forms only the outputs o >= first; an anticausal one skips the rows
+    s < first, which must be zero (their exact-zero terms change no bit).  A block of
+    source rows forms its terms in one masked multiply (no term outside the triangle,
+    so no 0 * inf) from weights[s, o], a strided Toeplitz view built on its buffer
+    (sliding_window_view's __array_interface__ path holds ~0.5 MB more per process
+    after thousands of shapes).  np.add.reduce adds them to the running sums (+0.0
+    at first, like the loop's) in ascending s: a block of two rows or more has two
+    lanes or more, and NumPy sums only a single lane pairwise (a one-wide sum forms
+    two outputs at least).  A block holds _TERM_BUDGET // rows.size rows, at least
+    one, so wide stacks get small blocks.  Leading batch axes of rows,
     (..., n_t, width), fold into the width.
     """
     if rows.ndim > 2:  # swapaxes reorders the lanes, not a lane's sum, and costs less than moveaxis
@@ -371,23 +374,6 @@ def _reach_pattern(rows: int, n_t: int) -> np.ndarray:
     return np.broadcast_to(np.arange(n_t) >= np.arange(rows)[:, None], (rows, n_t))  # read-only
 
 
-def _causal_sum(kernel: np.ndarray, dt: float, rows: np.ndarray, first: int = 0) -> np.ndarray:
-    """y_i = sum_{j<=i} dt * kernel[i-j] * rows[j], i >= first, ascending j: the loop's bits.
-
-    Order matters: uniform Tikhonov's CG count on causal maps sits at the rounding floor
-    of its tolerance, and a BLAS Toeplitz matmul or an FFT reorders the terms and moves it.
-    """
-    return _ordered_sum(kernel, dt, rows, True, first)
-
-
-def _anticausal_sum(kernel: np.ndarray, dt: float, rows: np.ndarray, first: int = 0) -> np.ndarray:
-    """Adjoint of _causal_sum: v_j = sum_{i>=j} dt * kernel[i-j] * rows[i], ascending i.
-
-    Rows before `first` must be zero; skipping their exact-zero terms changes no bit.
-    """
-    return _ordered_sum(kernel, dt, rows, False, first)
-
-
 def _forward_rows(forward: DynamicForward, values, first: int = 0) -> np.ndarray:
     """Data rows first, first+1, ... of the forward map from the source rows it reads.
 
@@ -398,8 +384,8 @@ def _forward_rows(forward: DynamicForward, values, first: int = 0) -> np.ndarray
         return fam.apply_rows(first, values)
     kernel, dt = forward.kernel[: values.shape[-2]], forward.time_grid.dt
     if forward.kind == ACCUMULATE_THEN_OBSERVE:
-        return _causal_sum(kernel, dt, fam.apply_rows(0, values), first)
-    return fam.apply_rows(first, _causal_sum(kernel, dt, values, first))
+        return _ordered_sum(kernel, dt, fam.apply_rows(0, values), True, first)
+    return fam.apply_rows(first, _ordered_sum(kernel, dt, values, True, first))
 
 
 def _adjoint_rows(forward: DynamicForward, values, first: int = 0) -> np.ndarray:
@@ -410,7 +396,7 @@ def _adjoint_rows(forward: DynamicForward, values, first: int = 0) -> np.ndarray
     if forward.kind == OBSERVE_THEN_ACCUMULATE:
         values = fam.adjoint_rows(first, values)
     rows = np.concatenate([np.zeros(values.shape[:-2] + (first, values.shape[-1])), values], -2)
-    sums = _anticausal_sum(forward.kernel[: rows.shape[-2]], forward.time_grid.dt, rows, first)
+    sums = _ordered_sum(forward.kernel[: rows.shape[-2]], forward.time_grid.dt, rows, False, first)
     return fam.adjoint_rows(0, sums) if forward.kind == ACCUMULATE_THEN_OBSERVE else sums
 
 

@@ -32,7 +32,6 @@ from .operators import (
     apply_forward,
     compose,
     identity_family,
-    make_causal_kernel,
     make_gaussian_smoothing,
     make_scaling_family,
     make_subsample_observer,
@@ -141,9 +140,7 @@ def make_mpi_analogue(
     sensing = _row_family(n_x, 1, apply_rows, adjoint_rows, dx, 1.0)
     if kernel is None:
         kernel = np.exp(-decay * np.arange(n_t) * time_grid.dt)
-    forward = DynamicForward(
-        ACCUMULATE_THEN_OBSERVE, sensing, time_grid, make_causal_kernel(time_grid, kernel)
-    )
+    forward = DynamicForward(ACCUMULATE_THEN_OBSERVE, sensing, time_grid, kernel)
     truth = forward.source_template(np.tile(_bump(space.nodes, 0.55), (n_t, 1)))
     return ProblemInstance(forward, truth, apply_forward(forward, truth), "mpi")
 

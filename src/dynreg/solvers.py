@@ -110,11 +110,11 @@ class KaczmarzConfig:
         if isinstance(self.omega, str):
             if self.omega != "auto":
                 raise InvalidParameterError(f"omega must be positive or 'auto', got {self.omega!r}")
-        elif not self.omega > 0.0:
-            raise InvalidParameterError(f"omega must be positive, got {self.omega}")
+        elif not 0.0 < self.omega < math.inf:
+            raise InvalidParameterError(f"omega must lie in (0, inf), got {self.omega}")
         taus = [self.tau] if np.isscalar(self.tau) else list(self.tau)
-        if any(not t >= 1.0 for t in taus):
-            raise InvalidParameterError(f"discrepancy factors must be >= 1, got {self.tau}")
+        if any(not 1.0 <= t < math.inf for t in taus):
+            raise InvalidParameterError(f"discrepancy factors must lie in [1, inf), got {self.tau}")
         if self.max_sweeps < 0:
             raise InvalidParameterError(f"max_sweeps must be >= 0, got {self.max_sweeps}")
         if self.memory < 1:
@@ -146,10 +146,10 @@ class LinearSubproblem:
             raise DimensionError(f"sub-problem data must be a vector, got shape {data.shape}")
         if not np.all(np.isfinite(data)):
             raise InvalidInputError("sub-problem data contains non-finite entries")
-        if not self.noise_level >= 0.0:
-            raise InvalidParameterError(f"noise level must be >= 0, got {self.noise_level}")
-        if not (self.data_weight > 0.0 and self.unknown_weight > 0.0):
-            raise InvalidParameterError("weights must be positive")
+        if not 0.0 <= self.noise_level < math.inf:
+            raise InvalidParameterError(f"noise level must lie in [0, inf), got {self.noise_level}")
+        if not (0.0 < self.data_weight < math.inf and 0.0 < self.unknown_weight < math.inf):
+            raise InvalidParameterError("weights must be positive and finite")
         data.setflags(write=False)
         object.__setattr__(self, "data", data)
 
@@ -171,14 +171,16 @@ class SolveReport:
     reconstruction is a BochnerFunction for the space-time solvers, a spatial
     vector for the Kaczmarz loops.  trace rows are (iteration, subproblem,
     residual, alpha, error), NaN where a method has no value; residuals is
-    their residual column.  alphas holds tikhonov_temporal's weight per node,
-    tikhonov_uniform's [alpha], or nothing.  error is the relative distance to
-    the truth, when given.  stop_reason is "tolerance" (CG met its tolerance),
-    "discrepancy" (a Kaczmarz cycle met the discrepancy principle), "max_iter"
-    (the iteration or sweep cap ran out) or "breakdown" (CG met p.Ap <= 0: the
-    normal operator is not positive definite, as with a wrong adjoint); the
-    tracking solver's lock-step CG reports its worst node's, with a trace row
-    and an iteration per node.  Non-finite values raise DivergenceError.
+    their residual column; a node's residual carries dt, as a per-node
+    Kaczmarz block's, so their squares sum to ||F theta - y||^2.  alphas
+    holds tikhonov_temporal's weight per node, tikhonov_uniform's [alpha], or
+    nothing.  error is the relative distance to the truth, when given.
+    stop_reason is "tolerance" (CG met its tolerance), "discrepancy" (a
+    Kaczmarz cycle met the discrepancy principle), "max_iter" (the iteration
+    or sweep cap ran out) or "breakdown" (CG met p.Ap <= 0: the normal
+    operator is not positive definite, as with a wrong adjoint); the tracking
+    solver's lock-step CG reports its worst node's, with a trace row and an
+    iteration per node.  Non-finite values raise DivergenceError.
     """
 
     reconstruction: Union[BochnerFunction, np.ndarray]
@@ -353,16 +355,16 @@ def tikhonov_temporal(
     if forward.kind != POINTWISE:
         raise UnsupportedKindError(f"tracking solver needs a pointwise map, not {forward.kind}")
     truth_norm = _check_inputs(forward, data, truth)
-    fam = forward.static
+    fam, dt = forward.static, forward.time_grid.dt
     alphas = _resolve_alphas(alpha, forward.time_grid.n_t, delta)
 
     def normal_op(V: np.ndarray) -> np.ndarray:
-        return fam.adjoint_rows(0, fam.apply_rows(0, V)) + alphas[:, None] * V
+        return _adjoint_rows(forward, _forward_rows(forward, V)) + alphas[:, None] * V
 
-    rhs = fam.adjoint_rows(0, data.values)
+    rhs = _adjoint_rows(forward, data.values)
     snapshots, _, reasons, _, _ = _cg(normal_op, rhs, config.tol, config.max_iter)
-    r = fam.apply_rows(0, snapshots) - data.values
-    residuals = np.sqrt(fam.out_weight * _dot(r, r))
+    r = _forward_rows(forward, snapshots) - data.values
+    residuals = np.sqrt((dt * fam.out_weight) * _dot(r, r))
     errors = np.full(len(alphas), math.nan)
     if truth is not None:
         diff = snapshots - truth.values
@@ -653,8 +655,8 @@ def time_subproblems(
     the N sub-problems, delta_i = delta / sqrt(N), the package convention;
     pass noise_split for explicit per-sub-problem levels.
     """
-    if not delta >= 0.0:
-        raise InvalidParameterError(f"noise level must be >= 0, got {delta}")
+    if not 0.0 <= delta < math.inf:
+        raise InvalidParameterError(f"noise level must lie in [0, inf), got {delta}")
     _check_data(forward, data)
     n_t = forward.time_grid.n_t
     count = n_t if sections is None else sections

@@ -13,6 +13,7 @@ import math
 import os
 import tempfile
 import types
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -129,6 +130,12 @@ class TestGrids:
     def test_from_dt(self):
         grid = TimeGrid.from_dt(0.125, 8)
         assert grid.horizon == 1.0 and grid.n_t == 8
+        assert TimeGrid.from_dt(0.1, 3).dt == 0.1  # 0.1 * 3 / 3 rounds to 0.10000000000000002
+
+    def test_dt_is_derived(self):
+        with pytest.raises(TypeError):
+            TimeGrid(1.0, 4, 0.3)
+        assert replace(TimeGrid(1.0, 4), n_t=8).dt == 0.125
 
     def test_bad_grid_rejected(self):
         with pytest.raises(InvalidParameterError):
@@ -144,6 +151,8 @@ class TestGrids:
         np.testing.assert_allclose(space.nodes, [0.125, 0.375, 0.625, 0.875])
         with pytest.raises(InvalidParameterError):
             SpatialGrid(1.0, 0.0, 4)
+        with pytest.raises(InvalidParameterError, match="at least one cell"):
+            SpatialGrid(0.0, 1.0, 0)
 
 
 BAD_EXPONENTS = [math.inf, -math.inf, math.nan, 0.5, 0.0]
@@ -172,6 +181,16 @@ class TestBochnerFunction:
         grid = TimeGrid(1.0, 3)
         with pytest.raises(DimensionError):
             BochnerFunction(grid, np.zeros((2, 4)))
+
+    @pytest.mark.parametrize("shape, fragment", [((3,), "must be 2-d"), ((3, 0), "at least one")])
+    def test_rejects_malformed_values(self, shape, fragment):
+        with pytest.raises(DimensionError, match=fragment):
+            BochnerFunction(TimeGrid(1.0, 3), np.zeros(shape))
+
+    @pytest.mark.parametrize("weight", [0.0, -1.0, math.inf, math.nan])
+    def test_rejects_bad_space_weight(self, weight):
+        with pytest.raises(InvalidParameterError, match="space weight"):
+            BochnerFunction(TimeGrid(1.0, 2), [[0.5], [5.0]], space_weight=weight)
 
     def test_values_frozen(self):
         u = random_function(0)
@@ -261,6 +280,10 @@ class TestInner:
         with pytest.raises(DimensionError):
             bochner_inner(u, v)
 
+    def test_rejects_other_norm_data(self):
+        with pytest.raises(DimensionError, match="different norm data"):
+            bochner_inner(random_function(7), random_function(8, weight=0.5))
+
 
 class TestHolder:
     def test_equality_case(self):
@@ -286,6 +309,18 @@ class TestHolder:
         u = random_function(11, p=3.0)
         v = random_function(12, p=2.0)
         with pytest.raises(InvalidInputError):
+            holder_pairing(u, v)
+
+    @pytest.mark.parametrize(
+        "other, error, fragment",
+        [({"s": 2.0}, InvalidInputError, "space exponents"),
+         ({"n_t": 8}, DimensionError, "matching grids")],
+        ids=["space", "grid"],
+    )
+    def test_rejects_non_conjugate_space_or_other_grid(self, other, error, fragment):
+        u = random_function(11, p=3.0, s=3.0)
+        v = random_function(12, **{"p": 1.5, "s": 1.5, **other})
+        with pytest.raises(error, match=fragment):
             holder_pairing(u, v)
 
 
@@ -398,6 +433,8 @@ class TestTranslate:
             translate(u, -0.1)
         with pytest.raises(DomainError):
             translate(u, u.grid.horizon)
+        with pytest.raises(DomainError, match="leaves no overlap"):
+            translate(u, u.grid.horizon - 0.4 * u.grid.dt)  # rounds to n_t steps
 
 
 def per_element_csv(nodes, values) -> bytes:
@@ -524,13 +561,13 @@ class TestCsv:
         second = os.path.join(tmp_path, "b.csv")
         write_csv(u, first)
         write_csv(read_csv(first), second)
-        assert open(first, "rb").read() == open(second, "rb").read()
+        assert (tmp_path / "a.csv").read_bytes() == (tmp_path / "b.csv").read_bytes()
 
     def test_header(self, tmp_path):
         u = random_function(19, n_x=3)
         path = os.path.join(tmp_path, "u.csv")
         write_csv(u, path)
-        assert open(path).readline().strip() == "t,x_0,x_1,x_2"
+        assert (tmp_path / "u.csv").read_text().splitlines()[0] == "t,x_0,x_1,x_2"
 
     def test_rejects_malformed(self, tmp_path):
         path = os.path.join(tmp_path, "bad.csv")

@@ -24,6 +24,7 @@ from dynreg import (
 )
 from dynreg import cli
 from dynreg.cli import ExperimentConfig, load_config, main
+from dynreg.svgplot import line_plot
 
 
 def write_config(path, body: str) -> str:
@@ -108,6 +109,9 @@ class TestLoadConfig:
             ("[problem]\nkind = dct\n\n[noise]\nfraction = 1.5\n", "fraction"),
             ("[problem]\nkind = dct\n\n[noise]\nseed = -1\n", r"\[noise\] seed"),
             ("[problem]\nkind = dct\n\n[probe]\nradii = 4, 2\n", r"\[probe\] radii"),
+            ("[problem]\nkind = dct\n\n[probe]\nprobes = ,\n", "empty list"),
+            ("[problem]\nkind = dct\n\n[probe]\nprobes = magic\n", "unknown probe 'magic'"),
+            ("kind = dct\n", "no section headers"),
         ]:
             path = write_config(tmp_path / "bad.ini", body)
             with pytest.raises(Exception, match=fragment):
@@ -625,6 +629,11 @@ class TestPlotFailure:
         assert not (out / f"{name}.svg").exists()
         svg = os.path.join(str(out), f"{name}.svg")
         assert capsys.readouterr().err == f"warning: {svg} not written: no canvas\n"
+
+    def test_plot_of_no_points_raises(self, tmp_path):
+        with pytest.raises(ValueError, match="nothing to plot"):
+            line_plot(str(tmp_path / "a.svg"), [1.0, 2.0], [0.0, -1.0], logy=True)
+        assert not list(tmp_path.iterdir())
 
 
 class TestProbe:

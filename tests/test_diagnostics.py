@@ -16,6 +16,7 @@ import pytest
 
 from dynreg import (
     BochnerFunction,
+    DimensionError,
     DomainError,
     DynamicForward,
     InvalidInputError,
@@ -339,6 +340,11 @@ class TestSingularValues:
         with pytest.raises(InvalidInputError):
             singular_values(np.array([[1.0, math.inf]]))
 
+    @pytest.mark.parametrize("matrix", [np.zeros((0, 3)), np.ones(2)], ids=["empty", "1-d"])
+    def test_rejects_empty_or_1d(self, matrix):
+        with pytest.raises(InvalidInputError, match="non-empty 2-d"):
+            singular_values(matrix)
+
 
 class TestTemporalSpectrum:
     def test_identity_flat_spectrum(self):
@@ -521,6 +527,17 @@ class TestIntegrabilityTail:
         with pytest.raises(InvalidParameterError):
             integrability_tail(problem.forward, [member], [2.0, 1.0])
 
+    @pytest.mark.parametrize("radii", [[0.0, 1.0], [-1.0], [math.inf], []])
+    def test_rejects_non_positive_radii(self, radii):
+        problem = make_identity_problem(4, 2)
+        member = problem.forward.source_template(np.zeros((4, 2)))
+        with pytest.raises(InvalidParameterError, match="radii must be positive reals"):
+            integrability_tail(problem.forward, [member], radii)
+
+    def test_rejects_no_inputs(self):
+        with pytest.raises(InvalidInputError, match="no input functions"):
+            integrability_tail(make_identity_problem(4, 2).forward, [], [1.0])
+
 
 class TestForwardImage:
     def test_formed_once_per_source_and_map(self):
@@ -603,7 +620,7 @@ class TestTranslationModulus:
         assert np.all(expected[1:, 1] > 0.0)
         np.testing.assert_allclose(table, expected, rtol=1e-13, atol=0.0)
 
-    @pytest.mark.parametrize("steps", [-1, 4, 5])
+    @pytest.mark.parametrize("steps", [-1, 4, 5, 3.6])  # 3.6 lies inside [0, T), rounds to 4
     def test_rejects_shift_outside_horizon(self, steps):
         grid = TimeGrid(1.0, 4)
         member = BochnerFunction(grid, np.zeros((4, 1)))
@@ -615,3 +632,11 @@ class TestTranslationModulus:
         member = BochnerFunction(grid, np.zeros((4, 1)))
         with pytest.raises(DomainError):
             translation_modulus([member], [0.4 * grid.dt])
+
+    def test_rejects_empty_or_mixed_ensemble(self):
+        grid = TimeGrid(1.0, 4)
+        member = BochnerFunction(grid, np.zeros((4, 1)))
+        with pytest.raises(InvalidInputError, match="no ensemble members"):
+            translation_modulus([], [0.0])
+        with pytest.raises(DimensionError, match="different norm data"):
+            translation_modulus([member, BochnerFunction(grid, np.zeros((4, 1)), p=3.0)], [0.0])

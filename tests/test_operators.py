@@ -1,6 +1,8 @@
 """Operator families, causal compositions, and their weighted adjoints."""
 
 import contextlib
+import math
+import pickle
 import tracemalloc
 from unittest import mock
 
@@ -28,6 +30,7 @@ from dynreg import (
     compose,
     identity_family,
     load_kernel_csv,
+    load_pattern_csv,
     make_causal_kernel,
     make_dct_analogue,
     make_gaussian_smoothing,
@@ -40,7 +43,7 @@ from dynreg import (
     spatial_norm,
 )
 import dynreg.operators as operators
-from dynreg.operators import _anticausal_sum, _causal_sum
+from dynreg.operators import _ordered_sum
 
 
 def family_adjoint_gap(family, time_indices, seed, in_weight, out_weight):
@@ -100,6 +103,14 @@ def causal_sum_inputs(draw):
     return kernel, dt, rows
 
 
+def per_node_apply(i: int, x: np.ndarray) -> np.ndarray:
+    return (i + 1.0) * np.array([x[0], x[1], x[0] - x[1]])
+
+
+def per_node_adjoint(i: int, y: np.ndarray) -> np.ndarray:
+    return (4.0 * (i + 1.0)) * np.array([y[0] + y[2], y[1] - y[2]])  # out_weight / in_weight = 4
+
+
 class TestOperatorFamily:
     def test_identity(self):
         fam = identity_family(4, weight=0.25)
@@ -110,8 +121,19 @@ class TestOperatorFamily:
     def test_validation(self):
         with pytest.raises(InvalidParameterError):
             OperatorFamily(0, 1, lambda i, x: x, lambda i, y: y)
-        with pytest.raises(InvalidParameterError):
-            OperatorFamily(1, 1, lambda i, x: x, lambda i, y: y, in_weight=-1.0)
+
+    @pytest.mark.parametrize("weight", [-1.0, 0.0, math.inf, math.nan])
+    @pytest.mark.parametrize("side", ["in_weight", "out_weight"])
+    def test_rejects_bad_weight(self, side, weight):
+        with pytest.raises(InvalidParameterError, match="space weights"):
+            OperatorFamily(1, 1, lambda i, x: x, lambda i, y: y, **{side: weight})
+
+    def test_family_of_top_level_callables_pickles(self):
+        fam = OperatorFamily(2, 3, per_node_apply, per_node_adjoint, 0.5, 2.0)
+        back = pickle.loads(pickle.dumps(fam))
+        X, Y = np.arange(8.0).reshape(4, 2), np.arange(12.0).reshape(4, 3)
+        assert back.apply_rows(1, X).tobytes() == fam.apply_rows(1, X).tobytes()
+        assert back.adjoint_rows(1, Y).tobytes() == fam.adjoint_rows(1, Y).tobytes()
 
     def test_compose_checks_dimensions(self):
         a = identity_family(3, weight=1.0)
@@ -185,6 +207,11 @@ class TestSubsampleObserver:
     def test_rejects_out_of_range(self):
         with pytest.raises(InvalidParameterError):
             make_subsample_observer([[4]], 4, weight=0.25)
+
+    @pytest.mark.parametrize("width", [0, 6])
+    def test_rejects_window_width_out_of_range(self, width):
+        with pytest.raises(InvalidParameterError, match=r"window width must lie in \[1, 5\]"):
+            rotating_window_pattern(6, 5, width)
 
 
 class TestScalingFamily:
@@ -268,6 +295,12 @@ class TestKernelCsv:
         with pytest.raises(InvalidInputError):
             load_kernel_csv(str(path), TimeGrid(1.0, 2))
 
+    def test_unparsable_pattern_row(self, tmp_path):
+        path = tmp_path / "pattern.csv"
+        path.write_text("0,1\n1,x\n")
+        with pytest.raises(InvalidInputError, match="unparsable pattern row"):
+            load_pattern_csv(str(path), TimeGrid(1.0, 2))
+
 
 class TestApplyForward:
     def test_identity_composition(self):
@@ -344,6 +377,8 @@ class TestApplyForward:
         wrong = BochnerFunction(TimeGrid(1.0, 4), np.zeros((4, 5)))
         with pytest.raises(DimensionError):
             apply_forward(problem.forward, wrong)
+        with pytest.raises(DimensionError, match="data has 5 components"):
+            apply_adjoint(problem.forward, wrong)
 
     @pytest.mark.parametrize(
         "field",
@@ -424,12 +459,12 @@ class TestCausalSums:
     @settings(max_examples=200, deadline=None)
     @given(causal_sum_inputs())
     def test_causal_sum_bit_identical_to_loop(self, args):
-        assert np.array_equal(_causal_sum(*args), causal_sum_reference(*args))
+        assert np.array_equal(_ordered_sum(*args, True), causal_sum_reference(*args))
 
     @settings(max_examples=200, deadline=None)
     @given(causal_sum_inputs())
     def test_anticausal_sum_bit_identical_to_loop(self, args):
-        assert np.array_equal(_anticausal_sum(*args), anticausal_sum_reference(*args))
+        assert np.array_equal(_ordered_sum(*args, False), anticausal_sum_reference(*args))
 
 
 SIGNED = st.one_of(st.sampled_from([0.0, -0.0]), st.floats(-1e6, 1e6, allow_nan=False))
@@ -477,9 +512,9 @@ class TestOrderedSumKernel:
     def test_blocked_sums_match_reference_bytes(self, args):
         kernel, dt, rows, zero_prefix, start, block = args
         with blocks_of(block, rows):
-            causal = _causal_sum(kernel, dt, rows)
-            anticausal = _anticausal_sum(kernel, dt, rows)
-            skipped = _anticausal_sum(kernel, dt, zero_prefix, start)
+            causal = _ordered_sum(kernel, dt, rows, True)
+            anticausal = _ordered_sum(kernel, dt, rows, False)
+            skipped = _ordered_sum(kernel, dt, zero_prefix, False, start)
             kept = operators._ordered_sum(kernel, dt, rows, True, start)
         assert causal.tobytes() == causal_sum_reference(kernel, dt, rows).tobytes()
         assert kept.tobytes() == causal[start:].tobytes()
@@ -491,15 +526,15 @@ class TestOrderedSumKernel:
     def test_long_narrow_stacks_match_reference_bytes(self, args):
         kernel, dt, rows = args
         assert len(rows) > operators._TERM_BUDGET // rows.size  # more than one block
-        assert _causal_sum(*args).tobytes() == causal_sum_reference(*args).tobytes()
-        assert _anticausal_sum(*args).tobytes() == anticausal_sum_reference(*args).tobytes()
+        assert _ordered_sum(*args, True).tobytes() == causal_sum_reference(*args).tobytes()
+        assert _ordered_sum(*args, False).tobytes() == anticausal_sum_reference(*args).tobytes()
 
     @pytest.mark.parametrize("n_t, width", [(530, 1), (80, 256)])
     def test_long_and_wide_stacks_match_reference_bytes(self, n_t, width):
         # blocks of 61 rows, and of one row (more entries than half the budget)
         args = narrow_stack(n_t, width, n_t, 0.01)
-        assert _causal_sum(*args).tobytes() == causal_sum_reference(*args).tobytes()
-        assert _anticausal_sum(*args).tobytes() == anticausal_sum_reference(*args).tobytes()
+        assert _ordered_sum(*args, True).tobytes() == causal_sum_reference(*args).tobytes()
+        assert _ordered_sum(*args, False).tobytes() == anticausal_sum_reference(*args).tobytes()
 
     @pytest.mark.parametrize("block", [None, 2, 7])
     def test_single_lane_sums_fold_in_ascending_order(self, block):
@@ -507,8 +542,8 @@ class TestOrderedSumKernel:
         rows = np.ones((200, 1))
         rows[0] = 2.0**53
         with blocks_of(block, rows) if block else contextlib.nullcontext():
-            causal = _causal_sum(np.ones(200), 1.0, rows)
-            anticausal = _anticausal_sum(np.ones(200), 1.0, rows)
+            causal = _ordered_sum(np.ones(200), 1.0, rows, True)
+            anticausal = _ordered_sum(np.ones(200), 1.0, rows, False)
         assert np.all(causal == 2.0**53)
         assert anticausal[0, 0] == 2.0**53
         np.testing.assert_array_equal(anticausal[1:, 0], np.arange(199, 0, -1))
@@ -520,13 +555,14 @@ class TestOrderedSumKernel:
         kernel[::3] = 0.0
         rows = rng.standard_normal((40, 2))
         with blocks_of(block, rows), np.errstate(invalid="ignore"):  # 0 * inf where reached
-            causal = _causal_sum(kernel, 0.1, rows)
-            anticausal = _anticausal_sum(kernel, 0.1, rows)
+            causal = _ordered_sum(kernel, 0.1, rows, True)
+            anticausal = _ordered_sum(kernel, 0.1, rows, False)
             for cut in range(40):
                 bumped = rows.copy()
                 bumped[cut] = [np.inf, -np.inf]
-                assert _causal_sum(kernel, 0.1, bumped)[:cut].tobytes() == causal[:cut].tobytes()
-                later = _anticausal_sum(kernel, 0.1, bumped)[cut + 1 :]
+                earlier = _ordered_sum(kernel, 0.1, bumped, True)[:cut]
+                assert earlier.tobytes() == causal[:cut].tobytes()
+                later = _ordered_sum(kernel, 0.1, bumped, False)[cut + 1 :]
                 assert later.tobytes() == anticausal[cut + 1 :].tobytes()
 
     @pytest.mark.parametrize("block", [1, 2, 5, 64])
@@ -535,15 +571,15 @@ class TestOrderedSumKernel:
         # every keep, a one-wide sum's last outputs among them (one lane would fold pairwise)
         kernel, dt, rows = narrow_stack(40, width, 5, 0.1)
         kernel[::3] = 0.0
-        full = _causal_sum(kernel, dt, rows)
+        full = _ordered_sum(kernel, dt, rows, True)
         rng = np.random.default_rng(5)
         with blocks_of(block, rows), np.errstate(invalid="ignore"):  # 0 * inf where reached
             for keep in range(40):
-                assert _causal_sum(kernel, dt, rows, keep).tobytes() == full[keep:].tobytes()
+                assert _ordered_sum(kernel, dt, rows, True, keep).tobytes() == full[keep:].tobytes()
                 cut = rng.integers(keep, 40)
                 bumped = rows.copy()
                 bumped[cut] = np.inf
-                kept = _causal_sum(kernel, dt, bumped, keep)
+                kept = _ordered_sum(kernel, dt, bumped, True, keep)
                 assert kept.shape == (40 - keep, width)
                 assert kept[: cut - keep].tobytes() == full[keep:cut].tobytes()
 
@@ -561,8 +597,8 @@ class TestOrderedSumKernel:
     @pytest.mark.parametrize("shape", [(0, 2), (3, 0)])
     def test_empty_stacks(self, shape):
         kernel = np.ones(shape[0])
-        assert _causal_sum(kernel, 0.5, np.zeros(shape)).shape == shape
-        assert _anticausal_sum(kernel, 0.5, np.zeros(shape)).shape == shape
+        assert _ordered_sum(kernel, 0.5, np.zeros(shape), True).shape == shape
+        assert _ordered_sum(kernel, 0.5, np.zeros(shape), False).shape == shape
 
     def test_add_reduce_folds_two_lanes_or_more_in_ascending_order(self):
         # The kernel adds a block's terms with np.add.reduce over the leading
@@ -582,10 +618,10 @@ class TestOrderedSumKernel:
         # n_t**2 * width products at once would take 512 MB and 2 MB here
         rng = np.random.default_rng(0)
         kernel, rows = rng.standard_normal(n_t), rng.standard_normal((n_t, width))
-        for total in (_causal_sum, _anticausal_sum):
+        for causal in (True, False):
             tracemalloc.start()
             try:
-                total(kernel, 0.01, rows)
+                _ordered_sum(kernel, 0.01, rows, causal)
                 peak = tracemalloc.get_traced_memory()[1]
             finally:
                 tracemalloc.stop()
@@ -646,7 +682,7 @@ class TestReachMasks:
     def test_cache_has_a_fixed_bound(self):
         operators._reach_pattern.cache_clear()
         for n_t in range(1, 200):
-            _causal_sum(np.ones(n_t), 1.0, np.ones((n_t, 1)))
+            _ordered_sum(np.ones(n_t), 1.0, np.ones((n_t, 1)), True)
         info = operators._reach_pattern.cache_info()
         assert info.maxsize == 64 and info.currsize == 64
         pattern = operators._reach_pattern(3, 5)
@@ -661,15 +697,15 @@ class TestReachMasks:
         kernel[::3] = 0.0
         rows = rng.standard_normal((40, 64))
         with blocks_of(block, rows) if block else contextlib.nullcontext():
-            causal = _causal_sum(kernel, 0.1, rows)
-            anticausal = _anticausal_sum(kernel, 0.1, rows)
+            causal = _ordered_sum(kernel, 0.1, rows, True)
+            anticausal = _ordered_sum(kernel, 0.1, rows, False)
             for cut in range(0, 40, 3):
                 bumped = rows.copy()
                 bumped[cut] = np.inf
                 bumped[cut, ::2] = -np.inf
                 with np.errstate(invalid="ignore"):  # 0 * inf where reached
-                    earlier = _causal_sum(kernel, 0.1, bumped)[:cut]
-                    later = _anticausal_sum(kernel, 0.1, bumped)[cut + 1 :]
+                    earlier = _ordered_sum(kernel, 0.1, bumped, True)[:cut]
+                    later = _ordered_sum(kernel, 0.1, bumped, False)[cut + 1 :]
                 assert earlier.tobytes() == causal[:cut].tobytes()
                 assert later.tobytes() == anticausal[cut + 1 :].tobytes()
 

@@ -128,9 +128,8 @@ class TestExport:
         export_instance(problem, noisy, spec, out)
         names = sorted(os.listdir(out))
         assert names == ["data_clean.csv", "data_noisy.csv", "meta.txt", "truth.csv"]
-        meta = dict(
-            line.strip().split("=", 1) for line in open(os.path.join(out, "meta.txt"))
-        )
+        with open(os.path.join(out, "meta.txt")) as f:
+            meta = dict(line.strip().split("=", 1) for line in f)
         assert meta["kind"] == "dct"
         assert meta["n_t"] == "5" and meta["n_x"] == "6"
         assert float(meta["delta"]) == 1e-2 and meta["seed"] == "3"

@@ -39,7 +39,7 @@ from dynreg import (
     tikhonov_temporal,
     time_subproblems,
 )
-from dynreg.operators import KINDS, _adjoint_rows, _anticausal_sum, _forward_rows
+from dynreg.operators import KINDS, _adjoint_rows, _forward_rows, _ordered_sum
 
 
 def gaussian_matrix(space: SpatialGrid, sigma: float) -> np.ndarray:
@@ -391,7 +391,7 @@ class TestZeroPrefixSkip:
     def test_anticausal_sum_skips_zero_rows_bit_for_bit(self, args):
         kernel, dt, rows, start = args
         assert np.array_equal(
-            _anticausal_sum(kernel, dt, rows, start), _anticausal_sum(kernel, dt, rows)
+            _ordered_sum(kernel, dt, rows, False, start), _ordered_sum(kernel, dt, rows, False)
         )
 
     @pytest.mark.parametrize("kind", [ACCUMULATE_THEN_OBSERVE, OBSERVE_THEN_ACCUMULATE])

@@ -266,6 +266,15 @@ class TestConfigs:
         with pytest.raises(InvalidParameterError):
             KaczmarzConfig(memory=0)
 
+    @pytest.mark.parametrize(
+        "setting",
+        [{"omega": math.inf}, {"omega": math.nan}, {"tau": math.inf}, {"tau": [2.0, math.inf]},
+         {"tau": math.nan}],
+    )
+    def test_kaczmarz_config_rejects_non_finite(self, setting):
+        with pytest.raises(InvalidParameterError):
+            KaczmarzConfig(**setting)
+
     def test_rule_validation(self):
         with pytest.raises(InvalidParameterError):
             ParameterRule(scale=1.0, exponent=2.0)
@@ -889,6 +898,15 @@ class TestLandweberKaczmarz(KaczmarzContract):
             with pytest.raises(InvalidParameterError, match="weights must be positive"):
                 LinearSubproblem(lambda x: x, lambda r: r, np.ones(2), 0.0, *weights)
 
+    @pytest.mark.parametrize(
+        "level, weights, fragment",
+        [(math.inf, (1.0, 1.0), "noise level"), (math.nan, (1.0, 1.0), "noise level"),
+         (0.0, (math.inf, 1.0), "weights"), (0.0, (1.0, math.inf), "weights")],
+    )
+    def test_subproblem_rejects_non_finite(self, level, weights, fragment):
+        with pytest.raises(InvalidParameterError, match=fragment):
+            LinearSubproblem(lambda x: x, lambda r: r, np.ones(2), level, *weights)
+
 
 class TestMalformedSubproblems:
     """A sub-problem with no data rows, or whose apply or adjoint returns the wrong
@@ -1353,6 +1371,33 @@ class TestTimeSubproblems:
             time_subproblems(problem.forward, problem.data_clean, 1e-2, sections=5)
         with pytest.raises(DimensionError):
             time_subproblems(problem.forward, problem.data_clean, 1e-2, noise_split=[1.0])
+
+    @pytest.mark.parametrize(
+        "delta, noise_split",
+        [(math.inf, None), (math.nan, None), (1e-2, [0.1, math.inf, 0.1, 0.1])],
+    )
+    def test_rejects_non_finite_noise_level(self, delta, noise_split):
+        # with an infinite level, one sweep would stop by "discrepancy"
+        problem = make_mpi_analogue(24, 8)
+        with pytest.raises(InvalidParameterError, match="noise level"):
+            time_subproblems(problem.forward, problem.data_clean, delta, noise_split, sections=4)
+
+    @pytest.mark.parametrize(
+        "make", [make_dct_analogue, make_nonuniform_example, make_identity_problem]
+    )
+    def test_tracking_residuals_are_the_per_node_blocks(self, make):
+        """tikhonov_temporal's node residuals are the per-node Kaczmarz blocks',
+        dt weight included, and their squares add up to the space-time misfit."""
+        problem = make(32, 16)
+        forward = problem.forward
+        data = add_noise(problem.data_clean, NoiseSpec(1e-2, 0))
+        report = tikhonov_temporal(forward, data, 1e-3)
+        subs = time_subproblems(forward, data, 1e-2)
+        snapshots = report.reconstruction.values
+        blocks = [sub.residual_norm(sub.residual(x)) for sub, x in zip(subs, snapshots)]
+        assert np.array_equal(report.residuals, blocks)
+        misfit = bochner_norm(apply_forward(forward, report.reconstruction) - data)
+        assert math.fsum(r * r for r in report.residuals) == pytest.approx(misfit**2, rel=1e-14)
 
     def test_static_identity_recovery(self):
         problem = make_identity_problem(6, 5)

@@ -62,7 +62,7 @@ def tracking_by_node(forward, data, alphas, tol, max_iter, truth=None):
         reasons.add(reason)
         r = (fam.apply_rows(i, x) - y_i)[0]
         x = snapshots[i] = x[0]
-        res = math.sqrt(fam.out_weight * float(r @ r))
+        res = math.sqrt((forward.time_grid.dt * fam.out_weight) * float(r @ r))
         node_err = math.nan
         if truth is not None:
             diff = x - truth.values[i]
