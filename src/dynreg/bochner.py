@@ -39,6 +39,14 @@ def _check_exponent(value: float, what: str) -> None:
         raise InvalidParameterError(f"{what} must be a finite real >= 1, got {value}")
 
 
+def _check_count(count, name: str, unit: str) -> None:
+    """Node and cell counts are integers >= 1: NumPy integers pass, 2.5 and True do not."""
+    if isinstance(count, bool) or not isinstance(count, (int, np.integer)):
+        raise InvalidParameterError(f"{name} must be an integer, got {count!r}")
+    if count < 1:
+        raise InvalidParameterError(f"need at least one {unit}, got {name}={count}")
+
+
 @dataclass(frozen=True)
 class TimeGrid:
     """Uniform midpoint grid on [0, T] with nodes t_i = (i + 1/2) dt.
@@ -54,8 +62,7 @@ class TimeGrid:
     def __post_init__(self) -> None:
         if not np.isfinite(self.horizon) or self.horizon <= 0.0:
             raise InvalidParameterError(f"horizon must be positive, got {self.horizon}")
-        if self.n_t < 1:
-            raise InvalidParameterError(f"need at least one time node, got n_t={self.n_t}")
+        _check_count(self.n_t, "n_t", "time node")
         object.__setattr__(self, "dt", self.horizon / self.n_t)
 
     @classmethod
@@ -81,8 +88,7 @@ class SpatialGrid:
     def __post_init__(self) -> None:
         if not (np.isfinite(self.a) and np.isfinite(self.b)) or self.a >= self.b:
             raise InvalidParameterError(f"need a < b, got [{self.a}, {self.b}]")
-        if self.n_x < 1:
-            raise InvalidParameterError(f"need at least one cell, got n_x={self.n_x}")
+        _check_count(self.n_x, "n_x", "cell")
 
     @property
     def dx(self) -> float:
@@ -155,15 +161,12 @@ class BochnerFunction:
         """Same geometry, new values."""
         return BochnerFunction(self.grid, values, self.p, self.space_exponent, self.space_weight)
 
+    def _geometry(self) -> tuple[tuple, tuple]:
+        """What functions must share to be combined: (grid, n_dim) and (p, s, weight)."""
+        return (self.grid, self.n_dim), (self.p, self.space_exponent, self.space_weight)
+
     def _require_same_geometry(self, other: "BochnerFunction") -> None:
-        if self.grid != other.grid or self.n_dim != other.n_dim:
-            raise DimensionError("functions live on different grids")
-        if (
-            self.p != other.p
-            or self.space_exponent != other.space_exponent
-            or self.space_weight != other.space_weight
-        ):
-            raise DimensionError("functions carry different norm data")
+        _require_geometry(self._geometry(), other)
 
     def __add__(self, other: "BochnerFunction") -> "BochnerFunction":
         self._require_same_geometry(other)
@@ -183,6 +186,15 @@ class BochnerFunction:
             f"BochnerFunction(n_t={self.n_t}, n_dim={self.n_dim}, p={self.p}, "
             f"s={self.space_exponent}, weight={self.space_weight:g})"
         )
+
+
+def _require_geometry(geometry: tuple[tuple, tuple], other: BochnerFunction) -> None:
+    """Raise DimensionError unless other has this _geometry()."""
+    shape, norm_data = other._geometry()
+    if shape != geometry[0]:
+        raise DimensionError("functions live on different grids")
+    if norm_data != geometry[1]:
+        raise DimensionError("functions carry different norm data")
 
 
 def _ascending_sum(terms: np.ndarray) -> np.ndarray:

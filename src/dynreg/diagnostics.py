@@ -19,7 +19,7 @@ from functools import partial
 import numpy as np
 
 from .bochner import BochnerFunction, bochner_norm
-from .bochner import _ascending_sum, _mixed_norm, _row_norms, _shift_steps
+from .bochner import _ascending_sum, _mixed_norm, _require_geometry, _row_norms, _shift_steps
 from .errors import (
     DomainError,
     InvalidInputError,
@@ -192,21 +192,28 @@ def integrability_tail(
     ball of the source space.  Each image's node norms are computed once and
     the masses summed in ascending node order, so they equal this sum taken
     node by node to rounding level.  The images come from forward_image.
+    inputs may be any iterable and is streamed: one input is checked, mapped
+    and reduced before the next is drawn, so the memory is one input and its
+    image, whatever the size of the family.
     """
     if not 0.0 < q < math.inf:
         raise InvalidParameterError(f"tail exponent must be a finite positive real, got {q}")
     radii = _check_radii(radii)
-    inputs = list(inputs)
-    if not inputs:
-        raise InvalidInputError("no input functions given")
-    for n, theta in enumerate(inputs):
+    above = np.array(radii)[:, None]
+    dt = forward.time_grid.dt
+    worst, n = None, 0
+    for theta in inputs:
         if bochner_norm(theta) > 1.0 + 1e-9:
             raise InvalidInputError(f"input {n} lies outside the unit ball")
-    dt = forward.time_grid.dt
-    images = (forward_image(forward, theta) for theta in inputs)
-    norms = np.array([_row_norms(f.values, f.space_weight, f.space_exponent) for f in images])
-    masked = np.where(norms > np.array(radii)[:, None, None], dt * norms**q, 0.0)
-    return np.column_stack([radii, _ascending_sum(masked).max(axis=1)])
+        f = forward_image(forward, theta)
+        norms = _row_norms(f.values, f.space_weight, f.space_exponent)
+        tails = _ascending_sum(np.where(norms > above, dt * norms**q, 0.0))
+        worst = tails if worst is None else np.maximum(worst, tails)
+        n += 1
+        del theta, f  # the loop variable would keep them (and the cached image) alive
+    if worst is None:
+        raise InvalidInputError("no input functions given")
+    return np.column_stack([radii, worst])
 
 
 def translation_modulus(ensemble, shifts) -> np.ndarray:
@@ -218,27 +225,29 @@ def translation_modulus(ensemble, shifts) -> np.ndarray:
     ensembles of forward images or reconstructions.  Each modulus is the
     mixed norm of the row difference values[k:] - values[:n_t - k], so it
     equals bochner_norm(translate(f, z) - head of f) to rounding level.
+    ensemble may be any iterable and is streamed, one member at a time, so
+    the memory is one member, whatever the size of the ensemble.
 
     Returns an array of rows (z, modulus).
     """
-    ensemble = list(ensemble)
-    if not ensemble:
-        raise InvalidInputError("no ensemble members given")
-    first = ensemble[0]
-    for f in ensemble[1:]:
-        first._require_same_geometry(f)
-    grid = first.grid
-    shifts = [float(z) for z in shifts]
-    steps = [_shift_steps(grid, z) for z in shifts]
-    for z, k in zip(shifts, steps):
-        if abs(z / grid.dt - k) > 1e-9:
-            raise DomainError(f"shift {z} is not a grid multiple of dt={grid.dt}")
-    worst = np.zeros(len(shifts))
+    worst = None
     for f in ensemble:
+        if worst is None:  # the first member fixes the geometry and checks the shifts
+            geometry, grid = f._geometry(), f.grid
+            shifts = [float(z) for z in shifts]
+            steps = [_shift_steps(grid, z) for z in shifts]
+            for z, k in zip(shifts, steps):
+                if abs(z / grid.dt - k) > 1e-9:
+                    raise DomainError(f"shift {z} is not a grid multiple of dt={grid.dt}")
+            worst = np.zeros(len(shifts))
+        _require_geometry(geometry, f)
         v = f.values
         moduli = [
             _mixed_norm(v[k:] - v[: f.n_t - k], grid.dt, f.space_weight, f.p, f.space_exponent)
             for k in steps
         ]
         worst = np.maximum(worst, moduli)
+        del f, v  # the loop variable would keep the member alive
+    if worst is None:
+        raise InvalidInputError("no ensemble members given")
     return np.column_stack([shifts, worst])

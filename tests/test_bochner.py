@@ -154,6 +154,19 @@ class TestGrids:
         with pytest.raises(InvalidParameterError, match="at least one cell"):
             SpatialGrid(0.0, 1.0, 0)
 
+    @pytest.mark.parametrize("n_t", [2.5, 4.0, True, "4"])
+    def test_time_grid_count_is_an_integer(self, n_t):
+        # TimeGrid(1.0, 2.5) would put a node at T, and TimeGrid(1.0, True) would build
+        with pytest.raises(InvalidParameterError, match="n_t must be an integer"):
+            TimeGrid(1.0, n_t)
+        assert TimeGrid(1.0, np.int64(4)) == TimeGrid(1.0, 4)
+
+    @pytest.mark.parametrize("n_x", [2.5, 4.0, True, "4"])
+    def test_spatial_grid_count_is_an_integer(self, n_x):
+        with pytest.raises(InvalidParameterError, match="n_x must be an integer"):
+            SpatialGrid(0.0, 1.0, n_x)
+        assert SpatialGrid(0.0, 1.0, np.int32(4)).dx == 0.25
+
 
 BAD_EXPONENTS = [math.inf, -math.inf, math.nan, 0.5, 0.0]
 

@@ -9,6 +9,7 @@ import importlib
 import math
 import os
 import textwrap
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -17,10 +18,14 @@ import pytest
 from dynreg import (
     NoiseSpec,
     add_noise,
+    apply_forward,
     bochner_norm,
+    integrability_tail,
     make_identity_problem,
+    make_nonuniform_example,
     read_csv,
     rotating_window_pattern,
+    translation_modulus,
 )
 from dynreg import cli
 from dynreg.cli import ExperimentConfig, load_config, main
@@ -731,6 +736,74 @@ class TestProbe:
         for name in ("integrability", "translation"):
             for ext in (".csv", ".svg"):
                 assert both[name + ext] == trees[name][name + ext]
+
+    def test_streamed_ensemble_writes_the_whole_list_tables(self, tmp_path):
+        # the CLI runs each probe on one member at a time and keeps the elementwise max
+        path = write_config(tmp_path / "a.ini", """\
+            [problem]
+            kind = nonuniform
+            n_t = 24
+            n_x = 6
+
+            [probe]
+            probes = integrability,translation
+            ensemble = 6
+            radii = 0.5, 1, 2, 4
+            shift_steps = 1, 2, 4, 8
+            """)
+        out = tmp_path / "out"
+        assert main(["probe", "--config", path, "--out", str(out), "--seed", "0", "--quiet"]) == 0
+        forward = make_nonuniform_example(24, 6).forward
+        shape = (24, 6)
+        draws = [np.ones(shape)]
+        draws += [np.random.default_rng(1000 + k).standard_normal(shape) for k in range(5)]
+        sources = [forward.source_template(d) for d in draws]
+        members = [f * (1.0 / bochner_norm(f)) for f in sources]
+        images = [apply_forward(forward, f) for f in members]
+        shifts = [k * forward.time_grid.dt for k in (1, 2, 4, 8)]
+        radii = [0.5, 1.0, 2.0, 4.0]
+        tables = {
+            "integrability": ("r,tail", integrability_tail(forward, members, radii)),
+            "translation": ("z,modulus", translation_modulus(images, shifts)),
+        }
+        single = {
+            "integrability": [integrability_tail(forward, [f], radii)[:, 1] for f in members],
+            "translation": [translation_modulus([f], shifts)[:, 1] for f in images],
+        }
+        for name, (header, table) in tables.items():
+            # the maximum moves between members across the rows
+            assert len(set(np.argmax(single[name], axis=0))) >= 2
+            cli._write_table(str(tmp_path / f"{name}.csv"), header, table)
+            written = (out / f"{name}.csv").read_bytes()
+            assert written == (tmp_path / f"{name}.csv").read_bytes()
+
+    def test_ensemble_memory_does_not_grow_with_its_size(self, tmp_path):
+        # streamed, 28 more members may cost less than one member's bytes; holding
+        # every member and its image at once took 28 * 64 KiB more at 32 than at 4
+        n_t, n_x = 128, 32
+        member_bytes = n_t * n_x * 8
+
+        def peak(ensemble):
+            path = write_config(tmp_path / f"e{ensemble}.ini", f"""\
+                [problem]
+                kind = nonuniform
+                n_t = {n_t}
+                n_x = {n_x}
+
+                [probe]
+                probes = integrability,translation
+                ensemble = {ensemble}
+                """)
+            argv = ["probe", "--config", path, "--out", str(tmp_path / "out"), "--quiet"]
+            tracemalloc.start()
+            try:
+                assert main(argv) == 0
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        peak(32)  # warm-up: first-call allocations are not the ensemble's
+        assert peak(32) < peak(4) + member_bytes + 16 * 2**10
 
     def test_quiet_suppresses_stdout(self, tmp_path, capsys):
         path = write_config(tmp_path / "a.ini", """\

@@ -10,6 +10,7 @@ here as scalar reference loops.
 """
 
 import math
+import weakref
 
 import numpy as np
 import pytest
@@ -640,3 +641,61 @@ class TestTranslationModulus:
             translation_modulus([], [0.0])
         with pytest.raises(DimensionError, match="different norm data"):
             translation_modulus([member, BochnerFunction(grid, np.zeros((4, 1)), p=3.0)], [0.0])
+
+
+def streamed(make, count, refs, alive):
+    """Yield make(k) for k < count, one at a time.
+
+    Each member is tracked in refs by weakref (a caller may track more there);
+    before member k is made, alive records how many tracked objects still live.
+    """
+    for k in range(count):
+        alive.append(sum(ref() is not None for ref in refs))
+        member = make(k)
+        refs.append(weakref.ref(member))
+        yield member
+        del member
+
+
+class TestStreamedEnsembles:
+    """Both ensemble probes hold one member, and its image, at a time."""
+
+    def test_tail_drops_each_input_and_its_image_before_the_next(self, monkeypatch):
+        forward = make_nonuniform_example(16, 4).forward
+        members = unit_ball_ensemble(forward, 5, seed=3)
+        refs, alive = [], []
+
+        def tracked_image(fwd, theta):
+            image = forward_image(fwd, theta)
+            refs.append(weakref.ref(image))
+            return image
+
+        monkeypatch.setattr(diagnostics, "forward_image", tracked_image)
+        make = lambda k: members[k].with_values(members[k].values)  # a copy only the probe holds
+        table = integrability_tail(forward, streamed(make, 5, refs, alive), [0.5, 1.0, 2.0])
+        assert alive == [0] * 5 and len(refs) == 10
+        whole = integrability_tail(forward, members, [0.5, 1.0, 2.0])
+        assert table.tobytes() == whole.tobytes()
+
+    def test_tail_names_the_streamed_input_outside_the_unit_ball(self):
+        forward = make_identity_problem(4, 2).forward
+        unit = forward.source_template(np.full((4, 2), 0.25))
+        make = lambda k: unit * (10.0 if k == 2 else 1.0)
+        with pytest.raises(InvalidInputError, match="input 2 lies outside the unit ball"):
+            integrability_tail(forward, streamed(make, 4, [], []), [1.0])
+
+    def test_translation_drops_each_member_before_the_next(self):
+        grid = TimeGrid(1.0, 12)
+        make = lambda k: BochnerFunction(grid, np.random.default_rng(k).standard_normal((12, 3)))
+        refs, alive = [], []
+        shifts = [grid.dt, 4 * grid.dt]
+        table = translation_modulus(streamed(make, 6, refs, alive), shifts)
+        assert alive == [0] * 6
+        whole = translation_modulus([make(k) for k in range(6)], shifts)
+        assert table.tobytes() == whole.tobytes()
+
+    def test_translation_checks_each_streamed_member(self):
+        grid = TimeGrid(1.0, 4)
+        make = lambda k: BochnerFunction(grid, np.zeros((4, 1)), p=3.0 if k == 2 else 2.0)
+        with pytest.raises(DimensionError, match="different norm data"):
+            translation_modulus(streamed(make, 3, [], []), [0.0])

@@ -1,6 +1,7 @@
 """Built-in problem instances, the noise model, and instance export."""
 
 import os
+import types
 
 import numpy as np
 import pytest
@@ -8,6 +9,7 @@ import pytest
 from dynreg import (
     BUILTIN_PROBLEMS,
     DimensionError,
+    InvalidInputError,
     InvalidParameterError,
     NoiseSpec,
     add_noise,
@@ -117,6 +119,33 @@ class TestNoise:
             NoiseSpec(0.1, seed=0, fraction=1.5)
         with pytest.raises(InvalidParameterError, match="seed"):
             NoiseSpec(0.1, seed=-1)
+
+
+def zero_draws_first(monkeypatch, seed: int, zeros: int) -> None:
+    """Make the generators seeded seed, ..., seed + zeros - 1 draw all zeros."""
+    real = np.random.default_rng
+
+    def default_rng(s):
+        zero = seed <= s < seed + zeros
+        return types.SimpleNamespace(standard_normal=np.zeros) if zero else real(s)
+
+    monkeypatch.setattr(np.random, "default_rng", default_rng)
+
+
+class TestZeroNoiseDraws:
+    @pytest.mark.parametrize("zeros", [1, 2, 3])
+    def test_retry_takes_the_next_seed(self, monkeypatch, zeros):
+        data = make_mpi_analogue(5, 6).data_clean
+        expected = add_noise(data, NoiseSpec(1e-2, seed=7 + zeros))
+        zero_draws_first(monkeypatch, 7, zeros)
+        noisy = add_noise(data, NoiseSpec(1e-2, seed=7))
+        assert noisy.values.tobytes() == expected.values.tobytes()
+
+    def test_four_zero_draws_raise(self, monkeypatch):
+        data = make_mpi_analogue(5, 6).data_clean
+        zero_draws_first(monkeypatch, 7, 4)
+        with pytest.raises(InvalidInputError, match="zero norm four times"):
+            add_noise(data, NoiseSpec(1e-2, seed=7))
 
 
 class TestExport:
