@@ -17,7 +17,6 @@ scalar Python loop: NumPy's power need not round like libm's pow.
 from __future__ import annotations
 
 import csv
-import math
 import os
 import tempfile
 from dataclasses import dataclass, field
@@ -30,21 +29,9 @@ from .errors import (
     InvalidInputError,
     InvalidParameterError,
     UnsupportedGeometryError,
+    _count,
+    _real,
 )
-
-
-def _check_exponent(value: float, what: str) -> None:
-    """Norm exponents are finite reals >= 1; an infinite one would need a max-norm."""
-    if not 1.0 <= value < math.inf:
-        raise InvalidParameterError(f"{what} must be a finite real >= 1, got {value}")
-
-
-def _check_count(count, name: str, unit: str) -> None:
-    """Node and cell counts are integers >= 1: NumPy integers pass, 2.5 and True do not."""
-    if isinstance(count, bool) or not isinstance(count, (int, np.integer)):
-        raise InvalidParameterError(f"{name} must be an integer, got {count!r}")
-    if count < 1:
-        raise InvalidParameterError(f"need at least one {unit}, got {name}={count}")
 
 
 @dataclass(frozen=True)
@@ -60,9 +47,8 @@ class TimeGrid:
     dt: float = field(init=False)
 
     def __post_init__(self) -> None:
-        if not np.isfinite(self.horizon) or self.horizon <= 0.0:
-            raise InvalidParameterError(f"horizon must be positive, got {self.horizon}")
-        _check_count(self.n_t, "n_t", "time node")
+        _real(self.horizon, "horizon", "(0, inf)")
+        _count(self.n_t, "n_t")
         object.__setattr__(self, "dt", self.horizon / self.n_t)
 
     @classmethod
@@ -88,7 +74,7 @@ class SpatialGrid:
     def __post_init__(self) -> None:
         if not (np.isfinite(self.a) and np.isfinite(self.b)) or self.a >= self.b:
             raise InvalidParameterError(f"need a < b, got [{self.a}, {self.b}]")
-        _check_count(self.n_x, "n_x", "cell")
+        _count(self.n_x, "n_x")
 
     @property
     def dx(self) -> float:
@@ -136,12 +122,11 @@ class BochnerFunction:
             )
         if arr.shape[1] < 1:
             raise DimensionError("values need at least one spatial component")
-        if not np.all(np.isfinite(arr)):
+        if not np.isfinite(arr).all():  # not np.all: its dispatch costs more than a small check
             raise InvalidInputError("values contain non-finite entries")
-        _check_exponent(p, "time exponent")
-        _check_exponent(space_exponent, "space exponent")
-        if not 0.0 < space_weight < math.inf:
-            raise InvalidParameterError(f"space weight must lie in (0, inf), got {space_weight}")
+        _real(p, "time exponent", "[1, inf)")
+        _real(space_exponent, "space exponent", "[1, inf)")
+        _real(space_weight, "space weight", "(0, inf)")
         arr.setflags(write=False)
         self.grid = grid
         self.values = arr
@@ -230,8 +215,12 @@ def _pairing(u: BochnerFunction, v: BochnerFunction) -> float:
 
 def spatial_norm(v: np.ndarray, weight: float, exponent: float) -> float:
     """Weighted discrete l^s norm of one spatial vector, ascending summation."""
-    _check_exponent(exponent, "spatial exponent")
-    return float(_row_norms(np.asarray(v, dtype=float), weight, exponent))
+    _real(weight, "spatial weight", "(0, inf)")
+    _real(exponent, "spatial exponent", "[1, inf)")
+    v = np.asarray(v, dtype=float)
+    if v.ndim != 1 or v.size == 0:
+        raise DimensionError(f"need a non-empty vector, got shape {v.shape}")
+    return float(_row_norms(v, weight, exponent))
 
 
 def bochner_norm(u: BochnerFunction) -> float:

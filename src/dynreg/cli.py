@@ -42,6 +42,8 @@ from .errors import (
     DynregError,
     InvalidInputError,
     InvalidParameterError,
+    _count,
+    _real,
 )
 from .operators import apply_forward, load_kernel_csv, load_pattern_csv
 from .problems import (
@@ -74,17 +76,15 @@ _POINTWISE_KINDS = ("dct", "nonuniform", "identity")
 
 
 def _parse_positive_float(raw: str) -> float:
-    v = float(raw)
-    if not math.isfinite(v) or v <= 0.0:
-        raise ValueError(f"must be a positive real, got {raw}")
-    return v
+    value = float(raw)
+    _real(value, "value", "(0, inf)")
+    return value
 
 
 def _parse_positive_int(raw: str) -> int:
-    v = int(raw)
-    if v < 1:
-        raise ValueError(f"must be a positive integer, got {raw}")
-    return v
+    value = int(raw)
+    _count(value, "value")
+    return value
 
 
 def _parse_omega(raw: str):
@@ -318,16 +318,9 @@ def _run_solver(
 
 
 def _write_table(path: str, header: str, rows) -> None:
-    lines = [header]
-    for row in rows:
-        cells = []
-        for cell in row:
-            if isinstance(cell, (int, np.integer)):
-                cells.append(str(int(cell)))
-            else:
-                cells.append(f"{float(cell):.17g}")
-        lines.append(",".join(cells))
-    _atomic_write_text(path, "\n".join(lines) + "\n")
+    """One %.17g format per row, as write_csv: an integer below 2**53 prints as str() does."""
+    line = ",".join(["%.17g"] * (header.count(",") + 1))
+    _atomic_write_text(path, "\n".join([header] + [line % tuple(row) for row in rows]) + "\n")
 
 
 def _say(quiet: bool, message: str) -> None:

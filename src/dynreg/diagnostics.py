@@ -26,6 +26,8 @@ from .errors import (
     InvalidParameterError,
     ResourceLimitError,
     UnsupportedKindError,
+    _count,
+    _real,
 )
 from .operators import (
     DynamicForward,
@@ -85,10 +87,7 @@ def assemble_dense(
             raise UnsupportedKindError(
                 f"frozen-time assembly needs a pointwise map, not {op.kind}"
             )
-        if not 0 <= time_index < op.time_grid.n_t:
-            raise DomainError(
-                f"time index {time_index} outside [0, {op.time_grid.n_t})"
-            )
+        _count(time_index, "time index", 0, op.time_grid.n_t - 1, DomainError)
         op = op.static
     if isinstance(op, OperatorFamily):
         fam, n_t, what = op, 1, "frozen-time assembly"
@@ -165,8 +164,9 @@ def forward_image(forward: DynamicForward, theta: BochnerFunction) -> BochnerFun
 def _check_radii(radii) -> list[float]:
     """The tail radii as floats: positive, finite and strictly ascending."""
     radii = [float(r) for r in radii]
-    if not radii or any(not np.isfinite(r) or r <= 0.0 for r in radii):
-        raise InvalidParameterError(f"radii must be positive reals, got {radii}")
+    _count(len(radii), "number of radii")
+    for r in radii:
+        _real(r, "radii", "(0, inf)")
     if any(b <= a for a, b in zip(radii, radii[1:])):
         raise InvalidParameterError("radii must be strictly ascending")
     return radii
@@ -196,8 +196,7 @@ def integrability_tail(
     and reduced before the next is drawn, so the memory is one input and its
     image, whatever the size of the family.
     """
-    if not 0.0 < q < math.inf:
-        raise InvalidParameterError(f"tail exponent must be a finite positive real, got {q}")
+    _real(q, "tail exponent", "(0, inf)")
     radii = _check_radii(radii)
     above = np.array(radii)[:, None]
     dt = forward.time_grid.dt

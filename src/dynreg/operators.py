@@ -26,14 +26,13 @@ from __future__ import annotations
 
 import csv
 import functools
-import math
 from dataclasses import dataclass
 from typing import Callable, Optional, Sequence
 
 import numpy as np
 
-from .bochner import BochnerFunction, SpatialGrid, TimeGrid, _check_exponent
-from .errors import DimensionError, InvalidInputError, InvalidParameterError
+from .bochner import BochnerFunction, SpatialGrid, TimeGrid
+from .errors import DimensionError, InvalidInputError, InvalidParameterError, _count, _real
 
 POINTWISE = "pointwise"
 OBSERVE_THEN_ACCUMULATE = "observe_then_accumulate"
@@ -78,12 +77,10 @@ class OperatorFamily:
     out_weight: float = 1.0
 
     def __post_init__(self) -> None:
-        if self.n_in < 1 or self.n_out < 1:
-            raise InvalidParameterError(
-                f"dimensions must be positive, got n_in={self.n_in}, n_out={self.n_out}"
-            )
-        if not (0.0 < self.in_weight < math.inf and 0.0 < self.out_weight < math.inf):
-            raise InvalidParameterError("space weights must lie in (0, inf)")
+        _count(self.n_in, "n_in")
+        _count(self.n_out, "n_out")
+        _real(self.in_weight, "in_weight", "(0, inf)")
+        _real(self.out_weight, "out_weight", "(0, inf)")
 
     def apply_rows(self, first: int, X) -> np.ndarray:
         return _stacked(self.apply, first, X)
@@ -159,8 +156,7 @@ def make_gaussian_smoothing(grid: SpatialGrid, sigma: float) -> OperatorFamily:
     fast singular-value decay makes it the smoothing (compact) building
     block of the benchmark problems.
     """
-    if not sigma > 0.0:
-        raise InvalidParameterError(f"kernel width must be positive, got {sigma}")
+    _real(sigma, "sigma", "(0, inf)")
     x = grid.nodes
     kernel = grid.dx * np.exp(-((x[:, None] - x[None, :]) ** 2) / (2.0 * sigma * sigma))
 
@@ -178,6 +174,7 @@ def make_subsample_observer(
     Each index set must be non-empty and within range.  The family is
     self-adjoint with operator norm exactly 1.
     """
+    _count(dim, "dim")
     masks = np.zeros((len(pattern), dim))
     for i, idx in enumerate(pattern):
         idx = list(idx)
@@ -198,8 +195,7 @@ def make_subsample_observer(
 
 def rotating_window_pattern(n_t: int, dim: int, width: int) -> list[list[int]]:
     """Index sets of a width-`width` window sliding one slot per time step."""
-    if not 1 <= width <= dim:
-        raise InvalidParameterError(f"window width must lie in [1, {dim}], got {width}")
+    _count(width, "window width", 1, dim)
     return [sorted({(i + l) % dim for l in range(width)}) for i in range(n_t)]
 
 
@@ -266,7 +262,7 @@ class DynamicForward:
             object.__setattr__(self, "kernel", make_causal_kernel(self.time_grid, self.kernel))
         for name in ("source_exponent", "source_space_exponent", "data_exponent",
                      "data_space_exponent"):
-            _check_exponent(getattr(self, name), name.replace("_", " "))
+            _real(getattr(self, name), name.replace("_", " "), "[1, inf)")
 
     @property
     def n_source(self) -> int:

@@ -22,7 +22,7 @@ from .bochner import (
     bochner_norm,
     write_csv,
 )
-from .errors import DimensionError, InvalidInputError, InvalidParameterError
+from .errors import DimensionError, InvalidInputError, _count, _real
 from .operators import (
     ACCUMULATE_THEN_OBSERVE,
     DynamicForward,
@@ -62,12 +62,9 @@ class NoiseSpec:
     fraction: float = 0.99
 
     def __post_init__(self) -> None:
-        if not self.delta > 0.0:
-            raise InvalidParameterError(f"noise level must be positive, got {self.delta}")
-        if not self.seed >= 0:
-            raise InvalidParameterError(f"seed must be >= 0, got {self.seed}")
-        if not 0.0 < self.fraction <= 1.0:
-            raise InvalidParameterError(f"fraction must lie in (0, 1], got {self.fraction}")
+        _real(self.delta, "noise level", "(0, inf)")
+        _count(self.seed, "seed", 0)
+        _real(self.fraction, "fraction", "(0, 1]")
 
 
 def _bump(x: np.ndarray, center: float) -> np.ndarray:
@@ -122,8 +119,7 @@ def make_mpi_analogue(
     with explicit `kernel` samples when given.  The truth is constant in
     time.
     """
-    if not decay >= 0.0:
-        raise InvalidParameterError(f"kernel decay must be >= 0, got {decay}")
+    _real(decay, "decay", "[0, inf)")
     time_grid = TimeGrid(horizon, n_t)
     space = SpatialGrid(0.0, 1.0, n_x)
     dx = space.dx

@@ -25,6 +25,8 @@ from .errors import (
     InvalidParameterError,
     UnsupportedGeometryError,
     UnsupportedKindError,
+    _count,
+    _real,
 )
 from .operators import (
     DynamicForward,
@@ -46,10 +48,8 @@ class TikhonovConfig:
     max_iter: int = 5000
 
     def __post_init__(self) -> None:
-        if not 0.0 < self.tol < 1.0:
-            raise InvalidParameterError(f"tolerance must lie in (0, 1), got {self.tol}")
-        if self.max_iter < 1:
-            raise InvalidParameterError(f"need max_iter >= 1, got {self.max_iter}")
+        _real(self.tol, "tol", "(0, 1)")
+        _count(self.max_iter, "max_iter")
 
 
 @dataclass(frozen=True)
@@ -65,18 +65,13 @@ class ParameterRule:
     exponent: float
 
     def __post_init__(self) -> None:
-        if not self.scale > 0.0:
-            raise InvalidParameterError(f"rule scale must be positive, got {self.scale}")
-        if not 0.0 < self.exponent < 2.0:
-            raise InvalidParameterError(
-                f"rule exponent must lie in (0, 2.0), got {self.exponent}"
-            )
+        _real(self.scale, "rule scale", "(0, inf)")
+        _real(self.exponent, "rule exponent", "(0, 2)")
 
 
 def choose_alpha(rule: ParameterRule, delta: float) -> float:
     """Evaluate an a-priori rule at noise level delta."""
-    if not delta > 0.0:
-        raise InvalidParameterError(f"noise level must be positive, got {delta}")
+    _real(delta, "noise level", "(0, inf)")
     try:
         alpha = rule.scale * delta**rule.exponent
     except OverflowError:
@@ -110,15 +105,12 @@ class KaczmarzConfig:
         if isinstance(self.omega, str):
             if self.omega != "auto":
                 raise InvalidParameterError(f"omega must be positive or 'auto', got {self.omega!r}")
-        elif not 0.0 < self.omega < math.inf:
-            raise InvalidParameterError(f"omega must lie in (0, inf), got {self.omega}")
-        taus = [self.tau] if np.isscalar(self.tau) else list(self.tau)
-        if any(not 1.0 <= t < math.inf for t in taus):
-            raise InvalidParameterError(f"discrepancy factors must lie in [1, inf), got {self.tau}")
-        if self.max_sweeps < 0:
-            raise InvalidParameterError(f"max_sweeps must be >= 0, got {self.max_sweeps}")
-        if self.memory < 1:
-            raise InvalidParameterError(f"memory must be >= 1, got {self.memory}")
+        else:
+            _real(self.omega, "omega", "(0, inf)")
+        for tau in [self.tau] if np.isscalar(self.tau) else self.tau:
+            _real(tau, "tau", "[1, inf)")
+        _count(self.max_sweeps, "max_sweeps", 0)
+        _count(self.memory, "memory")
 
 
 @dataclass(frozen=True, eq=False)
@@ -146,10 +138,9 @@ class LinearSubproblem:
             raise DimensionError(f"sub-problem data must be a vector, got shape {data.shape}")
         if not np.all(np.isfinite(data)):
             raise InvalidInputError("sub-problem data contains non-finite entries")
-        if not 0.0 <= self.noise_level < math.inf:
-            raise InvalidParameterError(f"noise level must lie in [0, inf), got {self.noise_level}")
-        if not (0.0 < self.data_weight < math.inf and 0.0 < self.unknown_weight < math.inf):
-            raise InvalidParameterError("weights must be positive and finite")
+        _real(self.noise_level, "noise level", "[0, inf)")
+        _real(self.data_weight, "data_weight", "(0, inf)")
+        _real(self.unknown_weight, "unknown_weight", "(0, inf)")
         data.setflags(write=False)
         object.__setattr__(self, "data", data)
 
@@ -655,13 +646,11 @@ def time_subproblems(
     the N sub-problems, delta_i = delta / sqrt(N), the package convention;
     pass noise_split for explicit per-sub-problem levels.
     """
-    if not 0.0 <= delta < math.inf:
-        raise InvalidParameterError(f"noise level must lie in [0, inf), got {delta}")
+    _real(delta, "noise level", "[0, inf)")
     _check_data(forward, data)
     n_t = forward.time_grid.n_t
     count = n_t if sections is None else sections
-    if not 1 <= count <= n_t:
-        raise InvalidParameterError(f"sections must lie in [1, {n_t}], got {sections}")
+    _count(count, "sections", 1, n_t)
     even = [delta / math.sqrt(count)] * count
     levels = even if noise_split is None else [float(d) for d in noise_split]
     if len(levels) != count:

@@ -11,6 +11,7 @@ absolute terms instead.
 
 import math
 import os
+import re
 import tempfile
 import types
 from dataclasses import replace
@@ -151,19 +152,19 @@ class TestGrids:
         np.testing.assert_allclose(space.nodes, [0.125, 0.375, 0.625, 0.875])
         with pytest.raises(InvalidParameterError):
             SpatialGrid(1.0, 0.0, 4)
-        with pytest.raises(InvalidParameterError, match="at least one cell"):
+        with pytest.raises(InvalidParameterError, match=r"n_x must lie in \{1, 2, \.\.\.\}, got 0"):
             SpatialGrid(0.0, 1.0, 0)
 
     @pytest.mark.parametrize("n_t", [2.5, 4.0, True, "4"])
     def test_time_grid_count_is_an_integer(self, n_t):
         # TimeGrid(1.0, 2.5) would put a node at T, and TimeGrid(1.0, True) would build
-        with pytest.raises(InvalidParameterError, match="n_t must be an integer"):
+        with pytest.raises(InvalidParameterError, match=r"n_t must lie in \{1, 2, \.\.\.\}, got"):
             TimeGrid(1.0, n_t)
         assert TimeGrid(1.0, np.int64(4)) == TimeGrid(1.0, 4)
 
     @pytest.mark.parametrize("n_x", [2.5, 4.0, True, "4"])
     def test_spatial_grid_count_is_an_integer(self, n_x):
-        with pytest.raises(InvalidParameterError, match="n_x must be an integer"):
+        with pytest.raises(InvalidParameterError, match=r"n_x must lie in \{1, 2, \.\.\.\}, got"):
             SpatialGrid(0.0, 1.0, n_x)
         assert SpatialGrid(0.0, 1.0, np.int32(4)).dx == 0.25
 
@@ -182,6 +183,21 @@ def test_bochner_function_rejects_bad_exponent(which, exponent):
 def test_spatial_norm_rejects_bad_exponent(exponent):
     with pytest.raises(InvalidParameterError):
         spatial_norm(np.array([3.0, 4.0]), 1.0, exponent)
+
+
+@pytest.mark.parametrize("weight", [0.0, -1.0, math.nan, math.inf])
+def test_spatial_norm_rejects_bad_weight(weight):
+    # the norm used to come out as 0, NaN or inf
+    with pytest.raises(InvalidParameterError, match=r"spatial weight must lie in \(0, inf\)"):
+        spatial_norm(np.array([3.0, 4.0]), weight, 2.0)
+
+
+@pytest.mark.parametrize("shape", [(2, 2), (1, 2), (), (0,)])
+def test_spatial_norm_needs_a_vector(shape):
+    # a 2-d array raised NumPy's bare TypeError, an empty one an IndexError
+    message = re.escape(f"need a non-empty vector, got shape {shape}")
+    with pytest.raises(DimensionError, match=message):
+        spatial_norm(np.ones(shape), 1.0, 2.0)
 
 
 class TestBochnerFunction:

@@ -10,6 +10,7 @@ import math
 import os
 import textwrap
 import tracemalloc
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -263,6 +264,17 @@ class TestExitCodes:
         err = capsys.readouterr().err
         assert code == 3
         assert "numeric failure" in err and "Traceback" not in err
+
+    def test_infinite_decay_is_config_error_without_warning(self, tmp_path, capsys):
+        # exp(-decay * tau) at decay = inf is NaN at tau = 0: NumPy warned, then the kernel failed
+        path = write_config(tmp_path / "a.ini", "[problem]\nkind = mpi\ndecay = inf\n")
+        out = tmp_path / "out"
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            code = main(["solve", "--config", path, "--out", str(out), "--quiet"])
+        err = capsys.readouterr().err
+        assert code == 2 and not caught and not out.exists()
+        assert err == "config error: cannot build problem: decay must lie in [0, inf), got inf\n"
 
     def test_unwritable_output_is_io_error(self, tmp_path, capsys):
         blocker = tmp_path / "file"
@@ -551,6 +563,30 @@ class TestSolve:
         first = read_tree(out)
         main(["solve", "--config", path, "--out", str(out), "--quiet"])
         assert read_tree(out) == first
+
+
+def per_cell_table(header: str, rows) -> str:
+    """The table writer's former rule, kept as its oracle: str() of an integer cell,
+    %.17g of a float() of any other."""
+    lines = [header]
+    for row in rows:
+        cells = [str(int(c)) if isinstance(c, (int, np.integer)) else f"{float(c):.17g}" for c in row]
+        lines.append(",".join(cells))
+    return "\n".join(lines) + "\n"
+
+
+def test_table_rows_equal_the_per_cell_rule(tmp_path):
+    trace = [
+        (0, 7, 0.1, math.nan, -0.0),
+        (np.int64(12), np.int32(-3), math.inf, -math.inf, 5e-324),
+        (2**53 - 1, -(2**53 - 1), np.float64(1 / 3), 1e300, -2.5),
+    ]
+    tables = {"trace": trace, "array": np.array([[1.0, -0.0], [math.inf, math.nan]]),
+              "enumerated": list(enumerate(np.array([2.0, 1e-17]), start=1))}
+    for name, rows in tables.items():
+        header = ",".join("abcde"[: len(rows[0])])
+        cli._write_table(str(tmp_path / name), header, rows)
+        assert (tmp_path / name).read_text() == per_cell_table(header, rows)
 
 
 class TestSweep:

@@ -125,7 +125,8 @@ class TestOperatorFamily:
     @pytest.mark.parametrize("weight", [-1.0, 0.0, math.inf, math.nan])
     @pytest.mark.parametrize("side", ["in_weight", "out_weight"])
     def test_rejects_bad_weight(self, side, weight):
-        with pytest.raises(InvalidParameterError, match="space weights"):
+        message = rf"{side} must lie in \(0, inf\), got {weight}"
+        with pytest.raises(InvalidParameterError, match=message):
             OperatorFamily(1, 1, lambda i, x: x, lambda i, y: y, **{side: weight})
 
     def test_family_of_top_level_callables_pickles(self):
@@ -210,7 +211,7 @@ class TestSubsampleObserver:
 
     @pytest.mark.parametrize("width", [0, 6])
     def test_rejects_window_width_out_of_range(self, width):
-        with pytest.raises(InvalidParameterError, match=r"window width must lie in \[1, 5\]"):
+        with pytest.raises(InvalidParameterError, match=r"window width must lie in \{1, \.\.\., 5\}"):
             rotating_window_pattern(6, 5, width)
 
 

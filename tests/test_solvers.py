@@ -300,7 +300,7 @@ class TestChooseAlpha:
             choose_alpha(ParameterRule(1.0, 1.5), 1e300)  # delta**1.5 overflows
         with pytest.raises(InvalidParameterError, match="non-finite"):
             choose_alpha(ParameterRule(1e300, 0.5), 1e300)  # the product overflows
-        with pytest.raises(InvalidParameterError, match="non-finite"):
+        with pytest.raises(InvalidParameterError, match=r"noise level must lie in \(0, inf\)"):
             choose_alpha(ParameterRule(1.0, 1.0), math.inf)
 
 
@@ -894,14 +894,16 @@ class TestLandweberKaczmarz(KaczmarzContract):
             matrix_subproblem(np.eye(2), np.array([1.0, math.inf]), 0.0)
         with pytest.raises(InvalidParameterError):
             matrix_subproblem(np.eye(2), np.ones(2), -1.0)
-        for weights in [(0.0, 1.0), (1.0, -1.0), (math.nan, 1.0)]:
-            with pytest.raises(InvalidParameterError, match="weights must be positive"):
+        for weights, name in [
+            ((0.0, 1.0), "data"), ((1.0, -1.0), "unknown"), ((math.nan, 1.0), "data")
+        ]:
+            with pytest.raises(InvalidParameterError, match=rf"{name}_weight must lie in \(0, inf\)"):
                 LinearSubproblem(lambda x: x, lambda r: r, np.ones(2), 0.0, *weights)
 
     @pytest.mark.parametrize(
         "level, weights, fragment",
         [(math.inf, (1.0, 1.0), "noise level"), (math.nan, (1.0, 1.0), "noise level"),
-         (0.0, (math.inf, 1.0), "weights"), (0.0, (1.0, math.inf), "weights")],
+         (0.0, (math.inf, 1.0), "data_weight"), (0.0, (1.0, math.inf), "unknown_weight")],
     )
     def test_subproblem_rejects_non_finite(self, level, weights, fragment):
         with pytest.raises(InvalidParameterError, match=fragment):
