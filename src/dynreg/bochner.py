@@ -29,6 +29,7 @@ from .errors import (
     InvalidInputError,
     InvalidParameterError,
     UnsupportedGeometryError,
+    _array,
     _count,
     _real,
 )
@@ -113,17 +114,7 @@ class BochnerFunction:
         space_exponent: float = 2.0,
         space_weight: float = 1.0,
     ) -> None:
-        arr = np.array(values, dtype=float)
-        if arr.ndim != 2:
-            raise DimensionError(f"values must be 2-d (n_t, n_dim), got shape {arr.shape}")
-        if arr.shape[0] != grid.n_t:
-            raise DimensionError(
-                f"values have {arr.shape[0]} rows but the grid has {grid.n_t} nodes"
-            )
-        if arr.shape[1] < 1:
-            raise DimensionError("values need at least one spatial component")
-        if not np.isfinite(arr).all():  # not np.all: its dispatch costs more than a small check
-            raise InvalidInputError("values contain non-finite entries")
+        arr = _array(values, "values", (grid.n_t, None))
         _real(p, "time exponent", "[1, inf)")
         _real(space_exponent, "space exponent", "[1, inf)")
         _real(space_weight, "space weight", "(0, inf)")
@@ -217,10 +208,7 @@ def spatial_norm(v: np.ndarray, weight: float, exponent: float) -> float:
     """Weighted discrete l^s norm of one spatial vector, ascending summation."""
     _real(weight, "spatial weight", "(0, inf)")
     _real(exponent, "spatial exponent", "[1, inf)")
-    v = np.asarray(v, dtype=float)
-    if v.ndim != 1 or v.size == 0:
-        raise DimensionError(f"need a non-empty vector, got shape {v.shape}")
-    return float(_row_norms(v, weight, exponent))
+    return float(_row_norms(_array(v, "v", (None,)), weight, exponent))
 
 
 def bochner_norm(u: BochnerFunction) -> float:

@@ -26,6 +26,7 @@ from .errors import (
     InvalidParameterError,
     ResourceLimitError,
     UnsupportedKindError,
+    _array,
     _count,
     _real,
 )
@@ -82,16 +83,17 @@ def assemble_dense(
     Column c is the image of the c-th unit impulse (of the adjoint map with
     adjoint=True); identity blocks of _ASSEMBLY_BUDGET entries map as batches.
     """
+    last = math.inf  # a bare family knows no grid
     if isinstance(op, DynamicForward) and time_index is not None:
         if op.kind != POINTWISE:
             raise UnsupportedKindError(
                 f"frozen-time assembly needs a pointwise map, not {op.kind}"
             )
-        _count(time_index, "time index", 0, op.time_grid.n_t - 1, DomainError)
-        op = op.static
+        last, op = op.time_grid.n_t - 1, op.static
     if isinstance(op, OperatorFamily):
         fam, n_t, what = op, 1, "frozen-time assembly"
         node = 0 if time_index is None else time_index
+        _count(node, "time index", 0, last, DomainError)
         columns = partial(fam.adjoint_rows if adjoint else fam.apply_rows, node)
     else:
         fam, n_t, what = op.static, op.time_grid.n_t, "stacked assembly"
@@ -115,12 +117,7 @@ def singular_values(M) -> np.ndarray:
     Backward stable: each value is accurate to about eps * sigma_max in
     absolute terms, so small values are only as accurate as that allows.
     """
-    A = np.array(M, dtype=float)
-    if A.ndim != 2 or A.size == 0:
-        raise InvalidInputError(f"need a non-empty 2-d matrix, got shape {A.shape}")
-    if not np.all(np.isfinite(A)):
-        raise InvalidInputError("matrix contains non-finite entries")
-    return np.linalg.svd(A, compute_uv=False)
+    return np.linalg.svd(_array(M, "M", (None, None), InvalidInputError), compute_uv=False)
 
 
 def _spectrum_report(index: int | str, M: np.ndarray) -> SpectrumReport:

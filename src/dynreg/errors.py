@@ -1,13 +1,17 @@
-"""Exception types shared across the package, and the range checks of its parameters.
+"""Exception types shared across the package, and the checks of its parameters and arrays.
 
 _count and _real are the one check of a count or real parameter.  Both raise
 "<name> must lie in <interval>, got <value>", and neither converts or stores a value.
+_array is the one check of an array input: "<name> must have shape (4, n), got (3,)"
+or "<name> must be finite, got nan at (2, 0)".
 """
 
 import functools
 import math
 import numbers
 import operator
+
+import numpy as np
 
 
 class DynregError(Exception):
@@ -76,3 +80,26 @@ def _real(value, name: str, interval: str, error=InvalidParameterError) -> None:
     real = isinstance(value, float) or isinstance(value, numbers.Real) and not isinstance(value, bool)
     if not (real and above(value, low) and below(value, high)):
         raise error(f"{name} must lie in {interval}, got {value!r}")
+
+
+def _array(values, name: str, shape: tuple, error=DimensionError, nonfinite=InvalidInputError):
+    """values as a new float array; error unless it has shape, nonfinite unless it is finite.
+
+    A None axis of shape takes any length >= 1; it reads n in the message (m, n for two).
+    """
+    arr = np.array(values, dtype=float)
+    if not _fits(shape, arr.shape):
+        free = iter("mn" if shape.count(None) > 1 else "n")
+        axes = [next(free) if m is None else str(m) for m in shape]
+        axes = ", ".join(axes) + "," * (len(axes) == 1)
+        raise error(f"{name} must have shape ({axes}), got {arr.shape}")
+    if not np.isfinite(arr).all():  # not np.all: its dispatch costs more than a small check
+        at = tuple(int(k) for k in np.argwhere(~np.isfinite(arr))[0])
+        raise nonfinite(f"{name} must be finite, got {arr[at]} at {at}")
+    return arr
+
+
+@functools.lru_cache(maxsize=256)
+def _fits(shape: tuple, actual: tuple) -> bool:
+    """Whether actual is shape, a None axis any length >= 1 (cached: every BochnerFunction asks)."""
+    return len(actual) == len(shape) and all(n > 0 if m is None else n == m for m, n in zip(shape, actual))

@@ -26,13 +26,15 @@ from __future__ import annotations
 
 import csv
 import functools
+import itertools
+import numbers
 from dataclasses import dataclass
 from typing import Callable, Optional, Sequence
 
 import numpy as np
 
 from .bochner import BochnerFunction, SpatialGrid, TimeGrid
-from .errors import DimensionError, InvalidInputError, InvalidParameterError, _count, _real
+from .errors import DimensionError, InvalidInputError, InvalidParameterError, _array, _count, _real
 
 POINTWISE = "pointwise"
 OBSERVE_THEN_ACCUMULATE = "observe_then_accumulate"
@@ -156,9 +158,10 @@ def make_gaussian_smoothing(grid: SpatialGrid, sigma: float) -> OperatorFamily:
     fast singular-value decay makes it the smoothing (compact) building
     block of the benchmark problems.
     """
-    _real(sigma, "sigma", "(0, inf)")
+    _real(sigma, "sigma", "[1e-150, inf)")  # 2 sigma^2 stays a normal float (0 below 1.1e-162)
     x = grid.nodes
-    kernel = grid.dx * np.exp(-((x[:, None] - x[None, :]) ** 2) / (2.0 * sigma * sigma))
+    with np.errstate(over="ignore"):  # a huge 2 sigma^2 or a far pair's exponent: exp gives 1 or 0
+        kernel = grid.dx * np.exp(-((x[:, None] - x[None, :]) ** 2) / (2.0 * sigma * sigma))
 
     def rows(first: int, X: np.ndarray) -> np.ndarray:
         return (kernel @ X[..., None])[..., 0]  # one mat-vec per row, as kernel @ x
@@ -175,16 +178,17 @@ def make_subsample_observer(
     self-adjoint with operator norm exactly 1.
     """
     _count(dim, "dim")
-    masks = np.zeros((len(pattern), dim))
-    for i, idx in enumerate(pattern):
-        idx = list(idx)
-        if not idx:
-            raise InvalidParameterError(f"empty observation set at time index {i}")
-        if min(idx) < 0 or max(idx) >= dim:
-            raise InvalidParameterError(
-                f"observation indices at time {i} fall outside [0, {dim})"
-            )
-        masks[i, idx] = 1.0
+    sets = [list(idx) for idx in pattern]
+    flat = [*itertools.chain.from_iterable(sets)]  # checked at once, by _count's rule:
+    integral = all(issubclass(t, numbers.Integral) and t is not bool for t in {*map(type, flat)})
+    if not (flat and all(sets) and integral and 0 <= min(flat) and max(flat) < dim):
+        for i, idx in enumerate(sets):  # the first empty set or bad index raises
+            if not idx:
+                raise InvalidParameterError(f"empty observation set at time index {i}")
+            for k in idx:
+                _count(k, "observation index", 0, dim - 1)
+    masks = np.zeros((len(sets), dim))
+    masks[np.repeat(np.arange(len(sets)), [*map(len, sets)]), np.array(flat, dtype=np.intp)] = 1.0
     masks.setflags(write=False)
 
     def rows(first: int, X: np.ndarray) -> np.ndarray:
@@ -219,13 +223,7 @@ def make_causal_kernel(grid: TimeGrid, samples) -> np.ndarray:
 
     With a = (1/dt, 0, ..., 0) the causal sum reduces to the identity.
     """
-    arr = np.array(samples, dtype=float)
-    if arr.ndim != 1 or arr.shape[0] != grid.n_t:
-        raise DimensionError(
-            f"need one kernel sample per time node ({grid.n_t}), got shape {arr.shape}"
-        )
-    if not np.all(np.isfinite(arr)):
-        raise InvalidInputError("kernel samples contain non-finite entries")
+    arr = _array(samples, "kernel", (grid.n_t,))
     arr.setflags(write=False)
     return arr
 
@@ -293,26 +291,15 @@ class DynamicForward:
         )
 
 
-def _check_source(forward: DynamicForward, theta: BochnerFunction, what: str = "input") -> None:
-    if theta.grid != forward.time_grid:
-        raise DimensionError(f"{what} lives on a different time grid than the forward map")
-    if theta.n_dim != forward.static.n_in:
+def _check_space(forward: DynamicForward, u: BochnerFunction, name: str, space: str) -> None:
+    """DimensionError unless u lies in the map's "source" or "data" space: its grid, size, weight."""
+    fam = forward.static
+    size, weight = (fam.n_in, fam.in_weight) if space == "source" else (fam.n_out, fam.out_weight)
+    if (u.grid, u.n_dim, u.space_weight) != (forward.time_grid, size, weight):
         raise DimensionError(
-            f"{what} has {theta.n_dim} components, the family expects {forward.static.n_in}"
+            f"{name} must lie in the {space} space: {size} components on {forward.time_grid}"
+            f" with weight {weight}, got {u.n_dim} on {u.grid} with weight {u.space_weight}"
         )
-    if theta.space_weight != forward.static.in_weight:
-        raise DimensionError(f"{what} carries a different spatial weight than the source space")
-
-
-def _check_data(forward: DynamicForward, y: BochnerFunction) -> None:
-    if y.grid != forward.time_grid:
-        raise DimensionError("data lives on a different time grid than the forward map")
-    if y.n_dim != forward.static.n_out:
-        raise DimensionError(
-            f"data has {y.n_dim} components, the family produces {forward.static.n_out}"
-        )
-    if y.space_weight != forward.static.out_weight:
-        raise DimensionError("data carries a different spatial weight than the data space")
 
 
 _TERM_BUDGET = 32768  # product terms one block of source rows may form: bounds scratch memory
@@ -403,7 +390,7 @@ def apply_forward(forward: DynamicForward, theta: BochnerFunction) -> BochnerFun
     so perturbing the input at later nodes leaves earlier outputs
     bit-identical.
     """
-    _check_source(forward, theta)
+    _check_space(forward, theta, "input", "source")
     return forward.data_template(_forward_rows(forward, theta.values))
 
 
@@ -414,7 +401,7 @@ def apply_adjoint(forward: DynamicForward, y: BochnerFunction) -> BochnerFunctio
     in the weighted space-time inner products; causal accumulation turns
     into anticausal accumulation.
     """
-    _check_data(forward, y)
+    _check_space(forward, y, "data", "data")
     return forward.source_template(_adjoint_rows(forward, y.values))
 
 

@@ -135,7 +135,8 @@ def make_mpi_analogue(
 
     sensing = _row_family(n_x, 1, apply_rows, adjoint_rows, dx, 1.0)
     if kernel is None:
-        kernel = np.exp(-decay * np.arange(n_t) * time_grid.dt)
+        with np.errstate(over="ignore"):  # a huge decay's exponent overflows to -inf: exp gives 0
+            kernel = np.exp(-decay * np.arange(n_t) * time_grid.dt)
     forward = DynamicForward(ACCUMULATE_THEN_OBSERVE, sensing, time_grid, kernel)
     truth = forward.source_template(np.tile(_bump(space.nodes, 0.55), (n_t, 1)))
     return ProblemInstance(forward, truth, apply_forward(forward, truth), "mpi")

@@ -25,6 +25,7 @@ from .errors import (
     InvalidParameterError,
     UnsupportedGeometryError,
     UnsupportedKindError,
+    _array,
     _count,
     _real,
 )
@@ -32,8 +33,7 @@ from .operators import (
     DynamicForward,
     POINTWISE,
     _adjoint_rows,
-    _check_data,
-    _check_source,
+    _check_space,
     _forward_rows,
     apply_adjoint,
     apply_forward,
@@ -133,11 +133,7 @@ class LinearSubproblem:
     unknown_weight: float = 1.0
 
     def __post_init__(self) -> None:
-        data = np.array(self.data, dtype=float)
-        if data.ndim != 1:
-            raise DimensionError(f"sub-problem data must be a vector, got shape {data.shape}")
-        if not np.all(np.isfinite(data)):
-            raise InvalidInputError("sub-problem data contains non-finite entries")
+        data = _array(self.data, "data", (None,))
         _real(self.noise_level, "noise level", "[0, inf)")
         _real(self.data_weight, "data_weight", "(0, inf)")
         _real(self.unknown_weight, "unknown_weight", "(0, inf)")
@@ -273,17 +269,10 @@ def _resolve_alphas(
             raise InvalidParameterError("a parameter rule needs the noise level delta")
         alpha = choose_alpha(alpha, delta)
     if np.isscalar(alpha):
-        alphas = np.full(n_t, float(alpha))
-    else:
-        alphas = np.asarray(alpha, dtype=float)
-        if alphas.shape != (n_t,):
-            raise DimensionError(
-                f"need one alpha per time node ({n_t}), got shape {alphas.shape}"
-            )
-    if not np.all(alphas > 0.0):
-        raise InvalidParameterError("regularization weights must be positive")
-    if not np.all(np.isfinite(alphas)):
-        raise InvalidParameterError("regularization weights must be finite")
+        _real(alpha, "alpha", "(0, inf)")
+        return np.full(n_t, float(alpha))
+    alphas = _array(alpha, "alpha", (n_t,), nonfinite=InvalidParameterError)
+    _real(float(alphas.min()), "alpha", "(0, inf)")
     return alphas
 
 
@@ -303,10 +292,10 @@ def _check_inputs(
         or any(u.p != 2.0 or u.space_exponent != 2.0 for u in functions)
     ):
         raise UnsupportedGeometryError("solvers need the Hilbert geometry p = s = 2")
-    _check_data(forward, data)
+    _check_space(forward, data, "data", "data")
     if truth is None:
         return None
-    _check_source(forward, truth, "truth")
+    _check_space(forward, truth, "truth", "source")
     return _nonzero(bochner_norm(truth))
 
 
@@ -493,18 +482,9 @@ def _kaczmarz(
         raise InvalidParameterError("start vector is required (its length sets the unknown)")
     if not subproblems:
         raise InvalidParameterError("need at least one sub-problem")
-    for i, sub in enumerate(subproblems):
-        if not sub.data.size:
-            raise DimensionError(f"sub-problem {i} has no data rows")
-    x = np.array(start, dtype=float)
-    if x.ndim != 1:
-        raise DimensionError(f"start must be a vector, got shape {x.shape}")
-    if not np.all(np.isfinite(x)):
-        raise InvalidInputError("start contains non-finite entries")
+    x = _array(start, "start", (None,))
     if truth is not None:
-        truth = np.asarray(truth, dtype=float)
-        if truth.shape != x.shape:
-            raise DimensionError(f"truth must have the start's shape {x.shape}, got {truth.shape}")
+        truth = _array(truth, "truth", x.shape)
         truth_norm = _nonzero(_norm(truth, subproblems[0].unknown_weight))
     n_sub = len(subproblems)
     scalar = np.isscalar(config.tau)
@@ -647,7 +627,7 @@ def time_subproblems(
     pass noise_split for explicit per-sub-problem levels.
     """
     _real(delta, "noise level", "[0, inf)")
-    _check_data(forward, data)
+    _check_space(forward, data, "data", "data")
     n_t = forward.time_grid.n_t
     count = n_t if sections is None else sections
     _count(count, "sections", 1, n_t)

@@ -276,6 +276,25 @@ class TestExitCodes:
         assert code == 2 and not caught and not out.exists()
         assert err == "config error: cannot build problem: decay must lie in [0, inf), got inf\n"
 
+    def test_huge_decay_runs_without_warning(self, tmp_path, capsys):
+        # -decay * k overflowed: NumPy printed "overflow encountered in multiply" on stderr
+        path = write_config(tmp_path / "a.ini", "[problem]\nkind = mpi\nn_t = 8\nn_x = 4\ndecay = 1e308\n")
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            code = main(["forward", "--config", path, "--out", str(tmp_path / "out"), "--quiet"])
+        assert code == 0 and not caught and capsys.readouterr().err == ""
+
+    def test_underflowing_sigma_is_config_error_without_warning(self, tmp_path, capsys):
+        # NumPy warned "divide by zero", then the kernel's NaN diagonal blamed non-finite values
+        path = write_config(tmp_path / "a.ini", "[problem]\nkind = dct\nn_t = 4\nn_x = 4\nsigma = 1e-200\n")
+        out = tmp_path / "out"
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            code = main(["forward", "--config", path, "--out", str(out), "--quiet"])
+        err = capsys.readouterr().err
+        assert code == 2 and not caught and not out.exists()
+        assert err == "config error: cannot build problem: sigma must lie in [1e-150, inf), got 1e-200\n"
+
     def test_unwritable_output_is_io_error(self, tmp_path, capsys):
         blocker = tmp_path / "file"
         blocker.write_text("x")
@@ -380,7 +399,7 @@ class TestPatternCsv:
         "text, fragment",
         [
             ("0,1\n1,2\n2,3\n", "need one pattern row per time node"),
-            ("0\n1\n2\n6\n", "observation indices at time 3 fall outside"),
+            ("0\n1\n2\n6\n", "observation index must lie in {0, ..., 5}, got 6"),
             ("0\n1\n,\n3\n", "empty observation set at time index 2"),
         ],
         ids=["rows", "index", "empty-row"],

@@ -3,6 +3,7 @@
 import contextlib
 import math
 import pickle
+import re
 import tracemalloc
 from unittest import mock
 
@@ -169,6 +170,30 @@ class TestGaussianSmoothing:
         with pytest.raises(InvalidParameterError):
             make_gaussian_smoothing(SpatialGrid(0.0, 1.0, 4), 0.0)
 
+    @pytest.mark.parametrize("sigma", [1e-200, np.float64(1e-200), 5e-324])
+    def test_rejects_a_width_that_underflows(self, sigma):
+        # 2 sigma^2 underflowed to 0: NumPy warned "divide by zero" and the diagonal was NaN
+        message = re.escape(f"sigma must lie in [1e-150, inf), got {sigma!r}")
+        with pytest.raises(InvalidParameterError, match=message):
+            make_gaussian_smoothing(SpatialGrid(0.0, 1.0, 4), sigma)
+
+    @pytest.mark.parametrize(
+        "sigma, kernel", [(1e-150, np.eye(4)), (1e200, np.ones((4, 4))), (np.float64(1e200), np.ones((4, 4)))]
+    )
+    def test_extreme_widths_without_warning(self, sigma, kernel):
+        # the far pairs' exponents overflow at the smallest sigma, 2 sigma^2 itself at a huge one
+        space = SpatialGrid(0.0, 1e10, 4)
+        got = make_gaussian_smoothing(space, sigma).apply_rows(0, np.eye(4))
+        np.testing.assert_array_equal(got, space.dx * kernel)
+
+    def test_kernel_bits_for_ordinary_widths(self):
+        space = SpatialGrid(0.0, 1.0, 16)
+        x = space.nodes
+        for sigma in (0.05, 0.1, 0.3, 1e3):
+            expected = space.dx * np.exp(-((x[:, None] - x[None, :]) ** 2) / (2.0 * sigma * sigma))
+            got = make_gaussian_smoothing(space, sigma).apply_rows(0, np.eye(16))  # row k: column k
+            assert np.array_equal(got.T, expected)
+
 
 class TestSubsampleObserver:
     def test_full_pattern_is_identity(self):
@@ -272,7 +297,8 @@ class TestCausalKernel:
 
     @pytest.mark.parametrize("bad", [float("nan"), float("inf"), -float("inf")])
     def test_rejects_non_finite_sample(self, bad):
-        with pytest.raises(InvalidInputError, match="non-finite"):
+        message = re.escape(f"kernel must be finite, got {bad} at (2,)")
+        with pytest.raises(InvalidInputError, match=message):
             make_causal_kernel(TimeGrid(1.0, 4), [1.0, 0.5, bad, 0.25])
 
 
@@ -378,7 +404,7 @@ class TestApplyForward:
         wrong = BochnerFunction(TimeGrid(1.0, 4), np.zeros((4, 5)))
         with pytest.raises(DimensionError):
             apply_forward(problem.forward, wrong)
-        with pytest.raises(DimensionError, match="data has 5 components"):
+        with pytest.raises(DimensionError, match="data must lie in the data space: 6 components .* got 5"):
             apply_adjoint(problem.forward, wrong)
 
     @pytest.mark.parametrize(
@@ -408,18 +434,38 @@ class TestApplyForward:
     @pytest.mark.parametrize(
         "grid, weight, fragment",
         [
-            (TimeGrid(1.0, 5), 0.5, "different time grid"),
-            (TimeGrid(2.0, 4), 0.5, "different time grid"),
-            (TimeGrid(1.0, 4), 0.25, "different spatial weight"),
+            (TimeGrid(1.0, 5), 0.5, "got 2 on TimeGrid(horizon=1.0, n_t=5, dt=0.2) with weight 0.5"),
+            (TimeGrid(2.0, 4), 0.5, "got 2 on TimeGrid(horizon=2.0, n_t=4, dt=0.5) with weight 0.5"),
+            (TimeGrid(1.0, 4), 0.25, "got 2 on TimeGrid(horizon=1.0, n_t=4, dt=0.25) with weight 0.25"),
         ],
         ids=["n_t", "horizon", "weight"],
     )
     def test_rejects_function_of_another_space(self, side, grid, weight, fragment):
         forward = DynamicForward(POINTWISE, identity_family(2, weight=0.5), TimeGrid(1.0, 4))
         u = BochnerFunction(grid, np.ones((grid.n_t, 2)), space_weight=weight)
-        apply = apply_forward if side == "forward" else apply_adjoint
-        with pytest.raises(DimensionError, match=fragment):
+        apply, name = (apply_forward, "input") if side == "forward" else (apply_adjoint, "data")
+        space = "source" if side == "forward" else "data"
+        message = f"{name} must lie in the {space} space: 2 components on {forward.time_grid} "
+        with pytest.raises(DimensionError, match=re.escape(message) + ".*" + re.escape(fragment)):
             apply(forward, u)
+
+
+@st.composite
+def causal_cases(draw):
+    """An accumulate kind on n_t nodes, per-node matrices of a drawn width, a kernel holding
+    zeros and -0.0, source rows, a cut, and a perturbation of every node after it."""
+    kind = draw(st.sampled_from([ACCUMULATE_THEN_OBSERVE, OBSERVE_THEN_ACCUMULATE]))
+    n_t, width, n_out = draw(st.integers(1, 24)), draw(st.integers(1, 70)), draw(st.integers(1, 3))
+    cut = draw(st.integers(0, n_t - 1))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    kernel = rng.standard_normal(n_t)
+    kernel[rng.random(n_t) < 0.25] = 0.0
+    kernel[rng.random(n_t) < 0.25] = -0.0
+    mats = rng.standard_normal((n_t, n_out, width))
+    fam = OperatorFamily(width, n_out, lambda i, x: mats[i] @ x, lambda i, y: mats[i].T @ y)
+    forward = DynamicForward(kind, fam, TimeGrid(1.0, n_t), kernel)
+    base = rng.standard_normal((n_t, width))
+    return forward, base, cut, rng.standard_normal((n_t - cut - 1, width))
 
 
 class TestCausality:
@@ -441,6 +487,16 @@ class TestCausality:
             bumped[cut:] += rng.standard_normal((n_t - cut, 5))
             out = apply_forward(forward, forward.source_template(bumped)).values
             assert np.array_equal(out[:cut], out_base[:cut])
+
+    @settings(max_examples=80, deadline=None)
+    @given(causal_cases())
+    def test_prefixes_bit_identical(self, case):
+        forward, base, cut, bump = case
+        out_base = apply_forward(forward, forward.source_template(base)).values
+        bumped = base.copy()
+        bumped[cut + 1 :] += bump
+        out = apply_forward(forward, forward.source_template(bumped)).values
+        assert np.array_equal(out[: cut + 1].view(np.int64), out_base[: cut + 1].view(np.int64))
 
     def test_pointwise_locality(self):
         problem = make_dct_analogue(6, 5)

@@ -12,6 +12,7 @@ from dynreg import (
     InvalidInputError,
     InvalidParameterError,
     NoiseSpec,
+    TimeGrid,
     add_noise,
     apply_forward,
     bochner_norm,
@@ -60,6 +61,17 @@ class TestInstances:
     def test_mpi_rejects_negative_decay(self):
         with pytest.raises(InvalidParameterError):
             make_mpi_analogue(4, 4, decay=-1.0)
+
+    @pytest.mark.parametrize("decay", [1e308, np.float64(1e308)])
+    def test_mpi_huge_decay_without_warning(self, decay):
+        # -decay * k overflowed with NumPy's "overflow encountered in multiply"; exp(-inf) = 0
+        assert make_mpi_analogue(8, 4, decay=decay).forward.kernel.tolist() == [1.0] + [0.0] * 7
+
+    def test_mpi_kernel_bits_for_ordinary_decays(self):
+        dt = TimeGrid(1.0, 16).dt
+        for decay in (0.0, 1.0, 3.7, 250.0):
+            expected = np.exp(-decay * np.arange(16) * dt)
+            assert np.array_equal(make_mpi_analogue(16, 4, decay=decay).forward.kernel, expected)
 
     def test_nonuniform_inverse_time_structure(self):
         # constant truth through S(t) = (1/t) K: t_i * y(t_i) is node-independent

@@ -409,15 +409,18 @@ class TestTikhonovTemporal:
 
     def test_rejects_bad_alpha(self):
         problem = make_identity_problem(3, 2)
-        with pytest.raises(InvalidParameterError):
+        with pytest.raises(InvalidParameterError, match=re.escape("alpha must lie in (0, inf), got 0.0")):
             tikhonov_temporal(problem.forward, problem.data_clean, 0.0)
-        with pytest.raises(InvalidParameterError):
+        with pytest.raises(InvalidParameterError, match=re.escape("alpha must lie in (0, inf), got -1.0")):
             tikhonov_temporal(problem.forward, problem.data_clean, [1e-2, -1.0, 1e-2])
-        with pytest.raises(InvalidParameterError, match="finite"):
+        with pytest.raises(InvalidParameterError, match=re.escape("alpha must lie in (0, inf), got inf")):
             tikhonov_temporal(problem.forward, problem.data_clean, math.inf)
-        with pytest.raises(InvalidParameterError, match="finite"):
+        with pytest.raises(InvalidParameterError, match=re.escape("alpha must be finite, got inf at (1,)")):
             tikhonov_temporal(problem.forward, problem.data_clean, [1e-2, math.inf, 1e-2])
-        with pytest.raises(DimensionError):
+        # a NaN weight used to read "regularization weights must be positive"
+        with pytest.raises(InvalidParameterError, match=re.escape("alpha must be finite, got nan at (1,)")):
+            tikhonov_temporal(problem.forward, problem.data_clean, [1e-2, math.nan, 1e-2])
+        with pytest.raises(DimensionError, match=re.escape("alpha must have shape (3,), got (2,)")):
             tikhonov_temporal(problem.forward, problem.data_clean, [1e-2, 1e-2])
 
     def test_rule_needs_delta(self):
@@ -718,9 +721,9 @@ class TestTruthIsCheckedFirst:
     @pytest.mark.parametrize(
         "n_t, n_dim, weight, p, fragment",
         [
-            (4, 2, 1.0, 2.0, "truth has 2 components, the family expects 3"),
-            (5, 3, 1.0, 2.0, "truth lives on a different time grid"),
-            (4, 3, 0.5, 2.0, "truth carries a different spatial weight"),
+            (4, 2, 1.0, 2.0, r"truth must lie in the source space: .* got 2 on TimeGrid\(horizon=1.0, n_t=4"),
+            (5, 3, 1.0, 2.0, r"truth must lie in the source space: .* got 3 on TimeGrid\(horizon=1.0, n_t=5"),
+            (4, 3, 0.5, 2.0, r"truth must lie in the source space: .* with weight 0.5$"),
             (4, 3, 1.0, 1.5, "Hilbert geometry"),
         ],
         ids=["components", "grid", "weight", "exponent"],
@@ -741,7 +744,7 @@ class TestTruthIsCheckedFirst:
             raise AssertionError("the sub-problem was evaluated")
 
         sub = LinearSubproblem(fail, fail, np.zeros(2), 0.0)
-        with pytest.raises(DimensionError, match=re.escape(f"start's shape (3,), got {shape}")):
+        with pytest.raises(DimensionError, match=re.escape(f"truth must have shape (3,), got {shape}")):
             loop([sub], KaczmarzConfig(), np.zeros(3), truth=np.ones(shape))
 
     @pytest.mark.parametrize("loop", [landweber_kaczmarz, kaczmarz_multi_direction])
@@ -828,11 +831,11 @@ class KaczmarzContract:
             self.loop([], KaczmarzConfig(), np.zeros(2))
         with pytest.raises(InvalidParameterError):
             self.loop([sub], KaczmarzConfig())
-        with pytest.raises(InvalidInputError):
+        with pytest.raises(InvalidInputError, match=re.escape("start must be finite, got nan at (1,)")):
             self.loop([sub], KaczmarzConfig(), np.array([1.0, math.nan]))
         with pytest.raises(DimensionError):
             self.loop([sub], KaczmarzConfig(tau=[1.0, 2.0, 3.0]), np.zeros(2))
-        with pytest.raises(DimensionError, match=r"start must be a vector, got shape \(2, 1\)"):
+        with pytest.raises(DimensionError, match=re.escape("start must have shape (n,), got (2, 1)")):
             self.loop([sub], KaczmarzConfig(), np.zeros((2, 1)))
 
 
@@ -911,9 +914,10 @@ class TestLandweberKaczmarz(KaczmarzContract):
 
 
 class TestMalformedSubproblems:
-    """A sub-problem with no data rows, or whose apply or adjoint returns the wrong
-    length, raises DimensionError naming its index (1, after a good one at 0).  The
-    counts are the bad one's calls: the checks read values the loop forms anyway."""
+    """A sub-problem with no data rows raises DimensionError when it is built.  One
+    whose apply or adjoint returns the wrong length raises it in the loop, naming its
+    index (1, after a good one at 0).  The counts are the bad one's calls: the checks
+    read values the loop forms anyway."""
 
     @staticmethod
     def counts_at_the_error(bad, config=KaczmarzConfig(), loop=landweber_kaczmarz) -> dict:
@@ -924,8 +928,8 @@ class TestMalformedSubproblems:
         return counts
 
     def test_empty_data_before_any_call(self):
-        bad = LinearSubproblem(lambda x: np.zeros(0), lambda r: np.zeros(3), np.zeros(0), 0.0)
-        assert self.counts_at_the_error(bad) == {}
+        with pytest.raises(DimensionError, match=re.escape("data must have shape (n,), got (0,)")):
+            LinearSubproblem(lambda x: np.zeros(0), lambda r: np.zeros(3), np.zeros(0), 0.0)
 
     def test_short_assembled_adjoint_before_the_first_sweep(self):
         # two data rows, assembled from two adjoint calls; the start's apply checks first

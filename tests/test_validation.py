@@ -1,11 +1,15 @@
-"""The range checks of every count and real parameter: errors._count and errors._real.
+"""The checks of every parameter and array input: errors._count, _real and _array.
 
-One table lists each parameter the two helpers check, with its bounds, the
-error class it raises and a call that passes it.  Each parameter is tried at
-its bounds, just inside and just outside them, at NaN and at +-inf; a count
+One table lists each parameter the first two helpers check, with its bounds,
+the error class it raises and a call that passes it.  Each parameter is tried
+at its bounds, just inside and just outside them, at NaN and at +-inf; a count
 also at 2.5, True and np.float64(2.0), which fail, and at a NumPy integer,
-which passes.  Calls on a forward map run on a family that raises Tripwire
-when it is applied, so a rejection is shown to come before any numeric work.
+which passes.  A second table lists each array input _array checks, with a
+valid value and its shape: each input is tried with every wrong number of axes,
+every wrong length, an empty axis, and NaN and +-inf at its first and last
+entry.  Calls on a forward map or on sub-problems run on maps that raise
+Tripwire when they are applied, so a rejection is shown to come before any
+numeric work.
 """
 
 import math
@@ -18,9 +22,12 @@ import pytest
 
 import dynreg
 from dynreg import (
+    ACCUMULATE_THEN_OBSERVE,
     BochnerFunction,
+    DimensionError,
     DomainError,
     DynamicForward,
+    InvalidInputError,
     InvalidParameterError,
     KaczmarzConfig,
     LinearSubproblem,
@@ -31,17 +38,22 @@ from dynreg import (
     SpatialGrid,
     TikhonovConfig,
     TimeGrid,
+    assemble_dense,
     choose_alpha,
     identity_family,
     integrability_tail,
+    kaczmarz_multi_direction,
+    landweber_kaczmarz,
     make_dct_analogue,
     make_gaussian_smoothing,
     make_mpi_analogue,
     make_scaling_family,
     make_subsample_observer,
     rotating_window_pattern,
+    singular_values,
     spatial_norm,
     temporal_spectrum,
+    tikhonov_temporal,
     time_subproblems,
 )
 from dynreg.cli import _parse_positive_float, _parse_positive_int
@@ -52,7 +64,7 @@ class Tripwire(Exception):
     """Raised by the family below the moment any numeric work starts."""
 
 
-def trip(i, x):
+def trip(*args):
     raise Tripwire
 
 
@@ -70,6 +82,9 @@ def tripwire_members():
 def sub(**fields):
     args = dict(noise_level=0.0, data_weight=1.0, unknown_weight=1.0) | fields
     return LinearSubproblem(lambda x: x, lambda r: r, np.ones(2), **args)
+
+
+TRIP_SUB = LinearSubproblem(trip, trip, np.ones(2), 0.0)
 
 
 EXPONENTS = ("source_exponent", "source_space_exponent", "data_exponent", "data_space_exponent")
@@ -107,10 +122,13 @@ PARAMETERS = {
     "OperatorFamily.out_weight": row(
         "(0, inf)", lambda v: OperatorFamily(2, 2, trip, trip, out_weight=v), "out_weight"
     ),
-    "make_gaussian_smoothing.sigma": row(
-        "(0, inf)", lambda v: make_gaussian_smoothing(SpatialGrid(0.0, 1.0, 3), v), "sigma"
+    "make_gaussian_smoothing.sigma": row(  # from 1e-150 on, 2 sigma^2 is a normal float
+        "[1e-150, inf)", lambda v: make_gaussian_smoothing(SpatialGrid(0.0, 1.0, 3), v), "sigma"
     ),
     "make_subsample_observer.dim": row((1, INF), lambda v: make_subsample_observer([[0]], v), "dim"),
+    "make_subsample_observer.pattern": row(
+        (0, 4), lambda v: make_subsample_observer([[1], [2, v]], 5), "observation index"
+    ),
     "rotating_window_pattern.width": row(
         (1, 5), lambda v: rotating_window_pattern(6, 5, v), "window width"
     ),
@@ -152,6 +170,10 @@ PARAMETERS = {
     "temporal_spectrum.time_index": row(
         (0, 3), lambda v: temporal_spectrum(FORWARD, v), "time index", DomainError
     ),
+    "assemble_dense.time_index": row(
+        (0, INF), lambda v: assemble_dense(FORWARD.static, v), "time index", DomainError
+    ),
+    "tikhonov_temporal.alpha": row("(0, inf)", lambda v: tikhonov_temporal(FORWARD, DATA, v), "alpha"),
     "integrability_tail.q": row(
         "(0, inf)", lambda v: integrability_tail(FORWARD, tripwire_members(), [1.0], v),
         "tail exponent",
@@ -207,11 +229,88 @@ def test_parameter_range(parameter):
             pass
 
 
+SOURCE = "".join(path.read_text() for path in Path(dynreg.__file__).parent.glob("*.py"))
+
+
 def test_the_table_names_every_checked_parameter():
     """Every name a helper call of the package gives is a name the table checks."""
-    source = "".join(path.read_text() for path in Path(dynreg.__file__).parent.glob("*.py"))
-    names = set(re.findall(r'_(?:count|real)\([^,]+, "([^"]+)"', source))
+    names = set(re.findall(r'_(?:count|real)\([^,]+, "([^"]+)"', SOURCE))
     assert names - {name for *_, name in PARAMETERS.values()} == {"number of radii"}
+    assert {"observation index", "alpha"} <= names
+
+
+def array_row(valid, shape: str, call, name, error=DimensionError, nonfinite=InvalidInputError):
+    """valid: an accepted value; shape: the shape the message asks for, as it reads;
+    name: the input's name in the message."""
+    return np.asarray(valid, dtype=float), shape, call, error, nonfinite, name
+
+
+ARRAYS = {
+    "BochnerFunction.values": array_row(VALUES, "(4, n)", lambda v: BochnerFunction(GRID, v), "values"),
+    "spatial_norm.v": array_row(np.ones(3), "(n,)", lambda v: spatial_norm(v, 1.0, 2.0), "v"),
+    "make_causal_kernel.samples": array_row(
+        np.ones(4), "(4,)", lambda v: DynamicForward(ACCUMULATE_THEN_OBSERVE, FORWARD.static, GRID, v),
+        "kernel",
+    ),
+    "LinearSubproblem.data": array_row(
+        np.ones(2), "(n,)", lambda v: LinearSubproblem(trip, trip, v, 0.0), "data"
+    ),
+    "landweber_kaczmarz.start": array_row(
+        np.zeros(2), "(n,)", lambda v: landweber_kaczmarz([TRIP_SUB], KaczmarzConfig(), v), "start"
+    ),
+    "kaczmarz_multi_direction.truth": array_row(
+        np.ones(2), "(2,)",
+        lambda v: kaczmarz_multi_direction([TRIP_SUB], KaczmarzConfig(), np.zeros(2), truth=v),
+        "truth",
+    ),
+    "tikhonov_temporal.alpha": array_row(
+        np.full(4, 0.1), "(4,)", lambda v: tikhonov_temporal(FORWARD, DATA, v), "alpha",
+        nonfinite=InvalidParameterError,
+    ),
+    "singular_values.M": array_row(
+        np.ones((2, 3)), "(m, n)", singular_values, "M", error=InvalidInputError
+    ),
+}
+
+
+def wrong_shapes(valid: np.ndarray, shape: str) -> list[tuple]:
+    """Every other number of axes (0 to ndim + 1), every fixed axis one shorter and one
+    longer, and every axis empty."""
+    free = [axis.strip() in "mn" for axis in shape.strip("(),").split(",")]
+    ndim, shapes = valid.ndim, []
+    shapes += [valid.shape[:d] if d < ndim else valid.shape + (1,) * (d - ndim)
+               for d in range(ndim + 2) if d != ndim]
+    for k, n in enumerate(valid.shape):
+        lengths = [0] if free[k] else [n - 1, n + 1, 0]
+        shapes += [valid.shape[:k] + (m,) + valid.shape[k + 1 :] for m in dict.fromkeys(lengths)]
+    return shapes
+
+
+@pytest.mark.parametrize("site", ARRAYS)
+def test_array_input(site):
+    valid, shape, call, error, nonfinite, name = ARRAYS[site]
+    for bad in wrong_shapes(valid, shape):
+        with pytest.raises(error) as caught:
+            call(np.ones(bad))
+        assert str(caught.value) == f"{name} must have shape {shape}, got {bad}", caught.value
+    last = tuple(n - 1 for n in valid.shape)
+    for value in (math.nan, math.inf, -math.inf):
+        for at in ((0,) * valid.ndim, last):
+            values = valid.copy()
+            values[at] = value
+            with pytest.raises(nonfinite) as caught:
+                call(values)
+            assert str(caught.value) == f"{name} must be finite, got {value} at {at}"
+    try:
+        call(valid)
+    except Tripwire:  # the input passed its check and numeric work started
+        pass
+
+
+def test_the_array_table_names_every_checked_input():
+    """Every name an _array call of the package gives is a name the array table checks."""
+    names = set(re.findall(r'_array\([^,]+, "([^"]+)"', SOURCE))
+    assert names == {name for *_, name in ARRAYS.values()}
 
 
 class TestHelpers:
@@ -291,4 +390,34 @@ class TestHelpers:
 def test_inputs_that_used_to_pass_their_check(call, error):
     """Inputs that once built, or failed later with a bare TypeError: each raises where given."""
     with pytest.raises(error):
+        call()
+
+
+@pytest.mark.parametrize(
+    "call, error, message",
+    [
+        (lambda: spatial_norm([math.nan, 1.0], 1.0, 2.0), InvalidInputError, "v must be finite"),
+        (lambda: landweber_kaczmarz([TRIP_SUB], KaczmarzConfig(), np.zeros(2), [math.nan, 1.0]),
+         InvalidInputError, "truth must be finite"),
+        (lambda: landweber_kaczmarz([TRIP_SUB], KaczmarzConfig(), []), DimensionError, "start must have"),
+        (lambda: make_subsample_observer([[0.5]], 4), InvalidParameterError, "observation index"),
+        (lambda: make_subsample_observer([[True]], 4), InvalidParameterError, "observation index"),
+        (lambda: make_subsample_observer([[True, False, True, False]], 4), InvalidParameterError,
+         "observation index"),
+        (lambda: assemble_dense(FORWARD.static, 1.5), DomainError, "time index"),
+        (lambda: assemble_dense(FORWARD.static, True), DomainError, "time index"),
+        (lambda: LinearSubproblem(trip, trip, [], 0.0), DimensionError, "data must have"),
+        (lambda: tikhonov_temporal(FORWARD, DATA, [0.1, math.nan, 0.1, 0.1]), InvalidParameterError,
+         "alpha must be finite, got nan at (1,)"),
+    ],
+    ids=[
+        "spatial-norm-nan", "kaczmarz-truth-nan", "kaczmarz-empty-start", "observer-0.5",
+        "observer-True", "observer-mask", "assemble-1.5", "assemble-True", "empty-data",
+        "alpha-nan",
+    ],
+)
+def test_array_inputs_that_used_to_pass_their_check(call, error, message):
+    """Inputs that once ran (a NaN norm or error, a boolean mask read as indices, node 1 for
+    True), or failed later with a bare NumPy error or a message naming no input."""
+    with pytest.raises(error, match=re.escape(message)):
         call()
