@@ -12,6 +12,12 @@ strictly inside (0, T).  Norms and pairings form their terms elementwise in
 NumPy and add them strictly in ascending index order, in time and in space,
 so repeated evaluations are bit-identical.  They are not bit-identical to a
 scalar Python loop: NumPy's power need not round like libm's pow.
+
+The solvers' stopping tests read these sums, so the order is part of every
+result: summing pairwise instead moves the CG count of the benchmark's
+causal-solve Tikhonov solve at seed 17 from 18 to 16.  The one exception:
+diagnostics' ensemble probes take Hilbert (s = 2) node norms from one fused
+reduction per row, since they only report tables.
 """
 
 from __future__ import annotations

@@ -7,6 +7,11 @@ products on the assembled matrix reproduce the weighted ones.  Singular
 values come from LAPACK's SVD of the matrix itself (never of M^T M).  It is
 backward stable: every value carries an absolute error of about
 eps * sigma_max, so values below that level are rounding noise.
+
+The ensemble probes take their Hilbert (s = 2) node norms from one fused
+reduction per row, the one exception to bochner's ascending order, which the
+solvers keep for their iteration counts: the probes only report tables, equal
+to bochner_norm's to rounding level.  Other exponents keep bochner's bits.
 """
 
 from __future__ import annotations
@@ -19,7 +24,7 @@ from functools import partial
 import numpy as np
 
 from .bochner import BochnerFunction, bochner_norm
-from .bochner import _ascending_sum, _mixed_norm, _require_geometry, _row_norms, _shift_steps
+from .bochner import _ascending_sum, _require_geometry, _row_norms, _shift_steps
 from .errors import (
     DomainError,
     InvalidInputError,
@@ -158,6 +163,15 @@ def forward_image(forward: DynamicForward, theta: BochnerFunction) -> BochnerFun
     return stored[1]
 
 
+def _node_norms(values: np.ndarray, weight: float, s: float) -> np.ndarray:
+    """The X norm of every row of a 2-d array: sqrt(weight * d.d) by one fused
+    reduction for s = 2 (no abs, power or transposed copy; the same bits run to
+    run), bochner's _row_norms, bit for bit, for any other s."""
+    if s == 2.0:
+        return np.sqrt(weight * np.einsum("ij,ij->i", values, values))
+    return _row_norms(values, weight, s)
+
+
 def _check_radii(radii) -> list[float]:
     """The tail radii as floats: positive, finite and strictly ascending."""
     radii = [float(r) for r in radii]
@@ -188,7 +202,9 @@ def integrability_tail(
     Returns an array of rows (r, tail).  Every input must lie in the unit
     ball of the source space.  Each image's node norms are computed once and
     the masses summed in ascending node order, so they equal this sum taken
-    node by node to rounding level.  The images come from forward_image.
+    node by node to rounding level.  For s = 2 the node norms are one fused
+    reduction per row, not bochner's ascending sum (kept for the solvers'
+    iteration counts).  The images come from forward_image.
     inputs may be any iterable and is streamed: one input is checked, mapped
     and reduced before the next is drawn, so the memory is one input and its
     image, whatever the size of the family.
@@ -202,7 +218,7 @@ def integrability_tail(
         if bochner_norm(theta) > 1.0 + 1e-9:
             raise InvalidInputError(f"input {n} lies outside the unit ball")
         f = forward_image(forward, theta)
-        norms = _row_norms(f.values, f.space_weight, f.space_exponent)
+        norms = _node_norms(f.values, f.space_weight, f.space_exponent)
         tails = _ascending_sum(np.where(norms > above, dt * norms**q, 0.0))
         worst = tails if worst is None else np.maximum(worst, tails)
         n += 1
@@ -220,7 +236,10 @@ def translation_modulus(ensemble, shifts) -> np.ndarray:
     footprint of a relatively compact family; the probe is meant for
     ensembles of forward images or reconstructions.  Each modulus is the
     mixed norm of the row difference values[k:] - values[:n_t - k], so it
-    equals bochner_norm(translate(f, z) - head of f) to rounding level.
+    equals bochner_norm(translate(f, z) - head of f) to rounding level: for
+    s = 2 the node norms are one fused reduction per row, not bochner's
+    ascending sum (kept for the solvers' iteration counts); other exponents
+    repeat bochner_norm's bits.
     ensemble may be any iterable and is streamed, one member at a time, so
     the memory is one member, whatever the size of the ensemble.
 
@@ -230,6 +249,7 @@ def translation_modulus(ensemble, shifts) -> np.ndarray:
     for f in ensemble:
         if worst is None:  # the first member fixes the geometry and checks the shifts
             geometry, grid = f._geometry(), f.grid
+            p, s, weight = geometry[1]
             shifts = [float(z) for z in shifts]
             steps = [_shift_steps(grid, z) for z in shifts]
             for z, k in zip(shifts, steps):
@@ -239,7 +259,7 @@ def translation_modulus(ensemble, shifts) -> np.ndarray:
         _require_geometry(geometry, f)
         v = f.values
         moduli = [
-            _mixed_norm(v[k:] - v[: f.n_t - k], grid.dt, f.space_weight, f.p, f.space_exponent)
+            _ascending_sum(grid.dt * _node_norms(v[k:] - v[: f.n_t - k], weight, s) ** p) ** (1.0 / p)
             for k in steps
         ]
         worst = np.maximum(worst, moduli)

@@ -2,8 +2,8 @@
 
 _count and _real are the one check of a count or real parameter.  Both raise
 "<name> must lie in <interval>, got <value>", and neither converts or stores a value.
-_array is the one check of an array input: "<name> must have shape (4, n), got (3,)"
-or "<name> must be finite, got nan at (2, 0)".
+_array is the one check of an array input: "<name> must have shape (4, n), got (3,)",
+"<name> must be finite, got nan at (2, 0)" or "<name> must be an array of reals (...)".
 """
 
 import functools
@@ -86,8 +86,13 @@ def _array(values, name: str, shape: tuple, error=DimensionError, nonfinite=Inva
     """values as a new float array; error unless it has shape, nonfinite unless it is finite.
 
     A None axis of shape takes any length >= 1; it reads n in the message (m, n for two).
+    Values NumPy cannot convert to floats (ragged nesting, text, complex Python
+    numbers) raise InvalidInputError: "<name> must be an array of reals (<NumPy's reason>)".
     """
-    arr = np.array(values, dtype=float)
+    try:
+        arr = np.array(values, dtype=float)
+    except (TypeError, ValueError) as exc:
+        raise InvalidInputError(f"{name} must be an array of reals ({exc})") from exc
     if not _fits(shape, arr.shape):
         free = iter("mn" if shape.count(None) > 1 else "n")
         axes = [next(free) if m is None else str(m) for m in shape]

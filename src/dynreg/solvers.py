@@ -631,10 +631,12 @@ def time_subproblems(
     n_t = forward.time_grid.n_t
     count = n_t if sections is None else sections
     _count(count, "sections", 1, n_t)
-    even = [delta / math.sqrt(count)] * count
-    levels = even if noise_split is None else [float(d) for d in noise_split]
-    if len(levels) != count:
-        raise DimensionError(f"need one noise level per sub-problem ({count}), got {len(levels)}")
+    if noise_split is None:
+        levels = [delta / math.sqrt(count)] * count
+    else:
+        levels = _array(
+            noise_split, "noise levels in noise_split", (count,), nonfinite=InvalidParameterError
+        ).tolist()
     blocks = [(int(b[0]), int(b[-1]) + 1) for b in np.array_split(np.arange(n_t), count)]
     return [
         _block(forward, first, end, data.values[first:end].reshape(-1), level)

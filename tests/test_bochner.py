@@ -269,6 +269,20 @@ class TestNorm:
             v = random_function(seed + 1000, p=1.7, s=3.0)
             assert bochner_norm(u + v) <= bochner_norm(u) + bochner_norm(v) + 1e-12
 
+    @settings(max_examples=200, deadline=None)
+    @given(bochner_functions(), st.floats(1e-3, 1e3), st.booleans())
+    def test_homogeneity_property(self, u, c, negative):
+        c = -c if negative else c
+        assert bochner_norm(c * u) == pytest.approx(abs(c) * bochner_norm(u), rel=1e-13)
+
+    @settings(max_examples=200, deadline=None)
+    @given(bochner_functions(), st.integers(0, 2**32 - 1), st.booleans())
+    def test_triangle_inequality_property(self, u, seed, parallel):
+        # parallel: v = 2.5 u, where the inequality holds with equality
+        rng = np.random.default_rng(seed)
+        v = 2.5 * u if parallel else u.with_values(rng.standard_normal(u.values.shape))
+        assert bochner_norm(u + v) <= (bochner_norm(u) + bochner_norm(v)) * (1.0 + 1e-13)
+
     def test_constant_exactness_many_p(self):
         for p in (1.0, 2.0, 3.0):
             grid = TimeGrid(2.0, 9)

@@ -14,6 +14,7 @@ import weakref
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from dynreg import (
     BochnerFunction,
@@ -46,7 +47,8 @@ from dynreg import (
     translation_modulus,
 )
 from dynreg import diagnostics
-from dynreg.diagnostics import forward_image
+from dynreg.bochner import _ascending_sum, _mixed_norm, _row_norms
+from dynreg.diagnostics import _node_norms, forward_image
 from dynreg.operators import (
     ACCUMULATE_THEN_OBSERVE,
     OBSERVE_THEN_ACCUMULATE,
@@ -642,6 +644,122 @@ class TestTranslationModulus:
             translation_modulus([], [0.0])
         with pytest.raises(DimensionError, match="different norm data"):
             translation_modulus([member, BochnerFunction(grid, np.zeros((4, 1)), p=3.0)], [0.0])
+
+
+SPACE_EXPONENTS = st.sampled_from((1.0, 1.5, 2.0, 3.0))
+OFF_HILBERT = st.sampled_from((1.0, 1.5, 3.0))
+
+
+@st.composite
+def geometries(draw, s=SPACE_EXPONENTS):
+    """A random grid, width, weight, time exponent p in {1, 2, 3} and space exponent
+    drawn from s, with a seeded generator for the values."""
+    grid = TimeGrid(draw(st.floats(0.1, 10.0)), draw(st.integers(1, 24)))
+    n_x = draw(st.integers(1, 40))
+    weight = draw(st.floats(1e-3, 10.0))
+    p = draw(st.sampled_from((1.0, 2.0, 3.0)))
+    return grid, n_x, weight, p, draw(s), np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+
+
+@st.composite
+def ensembles(draw, s=SPACE_EXPONENTS):
+    """One to four members on one random geometry, at a random scale."""
+    grid, n_x, weight, p, s, rng = draw(geometries(s))
+    scale = 10.0 ** draw(st.integers(-3, 3))
+    return [
+        BochnerFunction(grid, scale * rng.standard_normal((grid.n_t, n_x)), p, s, weight)
+        for _ in range(draw(st.integers(1, 4)))
+    ]
+
+
+@st.composite
+def tail_cases(draw, s=SPACE_EXPONENTS):
+    """A random pointwise map in that geometry, one to four unit-norm inputs and q."""
+    grid, n_out, weight, p, s, rng = draw(geometries(s))
+    n_in = draw(st.integers(1, 8))
+    mats = rng.standard_normal((grid.n_t, n_out, n_in))
+    fam = OperatorFamily(
+        n_in, n_out, lambda i, x: mats[i] @ x, lambda i, y: mats[i].T @ y,
+        draw(st.floats(1e-3, 10.0)), weight,
+    )
+    forward = DynamicForward(POINTWISE, fam, grid, None, p, s, p, s)
+    members = [
+        forward.source_template(rng.standard_normal((grid.n_t, n_in)))
+        for _ in range(draw(st.integers(1, 4)))
+    ]
+    return forward, [f * (1.0 / bochner_norm(f)) for f in members], draw(st.sampled_from((1.0, 2.5)))
+
+
+def separated_radii(forward, inputs):
+    """Radii between the images' node norms, each far from every norm in relative terms,
+    so a norm rounded either way lies on the same side of every radius."""
+    norms = sorted(
+        spatial_norm(row, f.space_weight, f.space_exponent)
+        for f in (apply_forward(forward, theta) for theta in inputs)
+        for row in f.values
+    )
+    between = [0.5 * (a + b) for a, b in zip(norms, norms[1:]) if b - a > 1e-9 * b]
+    return [0.5 * norms[0], *between, 2.0 * norms[-1]]
+
+
+class TestNodeNorms:
+    """The probes' node norms: one fused reduction at s = 2, bochner's row norms otherwise."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(ensembles(), st.data())
+    def test_translation_modulus_matches_bochner_norm(self, ensemble, data):
+        grid = ensemble[0].grid
+        steps = data.draw(st.lists(st.integers(0, grid.n_t - 1), min_size=1, max_size=4))
+        shifts = [k * grid.dt for k in steps]
+        table = translation_modulus(ensemble, shifts)
+        expected = loop_translation_modulus(ensemble, shifts)
+        np.testing.assert_allclose(table, expected, rtol=1e-13, atol=0.0)
+
+    @settings(max_examples=100, deadline=None)
+    @given(tail_cases())
+    def test_integrability_tail_matches_node_by_node(self, case):
+        forward, inputs, q = case
+        radii = separated_radii(forward, inputs)
+        table = integrability_tail(forward, inputs, radii, q=q)
+        expected = loop_integrability_tail(forward, inputs, radii, q=q)
+        np.testing.assert_allclose(table, expected, rtol=1e-13, atol=0.0)
+
+    @settings(max_examples=100, deadline=None)
+    @given(ensembles(OFF_HILBERT), st.data())
+    def test_translation_modulus_repeats_bochner_bits_off_hilbert(self, ensemble, data):
+        grid = ensemble[0].grid
+        steps = data.draw(st.lists(st.integers(0, grid.n_t - 1), min_size=1, max_size=4))
+        moduli = [
+            [_mixed_norm(f.values[k:] - f.values[: f.n_t - k], grid.dt, f.space_weight, f.p,
+                         f.space_exponent) for k in steps]
+            for f in ensemble
+        ]
+        table = translation_modulus(ensemble, [k * grid.dt for k in steps])
+        assert table[:, 1].tobytes() == np.max(moduli, axis=0).tobytes()
+
+    @settings(max_examples=100, deadline=None)
+    @given(tail_cases(OFF_HILBERT))
+    def test_integrability_tail_repeats_bochner_bits_off_hilbert(self, case):
+        forward, inputs, q = case
+        radii = separated_radii(forward, inputs)
+        dt, above = forward.time_grid.dt, np.array(radii)[:, None]
+        tails = []
+        for theta in inputs:
+            f = apply_forward(forward, theta)
+            norms = _row_norms(f.values, f.space_weight, f.space_exponent)
+            tails.append(_ascending_sum(np.where(norms > above, dt * norms**q, 0.0)))
+        table = integrability_tail(forward, inputs, radii, q=q)
+        assert table[:, 1].tobytes() == np.max(tails, axis=0).tobytes()
+
+    @settings(max_examples=150, deadline=None)
+    @given(ensembles(st.just(2.0)))
+    def test_hilbert_norms_repeat_their_bytes_at_an_odd_offset(self, ensemble):
+        values, weight = ensemble[0].values, ensemble[0].space_weight
+        norms = _node_norms(values, weight, 2.0)
+        moved = np.empty(values.size + 1)[1:].reshape(values.shape)  # one float past the start
+        moved[...] = values
+        assert _node_norms(moved, weight, 2.0).tobytes() == norms.tobytes()
+        np.testing.assert_allclose(norms, _row_norms(values, weight, 2.0), rtol=1e-13, atol=0.0)
 
 
 def streamed(make, count, refs, alive):

@@ -270,6 +270,10 @@ ARRAYS = {
     "singular_values.M": array_row(
         np.ones((2, 3)), "(m, n)", singular_values, "M", error=InvalidInputError
     ),
+    "time_subproblems.noise_split": array_row(
+        np.full(4, 0.1), "(4,)", lambda v: time_subproblems(FORWARD, DATA, 0.1, noise_split=v),
+        "noise levels in noise_split", nonfinite=InvalidParameterError,
+    ),
 }
 
 
@@ -409,11 +413,21 @@ def test_inputs_that_used_to_pass_their_check(call, error):
         (lambda: LinearSubproblem(trip, trip, [], 0.0), DimensionError, "data must have"),
         (lambda: tikhonov_temporal(FORWARD, DATA, [0.1, math.nan, 0.1, 0.1]), InvalidParameterError,
          "alpha must be finite, got nan at (1,)"),
+        (lambda: time_subproblems(FORWARD, DATA, 0.1, noise_split=[[0.1]] * 4), DimensionError,
+         "noise levels in noise_split must have shape (4,), got (4, 1)"),
+        (lambda: time_subproblems(FORWARD, DATA, 0.1, noise_split=0.1), DimensionError,
+         "noise levels in noise_split must have shape (4,), got ()"),
+        (lambda: BochnerFunction(TimeGrid(1.0, 2), [[1.0, 2.0], [3.0]]), InvalidInputError,
+         "values must be an array of reals (setting an array element with a sequence"),
+        (lambda: spatial_norm([1j], 1.0, 2.0), InvalidInputError, "v must be an array of reals ("),
+        (lambda: spatial_norm(["a"], 1.0, 2.0), InvalidInputError,
+         "v must be an array of reals (could not convert string to float: 'a')"),
     ],
     ids=[
         "spatial-norm-nan", "kaczmarz-truth-nan", "kaczmarz-empty-start", "observer-0.5",
         "observer-True", "observer-mask", "assemble-1.5", "assemble-True", "empty-data",
-        "alpha-nan",
+        "alpha-nan", "noise-split-nested", "noise-split-scalar", "ragged-values", "complex-v",
+        "text-v",
     ],
 )
 def test_array_inputs_that_used_to_pass_their_check(call, error, message):
