@@ -86,10 +86,12 @@ def _array(values, name: str, shape: tuple, error=DimensionError, nonfinite=Inva
     """values as a new float array; error unless it has shape, nonfinite unless it is finite.
 
     A None axis of shape takes any length >= 1; it reads n in the message (m, n for two).
-    Values NumPy cannot convert to floats (ragged nesting, text, complex Python
-    numbers) raise InvalidInputError: "<name> must be an array of reals (<NumPy's reason>)".
+    Values that are not reals (ragged nesting, text, complex) raise InvalidInputError:
+    "<name> must be an array of reals (<reason>)".
     """
     try:
+        if np.asarray(values).dtype.kind == "c":
+            raise TypeError("got complex values")
         arr = np.array(values, dtype=float)
     except (TypeError, ValueError) as exc:
         raise InvalidInputError(f"{name} must be an array of reals ({exc})") from exc

@@ -87,8 +87,9 @@ class KaczmarzConfig:
 
     omega is the step size, either a positive real or "auto" (per
     sub-problem omega_i = 0.9 / ||F_i||^2, which keeps the per-sub-problem
-    residual monotone in its own step, by power iteration).  tau are the
-    discrepancy factors (scalar or one per sub-problem, each >= 1).
+    residual monotone in its own step: exact below 60 data rows, else by
+    power iteration).  tau are the discrepancy factors (scalar or one per
+    sub-problem, each >= 1).
     memory is the number of remembered iterates for the multi-direction
     variant; memory = 1 is plain optimal-step Landweber-Kaczmarz, so a
     default config means the same method in both loops.  The CLI's
@@ -407,61 +408,54 @@ def tikhonov_uniform(
     )
 
 
-_POWER_STEPS = 30  # power-iteration steps per step-size estimate
+_POWER_STEPS = 30
 
 
 def _estimate_omegas(
     subproblems: Sequence[LinearSubproblem],
     config: KaczmarzConfig,
     start: np.ndarray,
-) -> list[float]:
-    """Steps 0.9 / ||F_i||^2 from one lock-step power iteration on all F_i* F_i.
+) -> tuple[list[float], list[Optional[np.ndarray]]]:
+    """Steps 0.9 / ||F_i||^2 and the rows R_i = [F_i* e_r] of each assembled F_i (else None).
 
-    Sub-problem i runs _POWER_STEPS steps from a standard normal vector seeded
-    by i, as if alone, and stops with lambda = 0 once an iterate maps to zero.
-    From 2 * _POWER_STEPS data rows on, a step costs two sub-problem calls.
-    Below, one adjoint_rows call assembles R = [F_i* e_r] = (data_weight /
-    unknown_weight) F_i, so F_i* F_i = (unknown_weight / data_weight) R^T R, and
-    a step applies all R of one shape at once, in the BLAS calls of R.T @ (R @ v).
+    Below 2 * _POWER_STEPS data rows, ||F_i||^2 = (unknown_weight / data_weight)
+    lambda_max(R_i R_i^T) by one eigvalsh per row count, as R_i = (data_weight /
+    unknown_weight) F_i; else _POWER_STEPS power-iteration steps on F_i* F_i from
+    a normal vector seeded by i (0 once an iterate maps to zero).
     """
-    if not isinstance(config.omega, str):
-        return [float(config.omega)] * len(subproblems)
     n_sub = len(subproblems)
-    V = np.array([np.random.default_rng(i).standard_normal(start.shape) for i in range(n_sub)])
-    shapes: dict[int, list[int]] = {}  # data rows -> the assembled ones
-    free = []
+    rows: list = [None] * n_sub
+    if not isinstance(config.omega, str):
+        return [float(config.omega)] * n_sub, rows
+    lam = np.zeros(n_sub)
+    shapes: dict = {}
     for i, sub in enumerate(subproblems):
-        n_data = sub.data.shape[0]
-        (free if n_data >= 2 * _POWER_STEPS else shapes.setdefault(n_data, [])).append(i)
-
-    def rows(i: int, n: int) -> np.ndarray:
-        return _formed(subproblems[i].adjoint_rows(np.eye(n)), (n, len(start)), i, "adjoint_rows")
-
-    stacks = [
-        (ids, np.array([rows(i, n) for i in ids]),
-         np.array([[subproblems[i].unknown_weight / subproblems[i].data_weight] for i in ids]))
-        for n, ids in shapes.items()
-    ]
-    running = np.ones(n_sub, bool)
-    for _ in range(_POWER_STEPS):
-        W = np.zeros_like(V)
-        for ids, R, scale in stacks:
-            W[ids] = scale * (R.swapaxes(-1, -2) @ (R @ V[ids, :, None]))[..., 0]
-        for i in free:
-            if running[i]:
-                sub = subproblems[i]
-                W[i] = _formed(sub.adjoint(sub.apply(V[i])), start.shape, i, "adjoint")
-        W[~running] = 0.0
-        norm = np.sqrt(_dot(W, W))
-        running &= norm != 0.0
-        lam = np.where(running, _dot(W, V) / _dot(V, V), 0.0)
-        V = np.divide(W, norm[:, None], out=V.copy(), where=running[:, None])
-        if not running.any():
-            break
+        n = sub.data.shape[0]
+        if n < 2 * _POWER_STEPS:
+            rows[i] = _formed(sub.adjoint_rows(np.eye(n)), (n, len(start)), i, "adjoint_rows")
+            shapes.setdefault(n, []).append(i)
+            continue
+        v = np.random.default_rng(i).standard_normal(start.shape)
+        for k in range(_POWER_STEPS):
+            w = _formed(sub.adjoint(sub.apply(v)), start.shape, i, "adjoint")
+            norm = math.sqrt(w @ w)
+            if not norm:
+                break
+            if k == _POWER_STEPS - 1:
+                lam[i] = (w @ v) / (v @ v)
+            v = w / norm
+    for ids in shapes.values():
+        R = np.array([rows[i] for i in ids])
+        with np.errstate(over="ignore", invalid="ignore"):
+            gram = R @ R.swapaxes(-1, -2)
+            finite = np.isfinite(gram).all(axis=(1, 2))
+            top = np.linalg.eigvalsh(np.where(finite[:, None, None], gram, 0.0))[:, -1]
+            scale = [subproblems[i].unknown_weight / subproblems[i].data_weight for i in ids]
+            lam[ids] = scale * np.where(finite, top, np.trace(gram, axis1=1, axis2=2))
     bad = np.flatnonzero(~np.isfinite(lam))
     if bad.size:
-        raise DivergenceError(f"power iteration on sub-problem {bad[0]} gave {lam[bad[0]]}")
-    return [0.9 / x if x > 0.0 else 1.0 for x in lam.tolist()]
+        raise DivergenceError(f"step estimate of sub-problem {bad[0]} gave {lam[bad[0]]}")
+    return [0.9 / x if x > 0.0 else 1.0 for x in lam.tolist()], rows
 
 
 def _kaczmarz(
@@ -539,6 +533,8 @@ def landweber_kaczmarz(
     "discrepancy"; otherwise it runs max_sweeps sweeps and reports
     "max_iter".  A non-finite residual or step estimate, or a residual
     exceeding 1e6 times the worst initial residual, raises DivergenceError.
+    With omega = "auto", a sub-problem below 60 data rows steps by its
+    assembled rows, F_i* r = R_i^T r; residuals still come from apply.
 
     Parameters
     ----------
@@ -550,8 +546,10 @@ def landweber_kaczmarz(
     """
 
     def make_step(x0: np.ndarray) -> Callable[..., np.ndarray]:
-        omegas = _estimate_omegas(subproblems, config, x0)
-        return lambda i, sub, x, r: x - omegas[i] * _formed(sub.adjoint(r), x.shape, i, "adjoint")
+        omegas, rows = _estimate_omegas(subproblems, config, x0)
+        return lambda i, sub, x, r: x - omegas[i] * (
+            _formed(sub.adjoint(r), x.shape, i, "adjoint") if rows[i] is None else r @ rows[i]
+        )
 
     return _kaczmarz(subproblems, config, start, truth, make_step)
 

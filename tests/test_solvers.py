@@ -153,19 +153,49 @@ def power_omegas(normals, n_in: int) -> list[float]:
     return omegas
 
 
-def per_unit_vector_omegas(subs, n_in: int) -> list[float]:
-    """Step estimates with F_i's rows assembled from one 1-D adjoint call per
-    unit data vector (matrix-free from 2 * _POWER_STEPS data rows on)."""
+def reference_steps(subs, n_in: int) -> list:
+    """Each sub-problem's expected (step, rows) from _estimate_omegas.
 
-    def normal(sub):
+    Below 2 * _POWER_STEPS data rows: the rows R = [F* e_r] of one 1-D adjoint
+    call per unit data vector, and LAPACK's step 0.9 / ||F||^2 with ||F||^2 =
+    (unknown_weight / data_weight) sigma_max(R)^2.  From there on: no rows, and
+    the power iteration one sub-problem at a time.
+    """
+    refs = []
+    for sub, power in zip(subs, matrix_free_omegas(subs, n_in)):
         n_data = sub.data.shape[0]
         if n_data >= 2 * _POWER_STEPS:
-            return lambda v: np.asarray(sub.adjoint(sub.apply(v)), dtype=float)
+            refs.append((power, None))
+            continue
         rows = np.array([sub.adjoint(e) for e in np.eye(n_data)], dtype=float)
-        scale = sub.unknown_weight / sub.data_weight
-        return lambda v: scale * (rows.T @ (rows @ v))
+        lam = sub.unknown_weight / sub.data_weight * np.linalg.svd(rows, compute_uv=False)[0] ** 2
+        refs.append((0.9 / lam if lam > 0.0 else 1.0, rows))
+    return refs
 
-    return power_omegas([normal(sub) for sub in subs], n_in)
+
+def assert_steps(estimate, refs) -> None:
+    """_estimate_omegas' (omegas, rows) against reference_steps: rows bit for bit,
+    an assembled step within 1e-13 of LAPACK's, a matrix-free one bit for bit."""
+    omegas, rows = estimate
+    assert len(omegas) == len(rows) == len(refs)
+    for omega, R, (ref, ref_rows) in zip(omegas, rows, refs):
+        if ref_rows is None:
+            assert R is None and omega == ref
+        else:
+            assert R.tobytes() == ref_rows.tobytes()
+            assert omega == pytest.approx(ref, rel=1e-13, abs=0.0)
+
+
+def rows_subproblem(rows) -> LinearSubproblem:
+    """A sub-problem whose adjoint of unit data vector e_k is rows[k] exactly, inf
+    and NaN included: the adjoint adds only its nonzero coefficients' rows."""
+    rows = np.array(rows, dtype=float)
+    return LinearSubproblem(
+        apply=lambda x: np.zeros(len(rows)),
+        adjoint=lambda r: sum((c * row for c, row in zip(r, rows) if c), np.zeros(rows.shape[1])),
+        data=np.zeros(len(rows)),
+        noise_level=0.0,
+    )
 
 
 def matrix_free_omegas(subs, n_in: int) -> list[float]:
@@ -237,6 +267,31 @@ def block_subproblems(draw, nodes=st.integers(1, 9), max_sections: int = 9):
         residuals[rng.random(residuals.shape) < 0.2] = -0.0
         stacks.append(np.vstack([np.eye(n_data), -np.eye(n_data), residuals]))
     return forward, subs, [(int(b[0]), int(b[-1]) + 1) for b in blocks], weight, stacks
+
+
+@st.composite
+def consistent_systems(draw):
+    """Sub-problems F_i = U_i diag(s_i) V^T with one row space span(V) of drawn rank
+    r <= n_in, singular values s_i in [1/kappa, 1] (s_i[0] = 1), block rows on both
+    sides of 2 * _POWER_STEPS, drawn weights, and data F_i x* of an x* with a part
+    outside span(V).  Returns (kappa, matrices, data, weights)."""
+    n_in = draw(st.integers(1, 6))
+    rank = draw(st.integers(1, n_in))
+    kappa = draw(st.floats(1.0, 4.0))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    v = np.linalg.qr(rng.standard_normal((n_in, n_in)))[0][:, :rank]
+    x_star = rng.standard_normal(n_in)
+    mats, ys, weights = [], [], []
+    unknown_weight = draw(st.floats(0.1, 10.0))
+    for _ in range(draw(st.integers(1, 4))):
+        n_data = draw(st.integers(rank, 2 * _POWER_STEPS - 1) | st.integers(2 * _POWER_STEPS, 80))
+        u = np.linalg.qr(rng.standard_normal((n_data, rank)))[0]
+        s = kappa ** -rng.random(rank)
+        s[0] = 1.0
+        mats.append((u * s) @ v.T)
+        ys.append(mats[-1] @ x_star)
+        weights.append((draw(st.floats(0.1, 10.0)), unknown_weight))
+    return kappa, mats, ys, weights
 
 
 def stacked_residual(mats, ys, x) -> float:
@@ -868,6 +923,32 @@ class TestLandweberKaczmarz(KaczmarzContract):
         for row in report.trace[-len(subs) :]:
             assert row[2] <= 1e-8
 
+    @settings(max_examples=60, deadline=None)
+    @given(consistent_systems())
+    def test_consistent_systems_reach_the_minimum_norm_solution(self, case):
+        """From zero the iterates stay in span(V), the row space, as does the
+        minimum-norm solution x+ = pinv(F) y.  A stop with tau = 1 and delta_i =
+        eps sqrt(dw_i) ||y|| leaves the last block's residual below eps ||y||,
+        so ||x - x+|| <= kappa eps ||y|| before its step, which does not increase
+        the error; rounding adds a little in the null space."""
+        kappa, mats, ys, weights = case
+        eps, y_norm = 1e-9, float(np.linalg.norm(np.concatenate(ys)))
+        subs = [
+            LinearSubproblem(
+                apply=lambda x, m=m: m @ x,
+                adjoint=lambda r, m=m, dw=dw, uw=uw: (dw / uw) * (m.T @ r),
+                data=y, noise_level=eps * math.sqrt(dw) * y_norm, data_weight=dw,
+                unknown_weight=uw,
+            )
+            for m, y, (dw, uw) in zip(mats, ys, weights)
+        ]
+        n_in = mats[0].shape[1]
+        report = landweber_kaczmarz(subs, KaczmarzConfig(tau=1.0, max_sweeps=2000), np.zeros(n_in))
+        assert report.stop_reason == "discrepancy"
+        oracle = np.linalg.pinv(np.vstack(mats)) @ np.concatenate(ys)
+        gap = float(np.linalg.norm(report.reconstruction - oracle))
+        assert gap <= 2.0 * kappa * eps * y_norm + 1e-12 * float(np.linalg.norm(oracle))
+
     def test_own_step_residual_monotone(self):
         for seed in range(5):
             rng = np.random.default_rng(20 + seed)
@@ -953,14 +1034,15 @@ class TestMalformedSubproblems:
 
 
 class TestStepEstimate:
-    """omega = "auto": lock-step power iteration on F_i* F_i, matrix-free or assembled.
+    """omega = "auto": exact for assembled sub-problems, power iteration for the rest.
 
     A sub-problem with n_data < 2 * _POWER_STEPS = 60 data rows is assembled
-    from n_data adjoint calls, else the loop takes two calls per step.  A
-    node gives one data row on mpi and n_x on dct, nonuniform and ota, so
-    below nonuniform 128 x 64 in 8 sections (1,024 rows) is matrix-free and
-    the other shapes are assembled; TestAdjointRows takes both paths on
-    pointwise and causal blocks.
+    from n_data adjoint calls and its step comes from one eigvalsh of R R^T;
+    else the loop takes two calls per power-iteration step.  A node gives one
+    data row on mpi and n_x on dct, nonuniform and ota, so below nonuniform
+    128 x 64 in 8 sections (1,024 rows) is matrix-free and the other shapes
+    are assembled; TestAdjointRows takes both paths on pointwise and causal
+    blocks.
     """
 
     @pytest.mark.parametrize(
@@ -970,16 +1052,24 @@ class TestStepEstimate:
            ("nonuniform", 16, 8, 8)],
     )
     def test_assembled_matches_matrix_free(self, name, n_t, n_x, sections):
+        """Exact steps within 1e-13 of LAPACK's; the power iteration's Rayleigh
+        quotients approach ||F_i||^2 from below, within 2e-4 after _POWER_STEPS steps."""
         forward, data = forward_and_data(name, n_t, n_x)
         subs = time_subproblems(forward, data, 1e-2, sections=sections)
+        refs = reference_steps(subs, n_x)
         got = _estimate_omegas(subs, KaczmarzConfig(), np.zeros(n_x))
-        np.testing.assert_allclose(got, matrix_free_omegas(subs, n_x), rtol=1e-12)
+        assert all(rows is not None for rows in got[1])
+        assert_steps(got, refs)
+        power = np.array(matrix_free_omegas(subs, n_x))
+        assert np.all(np.array(got[0]) <= power * (1 + 1e-13))
+        np.testing.assert_allclose(got[0], power, rtol=2e-4)
 
     def test_matrix_free_with_many_data_rows(self):
         forward, data = forward_and_data("nonuniform", 128, 64)
         subs = time_subproblems(forward, data, 1e-2, sections=8)
-        got = _estimate_omegas(subs, KaczmarzConfig(), np.zeros(64))
-        assert np.array_equal(got, matrix_free_omegas(subs, 64))
+        omegas, rows = _estimate_omegas(subs, KaczmarzConfig(), np.zeros(64))
+        assert np.array_equal(omegas, matrix_free_omegas(subs, 64))
+        assert rows == [None] * 8
 
     @pytest.mark.parametrize("shape", [(5, 40), (40, 5), (70, 6)], ids=["wide", "tall", "long"])
     def test_weighted_subproblem(self, shape):
@@ -990,7 +1080,7 @@ class TestStepEstimate:
         v = np.linalg.qr(rng.standard_normal((shape[1], k)))[0]
         m = (u * 0.5 ** np.arange(k)) @ v.T
         subs = [weighted_subproblem(m, 0.5, 0.125), weighted_subproblem(2.0 * m, 0.125, 0.5)]
-        got = _estimate_omegas(subs, KaczmarzConfig(), np.zeros(shape[1]))
+        got, _ = _estimate_omegas(subs, KaczmarzConfig(), np.zeros(shape[1]))
         np.testing.assert_allclose(got, matrix_free_omegas(subs, shape[1]), rtol=1e-12)
         # F_0* F_0 = 4 m^T m and F_1* F_1 = m^T m
         np.testing.assert_allclose(got, [0.9 / 4.0, 0.9], rtol=1e-12)
@@ -1027,12 +1117,13 @@ class TestStepEstimate:
     def test_zero_operator_gives_unit_step(self):
         for shape in [(3, 50), (50, 3), (70, 6)]:
             sub = weighted_subproblem(np.zeros(shape), 1.0, 1.0)
-            assert _estimate_omegas([sub], KaczmarzConfig(), np.zeros(shape[1])) == [1.0]
+            assert _estimate_omegas([sub], KaczmarzConfig(), np.zeros(shape[1]))[0] == [1.0]
 
     def test_lock_step_equals_one_sub_problem_at_a_time(self):
-        """One call over sections of 13 and 12 rows (mpi 100 x 32 in 8, assembled),
-        a matrix-free sub-problem of 70 rows, and a zero map on either path, which
-        stops at step 1 while the others run all _POWER_STEPS steps."""
+        """One call over sections of 13 and 12 rows (mpi 100 x 32 in 8, assembled,
+        one eigvalsh per row count), a matrix-free sub-problem of 70 rows, and a
+        zero map on either path; the matrix-free zero map stops at step 1 while
+        the other runs all _POWER_STEPS steps."""
         forward, data = forward_and_data("mpi", 100, 32)
         subs = time_subproblems(forward, data, 1e-3, sections=8)
         assert [len(sub.data) for sub in subs] == [13] * 4 + [12] * 4
@@ -1042,10 +1133,11 @@ class TestStepEstimate:
             weighted_subproblem(np.zeros((5, 32)), 1.0, 1.0),
             weighted_subproblem(np.zeros((70, 32)), 1.0, 1.0),
         ]
-        reference = per_unit_vector_omegas(subs, 32)
+        refs = reference_steps(subs, 32)
         tallies = [tally_in_place(sub) for sub in subs]
         got = _estimate_omegas(subs, KaczmarzConfig(), np.zeros(32))
-        assert got == reference and got[-2:] == [1.0, 1.0]
+        assert_steps(got, refs)
+        assert got[0][-2:] == [1.0, 1.0]
         assert tallies[:8] == [{"adjoint_rows": 1}] * 8
         assert tallies[8:] == [
             {"apply": _POWER_STEPS, "adjoint": _POWER_STEPS},
@@ -1057,6 +1149,32 @@ class TestStepEstimate:
             mixed = subs[:index] + [nan_sub] + subs[index:]
             with pytest.raises(DivergenceError, match=f"sub-problem {index} gave nan"):
                 _estimate_omegas(mixed, KaczmarzConfig(), np.zeros(32))
+
+    @pytest.mark.parametrize(
+        "entry, shown",
+        [(math.nan, "nan"), (math.inf, "inf"), (-math.inf, "inf"), (1e200, "inf")],
+        ids=["nan", "inf", "minus-inf", "gram-overflow"],
+    )
+    def test_bad_assembled_rows_name_their_sub_problem(self, entry, shown):
+        """Non-finite rows, and finite rows whose Gram R R^T overflows, raise
+        DivergenceError naming the sub-problem: never LinAlgError, and no NumPy
+        warning (tier-1 turns warnings into errors)."""
+        rows = np.ones((4, 3))
+        rows[2, 1] = entry
+        subs = [rows_subproblem(np.eye(3)), rows_subproblem(rows), rows_subproblem(np.eye(2, 3))]
+        with pytest.raises(DivergenceError, match=f"sub-problem 1 gave {shown}$"):
+            landweber_kaczmarz(subs, KaczmarzConfig(), np.zeros(3))
+
+    @pytest.mark.parametrize(
+        "rows, expected",
+        [(np.zeros((4, 3)), 1.0), (np.full((4, 3), 1e150), 0.9 / 12e300),
+         (np.full((4, 3), 1e-100), 0.9 / 12e-200)],
+        ids=["zero", "huge", "tiny"],
+    )
+    def test_assembled_steps_at_the_ends_of_the_range(self, rows, expected):
+        """A zero block steps by 1.0; a Gram near overflow or underflow is exact."""
+        omegas, _ = _estimate_omegas([rows_subproblem(rows)], KaczmarzConfig(), np.zeros(3))
+        assert omegas == [pytest.approx(expected, rel=1e-13)]
 
 
 class TestMultiDirection(KaczmarzContract):
@@ -1164,11 +1282,11 @@ class TestAdjointRows:
 
     @staticmethod
     def check_step_estimate(n_in: int, subs) -> list[bool]:
-        """_estimate_omegas equals the per-unit-vector loop and takes the path
-        its data rows select; returns which sub-problems were assembled."""
-        reference = per_unit_vector_omegas(subs, n_in)
+        """_estimate_omegas meets reference_steps and takes the path its data
+        rows select; returns which sub-problems were assembled."""
+        refs = reference_steps(subs, n_in)
         tallies = [tally_in_place(sub) for sub in subs]
-        assert _estimate_omegas(subs, KaczmarzConfig(), np.zeros(n_in)) == reference
+        assert_steps(_estimate_omegas(subs, KaczmarzConfig(), np.zeros(n_in)), refs)
         assembled = [sub.data.shape[0] < 2 * _POWER_STEPS for sub in subs]
         for small, counts in zip(assembled, tallies):
             if small:
@@ -1211,6 +1329,17 @@ class TestAdjointRows:
         tallies = [tally_in_place(sub) for sub in subs]
         _estimate_omegas(subs, KaczmarzConfig(), np.zeros(32))
         assert tallies == [{"adjoint_rows": 1}] * 8
+
+    def test_causal_solve_kaczmarz_steps_on_the_assembled_rows(self):
+        """The whole Kaczmarz call of the causal-solve benchmark: one adjoint_rows
+        call per section, one apply per section at the start and per step, and no
+        1-D adjoint call, since a step forms F_i* r from the assembled rows."""
+        forward, data = forward_and_data("mpi", 96, 32)
+        subs = time_subproblems(forward, add_noise(data, NoiseSpec(1e-3, 0)), 1e-3, sections=8)
+        tallies = [tally_in_place(sub) for sub in subs]
+        report = landweber_kaczmarz(subs, KaczmarzConfig(tau=2.0), np.zeros(32))
+        assert (report.stop_reason, report.iterations) == ("discrepancy", 3)
+        assert tallies == [{"adjoint_rows": 1, "apply": 4}] * 8
 
     def test_one_dimensional_callables_stack_and_solve(self):
         rng = np.random.default_rng(40)

@@ -422,12 +422,16 @@ def test_inputs_that_used_to_pass_their_check(call, error):
         (lambda: spatial_norm([1j], 1.0, 2.0), InvalidInputError, "v must be an array of reals ("),
         (lambda: spatial_norm(["a"], 1.0, 2.0), InvalidInputError,
          "v must be an array of reals (could not convert string to float: 'a')"),
+        (lambda: spatial_norm(np.array([1 + 1j]), 1.0, 2.0), InvalidInputError,
+         "v must be an array of reals (got complex values)"),
+        (lambda: BochnerFunction(TimeGrid(1.0, 2), [np.ones(2, complex)] * 2), InvalidInputError,
+         "values must be an array of reals (got complex values)"),
     ],
     ids=[
         "spatial-norm-nan", "kaczmarz-truth-nan", "kaczmarz-empty-start", "observer-0.5",
         "observer-True", "observer-mask", "assemble-1.5", "assemble-True", "empty-data",
         "alpha-nan", "noise-split-nested", "noise-split-scalar", "ragged-values", "complex-v",
-        "text-v",
+        "text-v", "complex-array-v", "complex-rows-values",
     ],
 )
 def test_array_inputs_that_used_to_pass_their_check(call, error, message):
