@@ -1,10 +1,9 @@
 """Regularization methods: tracking Tikhonov, uniform Tikhonov, Kaczmarz loops.
 
-All methods assume the Hilbert geometry (p = s = 2).  The two Tikhonov
-solvers run conjugate gradients on their normal equations, matrix-free;
-the Kaczmarz iterations cycle through user-supplied linear sub-problems
-and stop by the adapted discrepancy principle: at a sweep boundary once
-every residual seen during the last full cycle fell below tau_i * delta_i.
+All methods assume the Hilbert geometry (p = s = 2).  The Tikhonov solvers run
+matrix-free CG on their normal equations; the Kaczmarz iterations cycle through
+linear sub-problems and stop by the adapted discrepancy principle: at a sweep
+boundary once every residual of the last full cycle fell below tau_i * delta_i.
 """
 
 from __future__ import annotations
@@ -85,16 +84,13 @@ def choose_alpha(rule: ParameterRule, delta: float) -> float:
 class KaczmarzConfig:
     """Cycling iteration parameters.
 
-    omega is the step size, either a positive real or "auto" (per
-    sub-problem omega_i = 0.9 / ||F_i||^2, which keeps the per-sub-problem
-    residual monotone in its own step: exact below 60 data rows, else by
-    power iteration).  tau are the discrepancy factors (scalar or one per
-    sub-problem, each >= 1).
-    memory is the number of remembered iterates for the multi-direction
-    variant; memory = 1 is plain optimal-step Landweber-Kaczmarz, so a
-    default config means the same method in both loops.  The CLI's
-    [solver] memory defaults to 3 instead, so that its kaczmarz_multi
-    method is multi-direction unless configured otherwise.
+    omega is the step size, a positive real or "auto": omega_i = 0.9 / ||F_i||^2,
+    which keeps sub-problem i's residual monotone in its own step (exact below 60
+    data rows, else by power iteration).  tau are the discrepancy factors (scalar
+    or one per sub-problem, each >= 1).  memory counts the multi-direction
+    variant's remembered iterates; its default 1 is plain optimal-step
+    Landweber-Kaczmarz, one method in both loops.  The CLI's [solver] memory
+    defaults to 3: its kaczmarz_multi is multi-direction.
     """
 
     omega: Union[float, str] = "auto"
@@ -118,12 +114,11 @@ class KaczmarzConfig:
 class LinearSubproblem:
     """One equation F_i x = y_i of a cyclic system.
 
-    apply/adjoint evaluate F_i and its adjoint with respect to the weighted
-    inner products (data_weight on the data side, unknown_weight on the
-    unknown side).  noise_level is this sub-problem's share delta_i of the
-    noise budget.  KaczmarzConfig's omega = "auto" relies on the adjoint
-    being exact in those weighted inner products: with a plain transpose
-    and data_weight != unknown_weight its step is off by their ratio.
+    apply/adjoint evaluate F_i and its adjoint in the weighted inner products
+    (data_weight on the data side, unknown_weight on the unknown side).
+    noise_level is its share delta_i of the noise budget.  omega = "auto" needs
+    the adjoint exact in those products: a plain transpose with unequal weights
+    puts its step off by their ratio.
     """
 
     apply: Callable[[np.ndarray], np.ndarray]
@@ -142,7 +137,7 @@ class LinearSubproblem:
         object.__setattr__(self, "data", data)
 
     def adjoint_rows(self, R: np.ndarray) -> np.ndarray:
-        """Row k is adjoint(R[k]), bit for bit; time_subproblems shadows this loop with one call."""
+        """Row k is adjoint(R[k]); an assembled time_subproblems block shadows it by one product."""
         return np.array([*map(self.adjoint, R)], float)
 
     def residual(self, x: np.ndarray) -> np.ndarray:
@@ -156,19 +151,17 @@ class LinearSubproblem:
 class SolveReport:
     """Outcome of one solver run.
 
-    reconstruction is a BochnerFunction for the space-time solvers, a spatial
-    vector for the Kaczmarz loops.  trace rows are (iteration, subproblem,
-    residual, alpha, error), NaN where a method has no value; residuals is
-    their residual column; a node's residual carries dt, as a per-node
-    Kaczmarz block's, so their squares sum to ||F theta - y||^2.  alphas
-    holds tikhonov_temporal's weight per node, tikhonov_uniform's [alpha], or
-    nothing.  error is the relative distance to the truth, when given.
-    stop_reason is "tolerance" (CG met its tolerance), "discrepancy" (a
-    Kaczmarz cycle met the discrepancy principle), "max_iter" (the iteration
-    or sweep cap ran out) or "breakdown" (CG met p.Ap <= 0: the normal
-    operator is not positive definite, as with a wrong adjoint); the tracking
-    solver's lock-step CG reports its worst node's, with a trace row and an
-    iteration per node.  Non-finite values raise DivergenceError.
+    reconstruction is a BochnerFunction (space-time solvers) or a spatial vector
+    (Kaczmarz loops).  trace rows are (iteration, subproblem, residual, alpha,
+    error), NaN where a method has none; residuals is their residual column; a
+    node's residual carries dt, as a per-node Kaczmarz block's, so their squares
+    sum to ||F theta - y||^2.  alphas holds tikhonov_temporal's weight per node,
+    tikhonov_uniform's [alpha], or nothing.  error is the relative distance to the
+    truth, when given.  stop_reason is "tolerance" (CG met it), "discrepancy" (a
+    Kaczmarz cycle met the principle), "max_iter" (the cap ran out) or "breakdown"
+    (CG met p.Ap <= 0, as with a wrong adjoint); the tracking solver's lock-step CG
+    reports its worst node's, with a trace row and an iteration per node.
+    Non-finite values raise DivergenceError.
     """
 
     reconstruction: Union[BochnerFunction, np.ndarray]
@@ -285,13 +278,9 @@ def _check_inputs(
     Returns the truth's norm, which must not be zero (None without a truth).
     """
     functions = [data] if truth is None else [data, truth]
-    if (
-        forward.source_exponent != 2.0
-        or forward.source_space_exponent != 2.0
-        or forward.data_exponent != 2.0
-        or forward.data_space_exponent != 2.0
-        or any(u.p != 2.0 or u.space_exponent != 2.0 for u in functions)
-    ):
+    exponents = {forward.source_exponent, forward.source_space_exponent, forward.data_exponent,
+                 forward.data_space_exponent, *(e for u in functions for e in (u.p, u.space_exponent))}
+    if exponents != {2.0}:
         raise UnsupportedGeometryError("solvers need the Hilbert geometry p = s = 2")
     _check_space(forward, data, "data", "data")
     if truth is None:
@@ -321,16 +310,16 @@ def tikhonov_temporal(
 
         (A_i* A_i + alpha_i I) x_i = A_i* y(t_i)
 
-    by one lock-step CG over all nodes and assembles the snapshots into the
-    piecewise-constant tracked reconstruction.
+    by one lock-step CG over all nodes; the snapshots form the piecewise-constant
+    tracked reconstruction.
 
     Parameters
     ----------
     alpha : positive real, one per node, or a ParameterRule
         A rule is evaluated at `delta`.
     truth : optional BochnerFunction
-        When given, the report carries the relative space-time error, and
-        the trace rows carry per-node relative errors.
+        When given, the report carries the relative space-time error and the
+        trace rows per-node ones.
     """
     t0 = time.perf_counter()
     if forward.kind != POINTWISE:
@@ -374,10 +363,9 @@ def tikhonov_uniform(
 ) -> SolveReport:
     """Uniform regularization over the whole space-time unknown.
 
-    Solves (F* F + alpha I) theta = F* y by matrix-free conjugate
-    gradients, for any composition kind.  For pointwise maps with constant
-    alpha the normal equations decouple across nodes, so the result
-    matches the tracking solver to solver tolerance.
+    Solves (F* F + alpha I) theta = F* y by matrix-free CG, for any kind.  On a
+    pointwise map with constant alpha the nodes decouple, so the result matches
+    the tracking solver to solver tolerance.
     """
     t0 = time.perf_counter()
     truth_norm = _check_inputs(forward, data, truth)
@@ -420,8 +408,9 @@ def _estimate_omegas(
 
     Below 2 * _POWER_STEPS data rows, ||F_i||^2 = (unknown_weight / data_weight)
     lambda_max(R_i R_i^T) by one eigvalsh per row count, as R_i = (data_weight /
-    unknown_weight) F_i; else _POWER_STEPS power-iteration steps on F_i* F_i from
-    a normal vector seeded by i (0 once an iterate maps to zero).
+    unknown_weight) F_i; else _POWER_STEPS power-iteration steps on F_i* F_i from a
+    normal vector seeded by i (0 once an iterate maps to zero).  A NaN, inf or
+    subnormal ||F_i||^2 (whose step overflows) raises DivergenceError.
     """
     n_sub = len(subproblems)
     rows: list = [None] * n_sub
@@ -452,10 +441,11 @@ def _estimate_omegas(
             top = np.linalg.eigvalsh(np.where(finite[:, None, None], gram, 0.0))[:, -1]
             scale = [subproblems[i].unknown_weight / subproblems[i].data_weight for i in ids]
             lam[ids] = scale * np.where(finite, top, np.trace(gram, axis1=1, axis2=2))
-    bad = np.flatnonzero(~np.isfinite(lam))
-    if bad.size:
-        raise DivergenceError(f"step estimate of sub-problem {bad[0]} gave {lam[bad[0]]}")
-    return [0.9 / x if x > 0.0 else 1.0 for x in lam.tolist()], rows
+    omegas = [0.9 / x if x > 0.0 else 1.0 for x in lam.tolist()]
+    for i, shown in enumerate(np.where(np.isfinite(lam), omegas, lam)):
+        if not math.isfinite(shown):
+            raise DivergenceError(f"step estimate of sub-problem {i} gave {shown}")
+    return omegas, rows
 
 
 def _kaczmarz(
@@ -467,9 +457,8 @@ def _kaczmarz(
 ) -> SolveReport:
     """The sweep loop both Kaczmarz methods share (stops as landweber_kaczmarz says).
 
-    make_step(x0) gets the checked start vector and returns the update
-    step(i, sub, x, r) -> x of sub-problem i at iterate x with residual
-    r = F_i x - y_i.
+    make_step(x0), given the checked start, returns step(i, sub, x, r) -> x, the
+    update of sub-problem i at iterate x with residual r = F_i x - y_i.
     """
     t0 = time.perf_counter()
     if start is None:
@@ -527,14 +516,13 @@ def landweber_kaczmarz(
     """Cyclic Landweber-Kaczmarz iteration over linear sub-problems.
 
     Step n updates x <- x - omega_i F_i*(F_i x - y_i) with i = n mod N.
-    Stopping: at the end of a sweep, if every residual recorded during that
-    sweep (each at its own iterate, before its update) satisfied
-    ||F_i x - y_i|| <= tau_i delta_i, the loop stops with reason
-    "discrepancy"; otherwise it runs max_sweeps sweeps and reports
-    "max_iter".  A non-finite residual or step estimate, or a residual
-    exceeding 1e6 times the worst initial residual, raises DivergenceError.
-    With omega = "auto", a sub-problem below 60 data rows steps by its
-    assembled rows, F_i* r = R_i^T r; residuals still come from apply.
+    At the end of a sweep in which every residual (each at its own iterate, before
+    its update) met ||F_i x - y_i|| <= tau_i delta_i, the loop stops with reason
+    "discrepancy"; else after max_sweeps sweeps with "max_iter".  A non-finite
+    residual or step, or a residual above 1e6 times the worst initial one, raises
+    DivergenceError.  With omega = "auto", a sub-problem below 60 data rows steps
+    by its assembled rows, F_i* r = R_i^T r; residuals come from apply (for a
+    time_subproblems block, F_i built on the forward map).
 
     Parameters
     ----------
@@ -562,10 +550,9 @@ def kaczmarz_multi_direction(
 ) -> SolveReport:
     """Kaczmarz iteration minimizing over several remembered directions.
 
-    At step n with current sub-problem i, the gradients of the last
-    min(memory, n+1) iterates with respect to THIS sub-problem,
-    d_k = F_i*(F_i x_k - y_i), span the search space; the coefficients
-    solve the damped Gram least-squares system
+    At step n on sub-problem i, the gradients d_k = F_i*(F_i x_k - y_i) of the
+    last min(memory, n+1) iterates for THIS sub-problem span the search space;
+    the coefficients solve the damped Gram least-squares system
 
         (G + 1e-12 tr(G) I) t = b,  G_kl = <F_i d_k, F_i d_l>, b_k = <F_i d_k, r_n>,
 
@@ -609,24 +596,23 @@ def time_subproblems(
 ) -> list[LinearSubproblem]:
     """Split a forward map with a static unknown into Kaczmarz sub-problems.
 
-    Sub-problem k maps a single spatial vector x to rows [first, end) of the
-    forward map applied to the constant-in-time embedding of x (theta(t_i) = x
-    at every node).  By default every node is its own block, so that
+    Sub-problem k maps a spatial vector x to rows [first, end) of the forward map
+    on the constant-in-time embedding of x.  By default each node is a block:
 
         pointwise                F_i x = A_i x
         accumulate_then_observe  F_i x = sum_{j<=i} dt a(t_i-t_j) A_j x
         observe_then_accumulate  F_i x = A_i (sum_{j<=i} dt a(t_i-t_j) x)
 
-    With `sections` = N, consecutive nodes are grouped into N contiguous
-    blocks instead, one sub-problem per block.  Every block, a single node
-    included, measures its residual in the dt-weighted norm of its nodes, so
-    its threshold is on the noise budget's scale: delta is split evenly over
-    the N sub-problems, delta_i = delta / sqrt(N), the package convention;
-    pass noise_split for explicit per-sub-problem levels.
+    With `sections` = N, the nodes form N contiguous blocks instead.  Every block
+    measures its residual in the dt-weighted norm of its nodes, so its threshold
+    is on the noise budget's scale: delta_i = delta / sqrt(N), the package
+    convention, unless noise_split gives the levels.  One _forward_rows call on the
+    constant unit vectors e_j assembles the blocks under 60 data rows (column j of
+    F_i is its rows of e_j) while their stack (n_in, end, n_in) is <= 2**20 floats.
     """
     _real(delta, "noise level", "[0, inf)")
     _check_space(forward, data, "data", "data")
-    n_t = forward.time_grid.n_t
+    n_t, n_in = forward.time_grid.n_t, forward.static.n_in
     count = n_t if sections is None else sections
     _count(count, "sections", 1, n_t)
     if noise_split is None:
@@ -636,20 +622,24 @@ def time_subproblems(
             noise_split, "noise levels in noise_split", (count,), nonfinite=InvalidParameterError
         ).tolist()
     blocks = [(int(b[0]), int(b[-1]) + 1) for b in np.array_split(np.arange(n_t), count)]
+    small = [end for first, end in blocks
+             if (end - first) * forward.static.n_out < 2 * _POWER_STEPS and end * n_in * n_in <= 2**20]
+    if small:
+        columns = _forward_rows(forward, np.broadcast_to(np.eye(n_in)[:, None], (n_in, small[-1], n_in)))
     return [
-        _block(forward, first, end, data.values[first:end].reshape(-1), level)
+        _block(forward, first, end, data.values[first:end].reshape(-1), level,
+               columns[:, first:end].reshape(n_in, -1).T if end in small else None)
         for (first, end), level in zip(blocks, levels)
     ]
 
 
-def _block(forward: DynamicForward, first: int, end: int, data, level: float):
-    """The LinearSubproblem of the block of nodes [first, end), with its data and noise level.
+def _block(forward: DynamicForward, first: int, end: int, data, level: float, F):
+    """The LinearSubproblem of nodes [first, end), its data rows (they carry dt) and level.
 
-    apply maps the tiled x over the nodes the block reads (its own for a pointwise
-    map, 0..end-1 for the causal kinds) to data rows [first, end).
-    adjoint maps a residual, or each row of a stack (adjoint_rows), back in one
-    call and sums over the nodes in C order, as NumPy sums one residual.  The
-    data rows carry the quadrature weight dt, a node's as a section's.
+    Given its matrix F: apply(x) = F @ x, adjoint(r) = (data_weight / unknown_weight)
+    r @ F, of a stack too.  Else apply maps the tiled x over the nodes the block reads
+    (its own if pointwise, 0..end-1 if causal) to data rows [first, end); adjoint
+    maps a residual back and sums over the nodes.
     """
     fam, dt = forward.static, forward.time_grid.dt
     nodes = end - (first if forward.kind == POINTWISE else 0)
@@ -658,11 +648,14 @@ def _block(forward: DynamicForward, first: int, end: int, data, level: float):
         tiled = np.asarray(x, dtype=float)[None, :].repeat(nodes, axis=0)  # faster than np.tile
         return _forward_rows(forward, tiled, first).reshape(-1)
 
-    def adjoint(R: np.ndarray) -> np.ndarray:  # one residual, or each row of a stack
-        R = np.asarray(R, dtype=float)
-        rows = R.reshape(R.shape[:-1] + (end - first, fam.n_out))
-        return dt * np.ascontiguousarray(_adjoint_rows(forward, rows, first)).sum(-2)
+    def adjoint(r: np.ndarray) -> np.ndarray:
+        rows = np.asarray(r, dtype=float).reshape(end - first, fam.n_out)
+        return dt * _adjoint_rows(forward, rows, first).sum(0)
 
+    if F is not None:
+        F, scale = np.ascontiguousarray(F), dt * fam.out_weight / fam.in_weight
+        apply, adjoint = F.__matmul__, lambda r: scale * (r @ F)
     sub = LinearSubproblem(apply, adjoint, data, level, dt * fam.out_weight, fam.in_weight)
-    object.__setattr__(sub, "adjoint_rows", adjoint)
+    if F is not None:
+        object.__setattr__(sub, "adjoint_rows", adjoint)
     return sub

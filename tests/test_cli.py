@@ -6,6 +6,7 @@ written into tmp_path and inspects the emitted artifacts.
 
 import dataclasses
 import importlib
+import json
 import math
 import os
 import textwrap
@@ -31,6 +32,9 @@ from dynreg import (
 from dynreg import cli
 from dynreg.cli import ExperimentConfig, load_config, main
 from dynreg.svgplot import line_plot
+
+
+BENCHMARKS = Path(__file__).resolve().parent.parent / "benchmarks"
 
 
 def write_config(path, body: str) -> str:
@@ -208,7 +212,7 @@ class TestLoadConfig:
         }
 
     def test_benchmark_configs_are_accepted(self, tmp_path, monkeypatch):
-        monkeypatch.syspath_prepend(str(Path(__file__).resolve().parent.parent / "benchmarks"))
+        monkeypatch.syspath_prepend(str(BENCHMARKS))
         workloads = importlib.import_module("workloads")
         calls = [call for ops in workloads.WORKLOADS.values() for call in ops]
         assert len(calls) == 6
@@ -227,6 +231,36 @@ class TestLoadConfig:
             """))
         assert cfg.probes == ("stacked_spectrum", "integrability")
         assert cfg.radii == (1.0, 2.5, 10.0)
+
+
+class TestBenchmarkContract:
+    """Each benchmark workload's CLI calls, run through main with its configs and
+    seed as benchmarks/run.py runs them, pass its output checks: the properties
+    that hold at every seed, and the stored references (stop reasons, CG and
+    sweep counts exactly, floats within workloads.RTOL).  So a moved CG or sweep
+    count fails here, not only in the benchmark."""
+
+    SEEDS = [("causal-solve", seed) for seed in range(20)] + [
+        (workload, seed) for workload in ("probe", "pointwise-sweep") for seed in range(5)
+    ]
+
+    @pytest.mark.parametrize("workload, seed", SEEDS)
+    def test_workload_meets_its_references(self, tmp_path, monkeypatch, workload, seed):
+        monkeypatch.syspath_prepend(str(BENCHMARKS))
+        workloads = importlib.import_module("workloads")
+        references = json.loads((BENCHMARKS / "references.json").read_text())
+        stored = references["workloads"][workload]
+        errors = []
+        for call in workloads.WORKLOADS[workload]:
+            config = write_config(tmp_path / f"{call.name}.ini", call.config_text())
+            out = tmp_path / call.name
+            argv = ["--config", config, "--out", str(out), "--seed", str(seed), "--quiet"]
+            assert main([call.command, *argv]) == 0
+            files = {path.name: path.read_bytes() for path in sorted(out.iterdir())}
+            errors += workloads.property_errors(call, files)
+            want = stored[str(seed if call.seeded else references["default_seed"])][call.name]
+            errors += workloads.compare(workloads.summarize(call, files), want, call.name)
+        assert errors == []
 
 
 class TestExitCodes:

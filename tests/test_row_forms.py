@@ -362,16 +362,24 @@ class TestNodeCoverage:
             fam.adjoint_rows(4, np.ones((2, fam.n_out)))
 
     def test_section_past_the_pattern(self):
-        """masks[4:8] of a 5-row table is one row that would broadcast over four."""
-        _, observer = self.short_families()[0]
-        forward = DynamicForward(POINTWISE, observer, TimeGrid(1.0, 8))
-        data = forward.data_template(np.ones((8, 4)))
-        head, tail = time_subproblems(forward, data, 0.1, sections=2)
-        head.apply(np.ones(4))
-        with pytest.raises(DimensionError):
-            tail.apply(np.ones(4))
-        with pytest.raises(DimensionError):
-            tail.adjoint(np.ones(16))
+        """masks[4:8] of a 5-row table is one row that would broadcast over four.
+        Sections of 4 x 4 = 16 data rows are assembled when they are built, so
+        time_subproblems refuses; sections of 4 x 16 = 64 rows are matrix-free, so
+        the tail's apply and adjoint refuse and the head's apply runs."""
+        for dim in (4, 16):
+            observer = make_subsample_observer(rotating_window_pattern(5, dim, 2), dim)
+            forward = DynamicForward(POINTWISE, observer, TimeGrid(1.0, 8))
+            data = forward.data_template(np.ones((8, dim)))
+            if dim == 4:
+                with pytest.raises(DimensionError, match="observation pattern"):
+                    time_subproblems(forward, data, 0.1, sections=2)
+                continue
+            head, tail = time_subproblems(forward, data, 0.1, sections=2)
+            head.apply(np.ones(dim))
+            with pytest.raises(DimensionError):
+                tail.apply(np.ones(dim))
+            with pytest.raises(DimensionError):
+                tail.adjoint(np.ones(4 * dim))
 
 
 @st.composite
@@ -396,13 +404,15 @@ class TestZeroPrefixSkip:
 
     @pytest.mark.parametrize("kind", [ACCUMULATE_THEN_OBSERVE, OBSERVE_THEN_ACCUMULATE])
     def test_causal_block_adjoint_bit_for_bit(self, kind):
-        grid, space = TimeGrid(1.0, 9), SpatialGrid(0.0, 1.0, 5)
+        """Sections of 12 nodes x 5 outputs = 60 data rows, the fewest a block
+        keeps matrix-free (smaller ones are assembled, see test_solvers)."""
+        grid, space = TimeGrid(1.0, 36), SpatialGrid(0.0, 1.0, 5)
         fam = make_gaussian_smoothing(space, 0.2)
         forward = DynamicForward(kind, fam, grid, make_causal_kernel(grid, np.exp(-grid.nodes)))
-        data = forward.data_template(np.ones((9, 5)))
+        data = forward.data_template(np.ones((36, 5)))
         subs = time_subproblems(forward, data, 0.1, sections=3)
         rng = np.random.default_rng(1)
-        for (first, end), sub in zip([(0, 3), (3, 6), (6, 9)], subs):
+        for (first, end), sub in zip([(0, 12), (12, 24), (24, 36)], subs):
             r = rng.standard_normal((end - first) * 5)
             padded = np.zeros((end, 5))
             padded[first:] = r.reshape(end - first, 5)

@@ -54,8 +54,9 @@ from dynreg import (
     time_subproblems,
 )
 from dynreg.bochner import SpatialGrid, TimeGrid
-from dynreg.operators import _adjoint_rows
-from dynreg.solvers import _POWER_STEPS, _cg, _estimate_omegas
+import dynreg.solvers
+from dynreg.operators import _adjoint_rows, _forward_rows
+from dynreg.solvers import _POWER_STEPS, _block, _cg, _estimate_omegas
 from tracking_reference import tracking_by_node
 
 
@@ -212,6 +213,28 @@ def block_adjoint_reference(forward, first: int, end: int, weight: float, r) -> 
     padded = np.zeros((end - lo, n_out))
     padded[first - lo :] = np.asarray(r, dtype=float).reshape(end - first, n_out)
     return weight * _adjoint_rows(forward, padded, lo).sum(axis=0)
+
+
+def assembled_matrix(sub):
+    """The matrix F of a time_subproblems block assembled below 2 * _POWER_STEPS
+    data rows (its apply is F's bound __matmul__), else None."""
+    matrix = getattr(sub.apply, "__self__", None)
+    return matrix if isinstance(matrix, np.ndarray) else None
+
+
+def unit_vector_rows(forward, first: int, end: int) -> np.ndarray:
+    """Column j: rows [first, end) of _forward_rows on the tiled unit vector e_j,
+    one call per j, the oracle of an assembled block's matrix."""
+    n_in, n_t = forward.static.n_in, forward.time_grid.n_t
+    columns = [_forward_rows(forward, np.tile(e, (n_t, 1)))[first:end] for e in np.eye(n_in)]
+    return np.array([c.reshape(-1) for c in columns]).T
+
+
+def assert_near(got, want, rel: float, size=None) -> None:
+    """got within rel * size of want, entry by entry; size defaults to max|want|."""
+    got, want = np.asarray(got), np.asarray(want)
+    size = np.abs(want).max(initial=0.0) if size is None else size
+    assert got.shape == want.shape and np.abs(got - want).max(initial=0.0) <= rel * size
 
 
 def tally_in_place(sub, names=("apply", "adjoint", "adjoint_rows")) -> dict:
@@ -1176,6 +1199,20 @@ class TestStepEstimate:
         omegas, _ = _estimate_omegas([rows_subproblem(rows)], KaczmarzConfig(), np.zeros(3))
         assert omegas == [pytest.approx(expected, rel=1e-13)]
 
+    def test_subnormal_norm_names_its_sub_problem(self):
+        """Rows np.full((4, 3), 1e-160): ||F_1||^2 is about 1.2e-319, subnormal, and
+        0.9 / ||F_1||^2 overflows; the step estimate names sub-problem 1 instead of
+        a residual blaming inf.  (A power iteration never gets there: its iterate's
+        squared norm underflows to 0 first, which gives the unit step.)"""
+        tiny = np.full((4, 3), 1e-160)
+        subs = [rows_subproblem(np.eye(3)), rows_subproblem(tiny), rows_subproblem(np.eye(2, 3))]
+        with pytest.raises(DivergenceError, match="step estimate of sub-problem 1 gave inf$"):
+            _estimate_omegas(subs, KaczmarzConfig(), np.zeros(3))
+        with pytest.raises(DivergenceError, match="step estimate of sub-problem 1 gave inf$"):
+            landweber_kaczmarz(subs, KaczmarzConfig(), np.zeros(3))
+        free = weighted_subproblem(np.full((70, 3), 1e-160), 1.0, 1.0)
+        assert _estimate_omegas([free], KaczmarzConfig(), np.zeros(3))[0] == [1.0]
+
 
 class TestMultiDirection(KaczmarzContract):
     loop = staticmethod(kaczmarz_multi_direction)
@@ -1267,18 +1304,33 @@ class TestMultiDirection(KaczmarzContract):
 
 
 class TestAdjointRows:
-    """LinearSubproblem.adjoint_rows: the batched form of adjoint, bit for bit."""
+    """LinearSubproblem.adjoint_rows: the batched form of adjoint.
+
+    The loop over adjoint is exact by construction; an assembled time_subproblems
+    block shadows it with one product R @ F, exact on unit vectors (the step
+    estimate's input) and equal to rounding on other rows."""
 
     @settings(max_examples=150, deadline=None)
     @given(block_subproblems())
     def test_rows_equal_stacked_adjoints_bytes(self, case):
+        """Blocks of at most 45 data rows, all assembled: the matrix has the bytes
+        of unit_vector_rows, the unit-vector rows are +-(data_weight / unknown_weight) F
+        exactly, and every row is the per-row adjoint and the matrix-free block
+        adjoint (padded rows through _adjoint_rows) within 1e-13."""
         forward, subs, blocks, weight, stacks = case
+        n_in = forward.static.n_in
         for sub, (first, end), R in zip(subs, blocks, stacks):
+            F, n_data = assembled_matrix(sub), len(sub.data)
+            assert F.tobytes() == unit_vector_rows(forward, first, end).tobytes()
             got = sub.adjoint_rows(R)
-            assert got.shape == (len(R), forward.static.n_in) and got.dtype == float
-            assert got.tobytes() == np.array([sub.adjoint(r) for r in R]).tobytes()
+            assert got.shape == (len(R), n_in) and got.dtype == float
+            scale = sub.data_weight / sub.unknown_weight
+            assert np.array_equal(got[: 2 * n_data], np.vstack([scale * F, -scale * F]))
+            size = np.abs(R).max(axis=1, initial=0.0) * np.abs(scale * F).sum(axis=0).max()
             reference = [block_adjoint_reference(forward, first, end, weight, r) for r in R]
-            assert got.tobytes() == np.array(reference).tobytes()  # signbits included
+            for k, r in enumerate(R):
+                for want in (sub.adjoint(r), reference[k]):
+                    assert np.abs(got[k] - want).max() <= 1e-13 * size[k]
 
     @staticmethod
     def check_step_estimate(n_in: int, subs) -> list[bool]:
@@ -1340,6 +1392,27 @@ class TestAdjointRows:
         report = landweber_kaczmarz(subs, KaczmarzConfig(tau=2.0), np.zeros(32))
         assert (report.stop_reason, report.iterations) == ("discrepancy", 3)
         assert tallies == [{"adjoint_rows": 1, "apply": 4}] * 8
+
+    def test_causal_solve_sections_are_assembled_by_one_forward_call(self, monkeypatch):
+        """The Kaczmarz call of the causal-solve benchmark: time_subproblems makes
+        one _forward_rows call for all eight 12-row sections and no _adjoint_rows
+        call; landweber_kaczmarz then makes neither (every product is with a
+        12 x 32 matrix) and stops by discrepancy after 3 sweeps."""
+        forward, data = forward_and_data("mpi", 96, 32)
+        noisy = add_noise(data, NoiseSpec(1e-3, 0))
+        calls: list = []
+        for name in ("_forward_rows", "_adjoint_rows"):
+            original = getattr(dynreg.solvers, name)
+            counted_call = lambda *args, name=name, original=original: (
+                calls.append(name) or original(*args)
+            )
+            monkeypatch.setattr(dynreg.solvers, name, counted_call)
+        subs = time_subproblems(forward, noisy, 1e-3, sections=8)
+        assert calls == ["_forward_rows"]
+        assert all(assembled_matrix(sub).shape == (12, 32) for sub in subs)
+        report = landweber_kaczmarz(subs, KaczmarzConfig(tau=2.0), np.zeros(32))
+        assert calls == ["_forward_rows"]
+        assert (report.stop_reason, report.iterations) == ("discrepancy", 3)
 
     def test_one_dimensional_callables_stack_and_solve(self):
         rng = np.random.default_rng(40)
@@ -1418,25 +1491,97 @@ class TestTimeSubproblems:
         + [(name, s) for name in ("dct", "nonuniform", "identity", "ota") for s in (None, 4)],
     )
     def test_accumulate_apply_is_forward_block(self, name, sections):
+        """Blocks of at most 15 data rows, all assembled: column j of a block's
+        matrix is its rows of the forward map on the tiled e_j, bit for bit, and
+        apply(x) is its rows on the tiled x within 1e-14."""
         forward, data = forward_and_data(name, 12, 5)
         x = np.random.default_rng(5).standard_normal(5)
         tiled = apply_forward(forward, forward.source_template(np.tile(x, (12, 1)))).values
         subs = time_subproblems(forward, data, 1e-2, sections=sections)
         blocks = np.array_split(np.arange(12), 12 if sections is None else sections)
         for sub, nodes in zip(subs, blocks):
-            assert np.array_equal(sub.apply(x), tiled[nodes].reshape(-1))
+            matrix = unit_vector_rows(forward, nodes[0], nodes[-1] + 1)
+            assert assembled_matrix(sub).tobytes() == matrix.tobytes()
+            assert_near(sub.apply(x), tiled[nodes].reshape(-1), 1e-14)
+
+    @pytest.mark.parametrize(
+        "name, n_t, n_x", [("mpi", 120, 4), ("dct", 24, 5), ("nonuniform", 24, 5), ("ota", 24, 5)]
+    )
+    def test_large_blocks_keep_the_matrix_free_rows_bytes(self, name, n_t, n_x):
+        """Two sections of exactly 2 * _POWER_STEPS = 60 data rows stay matrix-free:
+        apply is the tiled forward's rows and adjoint the padded rows through
+        _adjoint_rows, bit for bit (signbits included), as before assembly."""
+        forward, data = forward_and_data(name, n_t, n_x)
+        subs = time_subproblems(forward, data, 1e-2, sections=2)
+        rng = np.random.default_rng(7)
+        x = rng.standard_normal(n_x)
+        tiled = apply_forward(forward, forward.source_template(np.tile(x, (n_t, 1)))).values
+        half = n_t // 2
+        for sub, (first, end) in zip(subs, [(0, half), (half, n_t)]):
+            assert len(sub.data) == 2 * _POWER_STEPS and assembled_matrix(sub) is None
+            assert sub.apply(x).tobytes() == tiled[first:end].tobytes()
+            r = rng.standard_normal(len(sub.data))
+            r[::7] = -0.0
+            reference = block_adjoint_reference(forward, first, end, forward.time_grid.dt, r)
+            assert sub.adjoint(r).tobytes() == reference.tobytes()
+
+    def test_wide_sources_assemble_only_within_the_stack_budget(self, monkeypatch):
+        """mpi 20 x 256: every per-node block has one data row, but the unit vectors'
+        stack (256, end, 256) holds at most 2**20 floats only up to end = 16.  So one
+        _forward_rows call assembles the first 16 blocks; the last 4 stay matrix-free."""
+        forward, data = forward_and_data("mpi", 20, 256)
+        shapes: list = []
+        original = dynreg.solvers._forward_rows
+        monkeypatch.setattr(
+            dynreg.solvers, "_forward_rows", lambda f, v, *a: shapes.append(v.shape) or original(f, v, *a)
+        )
+        subs = time_subproblems(forward, data, 1e-2)
+        assert shapes == [(256, 16, 256)]
+        assert [assembled_matrix(sub) is not None for sub in subs] == [True] * 16 + [False] * 4
+
+    @settings(max_examples=100, deadline=None)
+    @given(block_subproblems(st.integers(1, 9) | st.integers(30, 60), max_sections=2))
+    def test_weighted_adjoint_identity_on_both_sides_of_the_switch(self, case):
+        """Blocks of 1 to 300 data rows of the three kinds, assembled below
+        2 * _POWER_STEPS rows and matrix-free from there: data_weight <F x, r> =
+        unknown_weight <x, F* r> within 1e-12, and an assembled block's apply and
+        adjoint are the matrix-free closures' (_block without a matrix) within
+        1e-12 of their largest term."""
+        forward, subs, blocks, _, _ = case
+        rng = np.random.default_rng(len(subs))
+        for sub, (first, end) in zip(subs, blocks):
+            F = assembled_matrix(sub)
+            assert (F is None) == (len(sub.data) >= 2 * _POWER_STEPS)
+            x, r = rng.standard_normal(forward.static.n_in), rng.standard_normal(len(sub.data))
+            image, back = sub.apply(x), sub.adjoint(r)
+            lhs = sub.data_weight * float(image @ r)
+            rhs = sub.unknown_weight * float(x @ back)
+            size = sub.data_weight * np.linalg.norm(image) * np.linalg.norm(r)
+            size += sub.unknown_weight * np.linalg.norm(x) * np.linalg.norm(back)
+            assert abs(lhs - rhs) <= 1e-12 * size
+            if F is not None:
+                free = _block(forward, first, end, sub.data, 0.0, None)
+                scale = sub.data_weight / sub.unknown_weight
+                assert_near(image, free.apply(x), 1e-12, (np.abs(F) @ np.abs(x)).max())
+                assert_near(back, free.adjoint(r), 1e-12, scale * (np.abs(r) @ np.abs(F)).max())
 
     @pytest.mark.parametrize("name", ["mpi", "ota"])
     @pytest.mark.parametrize("n_t", [1, 2, 3, 40])
     def test_one_wide_node_blocks_form_the_forward_rows_bytes(self, name, n_t):
-        """Per-node blocks of a causal map with one output (on ota also one input)
-        form only the rows they keep, two at least, as the full forward's bytes."""
+        """A causal map with one output (on ota also one input): _forward_rows from
+        node i, the call a matrix-free block makes, forms only the rows it keeps,
+        two at least, as the full forward's bytes.  The per-node blocks (one data
+        row, so assembled) hold the tiled unit vector's rows bit for bit and
+        apply within 1e-14 of the image's largest entry (a node's rows cancel)."""
         forward, data = forward_and_data(name, n_t, 1)
         assert forward.static.n_out == 1
         x = np.random.default_rng(6).standard_normal(1)
-        tiled = apply_forward(forward, forward.source_template(np.tile(x, (n_t, 1)))).values
+        source = np.tile(x, (n_t, 1))
+        tiled = apply_forward(forward, forward.source_template(source)).values
         for i, sub in enumerate(time_subproblems(forward, data, 1e-2)):
-            assert sub.apply(x).tobytes() == tiled[i].tobytes()
+            assert _forward_rows(forward, source[: i + 1], i).tobytes() == tiled[i].tobytes()
+            assert assembled_matrix(sub).tobytes() == unit_vector_rows(forward, i, i + 1).tobytes()
+            assert_near(sub.apply(x), tiled[i], 1e-14, np.abs(tiled).max())
 
     @pytest.mark.parametrize("name", ["dct", "mpi", "ota"])
     def test_nodes_are_one_node_sections(self, name):
@@ -1521,8 +1666,9 @@ class TestTimeSubproblems:
         "make", [make_dct_analogue, make_nonuniform_example, make_identity_problem]
     )
     def test_tracking_residuals_are_the_per_node_blocks(self, make):
-        """tikhonov_temporal's node residuals are the per-node Kaczmarz blocks',
-        dt weight included, and their squares add up to the space-time misfit."""
+        """tikhonov_temporal's node residuals are the per-node Kaczmarz blocks'
+        (assembled, 16 data rows) within 1e-13, dt weight included, and their
+        squares add up to the space-time misfit."""
         problem = make(32, 16)
         forward = problem.forward
         data = add_noise(problem.data_clean, NoiseSpec(1e-2, 0))
@@ -1530,7 +1676,7 @@ class TestTimeSubproblems:
         subs = time_subproblems(forward, data, 1e-2)
         snapshots = report.reconstruction.values
         blocks = [sub.residual_norm(sub.residual(x)) for sub, x in zip(subs, snapshots)]
-        assert np.array_equal(report.residuals, blocks)
+        np.testing.assert_allclose(report.residuals, blocks, rtol=1e-13)
         misfit = bochner_norm(apply_forward(forward, report.reconstruction) - data)
         assert math.fsum(r * r for r in report.residuals) == pytest.approx(misfit**2, rel=1e-14)
 
