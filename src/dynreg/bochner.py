@@ -16,8 +16,8 @@ scalar Python loop: NumPy's power need not round like libm's pow.
 The solvers' stopping tests read these sums, so the order is part of every
 result: summing pairwise instead moves the CG count of the benchmark's
 causal-solve Tikhonov solve at seed 17 from 18 to 16.  The one exception:
-diagnostics' ensemble probes take Hilbert (s = 2) node norms from one fused
-reduction per row, since they only report tables.
+diagnostics' ensemble probes take Hilbert (s = 2) node norms from _dot, one
+BLAS dot per row, since they only report tables.
 """
 
 from __future__ import annotations
@@ -31,10 +31,8 @@ import numpy as np
 
 from .errors import (
     DimensionError,
-    DomainError,
     InvalidInputError,
     InvalidParameterError,
-    UnsupportedGeometryError,
     _array,
     _count,
     _real,
@@ -199,22 +197,14 @@ def _row_norms(values: np.ndarray, weight: float, exponent: float) -> np.ndarray
     return _ascending_sum(weight * np.abs(values) ** exponent) ** (1.0 / exponent)
 
 
+def _dot(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Row-wise a.b, each row by the BLAS ddot of a_row @ b_row (einsum rounds otherwise)."""
+    return np.matmul(a[..., None, :], b[..., :, None])[..., 0, 0]
+
+
 def _mixed_norm(values: np.ndarray, dt: float, weight: float, p: float, s: float) -> float:
     """(sum_i dt * ||values[i]||_X^p)^(1/p) over the rows of a 2-d array."""
     return float(_ascending_sum(dt * _row_norms(values, weight, s) ** p) ** (1.0 / p))
-
-
-def _pairing(u: BochnerFunction, v: BochnerFunction) -> float:
-    """sum_i dt * sum_j w * u_ij * v_ij, ascending in time and in space."""
-    nodes = _ascending_sum(u.space_weight * u.values * v.values)
-    return float(_ascending_sum(u.grid.dt * nodes))
-
-
-def spatial_norm(v: np.ndarray, weight: float, exponent: float) -> float:
-    """Weighted discrete l^s norm of one spatial vector, ascending summation."""
-    _real(weight, "spatial weight", "(0, inf)")
-    _real(exponent, "spatial exponent", "[1, inf)")
-    return float(_row_norms(_array(v, "v", (None,)), weight, exponent))
 
 
 def bochner_norm(u: BochnerFunction) -> float:
@@ -225,20 +215,6 @@ def bochner_norm(u: BochnerFunction) -> float:
     integrated exactly: the result equals T^(1/p) * ||x||_X.
     """
     return _mixed_norm(u.values, u.grid.dt, u.space_weight, u.p, u.space_exponent)
-
-
-def bochner_inner(u: BochnerFunction, v: BochnerFunction) -> float:
-    """L^2(0, T; X) inner product sum_i dt * sum_j w * u_ij * v_ij.
-
-    Both arguments must carry Hilbert exponents (p = s = 2) and identical
-    grids and weights.
-    """
-    u._require_same_geometry(v)
-    if u.p != 2.0 or u.space_exponent != 2.0:
-        raise UnsupportedGeometryError(
-            f"inner product needs p = s = 2, got p={u.p}, s={u.space_exponent}"
-        )
-    return _pairing(u, v)
 
 
 def holder_pairing(u: BochnerFunction, v: BochnerFunction) -> tuple[float, float]:
@@ -264,31 +240,8 @@ def holder_pairing(u: BochnerFunction, v: BochnerFunction) -> tuple[float, float
         raise InvalidInputError(
             f"space exponents {u.space_exponent} and {v.space_exponent} are not conjugate"
         )
-    return _pairing(u, v), bochner_norm(u) * bochner_norm(v)
-
-
-def _shift_steps(grid: TimeGrid, z: float) -> int:
-    """Grid steps k = round(z / dt) of a shift z in [0, T) that leaves an overlap."""
-    if not np.isfinite(z) or z < 0.0 or z >= grid.horizon:
-        raise DomainError(f"shift must lie in [0, T), got {z}")
-    k = int(round(z / grid.dt))
-    if k >= grid.n_t:
-        raise DomainError(f"shift {z} leaves no overlap on a grid with {grid.n_t} nodes")
-    return k
-
-
-def translate(u: BochnerFunction, z: float) -> BochnerFunction:
-    """Time translation (tau_z u)(t) = u(t + z) on the surviving nodes.
-
-    z is snapped to the nearest grid multiple k = round(z / dt); the result
-    lives on the first n_t - k nodes.  translate(u, 0) returns an identical
-    copy of u.
-    """
-    k = _shift_steps(u.grid, z)
-    if k == 0:
-        return u.with_values(u.values)
-    grid = TimeGrid.from_dt(u.grid.dt, u.n_t - k)
-    return BochnerFunction(grid, u.values[k:], u.p, u.space_exponent, u.space_weight)
+    nodes = _ascending_sum(u.space_weight * u.values * v.values)  # ascending in space, then time
+    return float(_ascending_sum(u.grid.dt * nodes)), bochner_norm(u) * bochner_norm(v)
 
 
 def _atomic_write_text(path: str, text: str) -> None:

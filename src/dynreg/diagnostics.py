@@ -8,8 +8,8 @@ values come from LAPACK's SVD of the matrix itself (never of M^T M).  It is
 backward stable: every value carries an absolute error of about
 eps * sigma_max, so values below that level are rounding noise.
 
-The ensemble probes take their Hilbert (s = 2) node norms from one fused
-reduction per row, the one exception to bochner's ascending order, which the
+The ensemble probes take their Hilbert (s = 2) node norms from bochner._dot,
+one BLAS dot per row, the one exception to bochner's ascending order, which the
 solvers keep for their iteration counts: the probes only report tables, equal
 to bochner_norm's to rounding level.  Other exponents keep bochner's bits.
 """
@@ -23,8 +23,8 @@ from functools import partial
 
 import numpy as np
 
-from .bochner import BochnerFunction, bochner_norm
-from .bochner import _ascending_sum, _require_geometry, _row_norms, _shift_steps
+from .bochner import BochnerFunction, TimeGrid, bochner_norm
+from .bochner import _ascending_sum, _dot, _require_geometry, _row_norms
 from .errors import (
     DomainError,
     InvalidInputError,
@@ -164,11 +164,11 @@ def forward_image(forward: DynamicForward, theta: BochnerFunction) -> BochnerFun
 
 
 def _node_norms(values: np.ndarray, weight: float, s: float) -> np.ndarray:
-    """The X norm of every row of a 2-d array: sqrt(weight * d.d) by one fused
-    reduction for s = 2 (no abs, power or transposed copy; the same bits run to
-    run), bochner's _row_norms, bit for bit, for any other s."""
+    """The X norm of every row of a 2-d array: sqrt(weight * d.d) by _dot for s = 2
+    (no abs, power or transposed copy; the same bits run to run), bochner's
+    _row_norms, bit for bit, for any other s."""
     if s == 2.0:
-        return np.sqrt(weight * np.einsum("ij,ij->i", values, values))
+        return np.sqrt(weight * _dot(values, values))
     return _row_norms(values, weight, s)
 
 
@@ -202,9 +202,9 @@ def integrability_tail(
     Returns an array of rows (r, tail).  Every input must lie in the unit
     ball of the source space.  Each image's node norms are computed once and
     the masses summed in ascending node order, so they equal this sum taken
-    node by node to rounding level.  For s = 2 the node norms are one fused
-    reduction per row, not bochner's ascending sum (kept for the solvers'
-    iteration counts).  The images come from forward_image.
+    node by node to rounding level.  For s = 2 the node norms are one BLAS dot
+    per row, not bochner's ascending sum (kept for the solvers' iteration
+    counts).  The images come from forward_image.
     inputs may be any iterable and is streamed: one input is checked, mapped
     and reduced before the next is drawn, so the memory is one input and its
     image, whatever the size of the family.
@@ -228,6 +228,16 @@ def integrability_tail(
     return np.column_stack([radii, worst])
 
 
+def _shift_steps(grid: TimeGrid, z: float) -> int:
+    """Grid steps k = round(z / dt) of a shift z in [0, T) that leaves an overlap."""
+    if not np.isfinite(z) or z < 0.0 or z >= grid.horizon:
+        raise DomainError(f"shift must lie in [0, T), got {z}")
+    k = int(round(z / grid.dt))
+    if k >= grid.n_t:
+        raise DomainError(f"shift {z} leaves no overlap on a grid with {grid.n_t} nodes")
+    return k
+
+
 def translation_modulus(ensemble, shifts) -> np.ndarray:
     """Worst-case translation modulus sup_f ||tau_z f - f|| over an ensemble.
 
@@ -235,11 +245,11 @@ def translation_modulus(ensemble, shifts) -> np.ndarray:
     the surviving nodes.  Small moduli under refinement are the practical
     footprint of a relatively compact family; the probe is meant for
     ensembles of forward images or reconstructions.  Each modulus is the
-    mixed norm of the row difference values[k:] - values[:n_t - k], so it
-    equals bochner_norm(translate(f, z) - head of f) to rounding level: for
-    s = 2 the node norms are one fused reduction per row, not bochner's
-    ascending sum (kept for the solvers' iteration counts); other exponents
-    repeat bochner_norm's bits.
+    mixed norm of the row difference values[k:] - values[:n_t - k] on the first
+    n_t - k nodes, so it equals that difference's bochner_norm to rounding level:
+    for s = 2 the node norms are one BLAS dot per row, not bochner's ascending
+    sum (kept for the solvers' iteration counts); other exponents repeat
+    bochner_norm's bits.
     ensemble may be any iterable and is streamed, one member at a time, so
     the memory is one member, whatever the size of the ensemble.
 

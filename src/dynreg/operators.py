@@ -262,14 +262,6 @@ class DynamicForward:
                      "data_space_exponent"):
             _real(getattr(self, name), name.replace("_", " "), "[1, inf)")
 
-    @property
-    def n_source(self) -> int:
-        return self.static.n_in
-
-    @property
-    def n_data(self) -> int:
-        return self.static.n_out
-
     def source_template(self, values) -> BochnerFunction:
         """Wrap raw source values in the forward map's source geometry."""
         return BochnerFunction(

@@ -16,7 +16,7 @@ from typing import Callable, Optional, Sequence, Union
 
 import numpy as np
 
-from .bochner import BochnerFunction, bochner_norm
+from .bochner import BochnerFunction, _dot, bochner_norm
 from .errors import (
     DimensionError,
     DivergenceError,
@@ -153,15 +153,15 @@ class SolveReport:
 
     reconstruction is a BochnerFunction (space-time solvers) or a spatial vector
     (Kaczmarz loops).  trace rows are (iteration, subproblem, residual, alpha,
-    error), NaN where a method has none; residuals is their residual column; a
-    node's residual carries dt, as a per-node Kaczmarz block's, so their squares
-    sum to ||F theta - y||^2.  alphas holds tikhonov_temporal's weight per node,
-    tikhonov_uniform's [alpha], or nothing.  error is the relative distance to the
-    truth, when given.  stop_reason is "tolerance" (CG met it), "discrepancy" (a
-    Kaczmarz cycle met the principle), "max_iter" (the cap ran out) or "breakdown"
-    (CG met p.Ap <= 0, as with a wrong adjoint); the tracking solver's lock-step CG
-    reports its worst node's, with a trace row and an iteration per node.
-    Non-finite values raise DivergenceError.
+    error), NaN where a method has none; a node's residual carries dt, as a
+    per-node Kaczmarz block's, so their squares sum to ||F theta - y||^2.  alphas
+    holds tikhonov_temporal's weight per node, tikhonov_uniform's [alpha], or
+    nothing.  error is the relative distance to the truth, when given.
+    stop_reason is "tolerance" (CG met it), "discrepancy" (a Kaczmarz cycle met
+    the principle), "max_iter" (the cap ran out) or "breakdown" (CG met p.Ap <= 0,
+    as with a wrong adjoint); the tracking solver's lock-step CG reports its worst
+    node's, with a trace row and an iteration per node.  Non-finite values raise
+    DivergenceError.
     """
 
     reconstruction: Union[BochnerFunction, np.ndarray]
@@ -171,15 +171,6 @@ class SolveReport:
     error: Optional[float]
     wall_time: float
     trace: list[tuple[int, int, float, float, float]]
-
-    @property
-    def residuals(self) -> list[float]:
-        return [row[2] for row in self.trace]
-
-
-def _dot(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Row-wise a.b, each row by the BLAS ddot of a_row @ b_row (einsum rounds otherwise)."""
-    return np.matmul(a[..., None, :], b[..., :, None])[..., 0, 0]
 
 
 def _norm(v: np.ndarray, weight: float) -> float:
@@ -608,7 +599,8 @@ def time_subproblems(
     is on the noise budget's scale: delta_i = delta / sqrt(N), the package
     convention, unless noise_split gives the levels.  One _forward_rows call on the
     constant unit vectors e_j assembles the blocks under 60 data rows (column j of
-    F_i is its rows of e_j) while their stack (n_in, end, n_in) is <= 2**20 floats.
+    F_i is its rows of e_j) while their stack (n_in, end, n_in) is <= 2**20 floats;
+    a pointwise map's stack starts at the first such block's node.
     """
     _real(delta, "noise level", "[0, inf)")
     _check_space(forward, data, "data", "data")
@@ -622,13 +614,15 @@ def time_subproblems(
             noise_split, "noise levels in noise_split", (count,), nonfinite=InvalidParameterError
         ).tolist()
     blocks = [(int(b[0]), int(b[-1]) + 1) for b in np.array_split(np.arange(n_t), count)]
-    small = [end for first, end in blocks
-             if (end - first) * forward.static.n_out < 2 * _POWER_STEPS and end * n_in * n_in <= 2**20]
+    small = {end: first for first, end in blocks
+             if (end - first) * forward.static.n_out < 2 * _POWER_STEPS and end * n_in * n_in <= 2**20}
+    start = min(small.values()) if small and forward.kind == POINTWISE else 0
     if small:
-        columns = _forward_rows(forward, np.broadcast_to(np.eye(n_in)[:, None], (n_in, small[-1], n_in)))
+        eye = np.broadcast_to(np.eye(n_in)[:, None], (n_in, max(small) - start, n_in))
+        columns = _forward_rows(forward, eye, start)
     return [
         _block(forward, first, end, data.values[first:end].reshape(-1), level,
-               columns[:, first:end].reshape(n_in, -1).T if end in small else None)
+               columns[:, first - start:end - start].reshape(n_in, -1).T if end in small else None)
         for (first, end), level in zip(blocks, levels)
     ]
 

@@ -1,4 +1,4 @@
-"""Grids, mixed norms, pairings, translation, and CSV round-trips.
+"""Grids, mixed norms, pairings, and CSV round-trips.
 
 The property tests hold the vectorized reductions to a math.fsum oracle.
 Summing n non-negative terms one at a time in ascending order has a relative
@@ -24,18 +24,13 @@ from hypothesis.extra.numpy import arrays
 from dynreg import (
     BochnerFunction,
     DimensionError,
-    DomainError,
     InvalidInputError,
     InvalidParameterError,
     SpatialGrid,
     TimeGrid,
-    UnsupportedGeometryError,
-    bochner_inner,
     bochner_norm,
     holder_pairing,
     read_csv,
-    spatial_norm,
-    translate,
     write_csv,
 )
 from dynreg.bochner import _ascending_sum, _atomic_write_text, _mixed_norm, _row_norms
@@ -179,27 +174,6 @@ def test_bochner_function_rejects_bad_exponent(which, exponent):
         BochnerFunction(TimeGrid(1.0, 2), [[0.5], [5.0]], **{which: exponent})
 
 
-@pytest.mark.parametrize("exponent", BAD_EXPONENTS)
-def test_spatial_norm_rejects_bad_exponent(exponent):
-    with pytest.raises(InvalidParameterError):
-        spatial_norm(np.array([3.0, 4.0]), 1.0, exponent)
-
-
-@pytest.mark.parametrize("weight", [0.0, -1.0, math.nan, math.inf])
-def test_spatial_norm_rejects_bad_weight(weight):
-    # the norm used to come out as 0, NaN or inf
-    with pytest.raises(InvalidParameterError, match=r"spatial weight must lie in \(0, inf\)"):
-        spatial_norm(np.array([3.0, 4.0]), weight, 2.0)
-
-
-@pytest.mark.parametrize("shape", [(2, 2), (1, 2), (), (0,)])
-def test_spatial_norm_needs_a_vector(shape):
-    # a 2-d array raised NumPy's bare TypeError, an empty one an IndexError
-    message = re.escape(f"v must have shape (n,), got {shape}")
-    with pytest.raises(DimensionError, match=message):
-        spatial_norm(np.ones(shape), 1.0, 2.0)
-
-
 class TestBochnerFunction:
     def test_rejects_nan(self):
         grid = TimeGrid(1.0, 2)
@@ -287,15 +261,17 @@ class TestNorm:
         for p in (1.0, 2.0, 3.0):
             grid = TimeGrid(2.0, 9)
             u = BochnerFunction(grid, np.full((9, 3), 1.5), p=p, space_weight=1.0 / 3)
-            x_norm = spatial_norm(u.values[0], 1.0 / 3, 2.0)
+            x_norm = fsum_spatial_norm(u.values[0], 1.0 / 3, 2.0)
             assert bochner_norm(u) == pytest.approx(2.0 ** (1.0 / p) * x_norm, rel=1e-14)
 
 
 class TestInner:
+    """The L^2(0, T; X) inner product: holder_pairing's pairing at p = s = 2."""
+
     def test_matches_norm(self):
         for seed in range(20):
             u = random_function(seed)
-            assert bochner_inner(u, u) == pytest.approx(bochner_norm(u) ** 2, rel=1e-13)
+            assert holder_pairing(u, u)[0] == pytest.approx(bochner_norm(u) ** 2, rel=1e-13)
 
     def test_brute_force(self):
         u = random_function(3, n_t=4, n_x=3)
@@ -305,27 +281,27 @@ class TestInner:
             for i in range(4)
             for j in range(3)
         )
-        assert bochner_inner(u, v) == pytest.approx(expected, rel=1e-13)
+        assert holder_pairing(u, v)[0] == pytest.approx(expected, rel=1e-13)
 
     def test_zero(self):
         u = random_function(5)
         z = u.with_values(np.zeros_like(u.values))
-        assert bochner_inner(u, z) == 0.0
+        assert holder_pairing(u, z) == (0.0, 0.0)
 
     def test_rejects_non_hilbert(self):
         u = random_function(6, p=3.0)
-        with pytest.raises(UnsupportedGeometryError):
-            bochner_inner(u, u)
+        with pytest.raises(InvalidInputError, match="time exponents 3.0 and 3.0 are not conjugate"):
+            holder_pairing(u, u)
 
     def test_rejects_grid_mismatch(self):
         u = random_function(7, n_t=4)
         v = random_function(8, n_t=5)
         with pytest.raises(DimensionError):
-            bochner_inner(u, v)
+            holder_pairing(u, v)
 
     def test_rejects_other_norm_data(self):
-        with pytest.raises(DimensionError, match="different norm data"):
-            bochner_inner(random_function(7), random_function(8, weight=0.5))
+        with pytest.raises(DimensionError, match="matching grids and weights"):
+            holder_pairing(random_function(7), random_function(8, weight=0.5))
 
 
 class TestHolder:
@@ -371,9 +347,9 @@ class TestAscendingReductions:
     @settings(max_examples=300, deadline=None)
     @given(bochner_functions())
     def test_spatial_norm_matches_fsum(self, u):
-        for row in u.values:
+        norms = _row_norms(u.values, u.space_weight, u.space_exponent)
+        for row, got in zip(u.values, norms.tolist()):
             expected = fsum_spatial_norm(row, u.space_weight, u.space_exponent)
-            got = spatial_norm(row, u.space_weight, u.space_exponent)
             assert abs(got - expected) <= (u.n_dim + 10) * EPS * expected
 
     @settings(max_examples=300, deadline=None)
@@ -387,7 +363,7 @@ class TestAscendingReductions:
     def test_inner_matches_fsum(self, u, seed):
         v = u.with_values(np.random.default_rng(seed).standard_normal(u.values.shape))
         exact, size = fsum_pairing(u, v)
-        assert abs(bochner_inner(u, v) - exact) <= (u.n_dim + u.n_t + 10) * EPS * size
+        assert abs(holder_pairing(u, v)[0] - exact) <= (u.n_dim + u.n_t + 10) * EPS * size
 
     @settings(max_examples=300, deadline=None)
     @given(conjugate_pairs())
@@ -407,9 +383,8 @@ class TestAscendingReductions:
         row = u.values[-1]
         strided = np.repeat(row, 2)[::2]
         w, s = u.space_weight, u.space_exponent
-        assert spatial_norm(row, w, s) == spatial_norm(row, w, s) == spatial_norm(strided, w, s)
+        assert _row_norms(row, w, s) == _row_norms(row, w, s) == _row_norms(strided, w, s)
         hilbert = BochnerFunction(u.grid, u.values, space_weight=w)
-        assert bochner_inner(hilbert, hilbert) == bochner_inner(hilbert, hilbert)
         assert holder_pairing(hilbert, hilbert) == holder_pairing(hilbert, hilbert)
 
     @settings(max_examples=200, deadline=None)
@@ -422,7 +397,7 @@ class TestAscendingReductions:
             total = 0.0
             for x in row:
                 total += u.space_weight * abs(x)
-            assert spatial_norm(row, u.space_weight, 1.0) == total
+            assert _row_norms(row, u.space_weight, 1.0) == total
         hilbert = BochnerFunction(u.grid, u.values, space_weight=u.space_weight)
         other = hilbert.with_values(np.random.default_rng(seed).standard_normal(u.values.shape))
         total = 0.0
@@ -431,7 +406,7 @@ class TestAscendingReductions:
             for a, b in zip(row_u, row_v):
                 node += hilbert.space_weight * a * b
             total += hilbert.grid.dt * node
-        assert bochner_inner(hilbert, other) == total
+        assert holder_pairing(hilbert, other)[0] == total
 
     def test_not_bit_identical_to_scalar_loop(self):
         # NumPy's power is not libm's pow (Python's **), so some results round
@@ -444,40 +419,10 @@ class TestAscendingReductions:
             for x in v:
                 old += (1.0 / 64) * abs(x) ** 3.0
             old **= 1.0 / 3.0
-            new = spatial_norm(v, 1.0 / 64, 3.0)
+            new = float(_row_norms(v, 1.0 / 64, 3.0))
             assert abs(new - old) <= 4 * math.ulp(old)
             differ += new != old
         assert differ > 0
-
-
-class TestTranslate:
-    def test_zero_shift_identity(self):
-        u = random_function(13)
-        shifted = translate(u, 0.0)
-        assert shifted.grid == u.grid
-        np.testing.assert_array_equal(shifted.values, u.values)
-
-    def test_constant_function_shift(self):
-        grid = TimeGrid(1.0, 8)
-        u = BochnerFunction(grid, np.tile([1.0, -2.0], (8, 1)), space_weight=0.5)
-        shifted = translate(u, 3 * grid.dt)
-        head = BochnerFunction(shifted.grid, u.values[:5], space_weight=0.5)
-        assert bochner_norm(shifted - head) == 0.0
-
-    def test_index_shift(self):
-        u = random_function(14, n_t=9)
-        shifted = translate(u, 2 * u.grid.dt)
-        assert shifted.n_t == 7
-        np.testing.assert_array_equal(shifted.values, u.values[2:])
-
-    def test_out_of_range(self):
-        u = random_function(15)
-        with pytest.raises(DomainError):
-            translate(u, -0.1)
-        with pytest.raises(DomainError):
-            translate(u, u.grid.horizon)
-        with pytest.raises(DomainError, match="leaves no overlap"):
-            translate(u, u.grid.horizon - 0.4 * u.grid.dt)  # rounds to n_t steps
 
 
 def per_element_csv(nodes, values) -> bytes:

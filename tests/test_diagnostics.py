@@ -40,14 +40,12 @@ from dynreg import (
     make_nonuniform_example,
     make_scaling_family,
     singular_values,
-    spatial_norm,
     stacked_spectrum,
     temporal_spectrum,
-    translate,
     translation_modulus,
 )
 from dynreg import diagnostics
-from dynreg.bochner import _ascending_sum, _mixed_norm, _row_norms
+from dynreg.bochner import _ascending_sum, _dot, _mixed_norm, _row_norms
 from dynreg.diagnostics import _node_norms, forward_image
 from dynreg.operators import (
     ACCUMULATE_THEN_OBSERVE,
@@ -123,7 +121,7 @@ def loop_integrability_tail(forward, inputs, radii, q=1.0):
     for theta in inputs:
         f = apply_forward(forward, theta)
         node_norms.append(
-            [spatial_norm(f.values[i], f.space_weight, f.space_exponent) for i in range(f.n_t)]
+            [float(_row_norms(f.values[i], f.space_weight, f.space_exponent)) for i in range(f.n_t)]
         )
     table = np.empty((len(radii), 2))
     for row, r in enumerate(radii):
@@ -139,16 +137,17 @@ def loop_integrability_tail(forward, inputs, radii, q=1.0):
 
 
 def loop_translation_modulus(ensemble, shifts):
-    """Moduli through translate and a BochnerFunction difference per shift and member."""
+    """Moduli per shift and member: the translate f(t + z), f's rows from k = round(z / dt)
+    on a grid of their own n_t - k nodes, minus f's head, as a BochnerFunction difference."""
     table = np.empty((len(shifts), 2))
     for row, z in enumerate(shifts):
         worst = 0.0
         for f in ensemble:
-            shifted = translate(f, z)
-            head = BochnerFunction(
-                shifted.grid, f.values[: shifted.n_t], f.p, f.space_exponent, f.space_weight
-            )
-            worst = max(worst, bochner_norm(shifted - head))
+            k = round(z / f.grid.dt)
+            grid = TimeGrid.from_dt(f.grid.dt, f.n_t - k)
+            tail = BochnerFunction(grid, f.values[k:], f.p, f.space_exponent, f.space_weight)
+            head = tail.with_values(f.values[: tail.n_t])
+            worst = max(worst, bochner_norm(tail - head))
         table[row] = (z, worst)
     return table
 
@@ -514,9 +513,9 @@ class TestIntegrabilityTail:
         forward = make_nonuniform_example(24, 6).forward
         inputs = unit_ball_ensemble(forward, 6, seed=25)  # the sup switches member
         norms = [
-            spatial_norm(row, f.space_weight, f.space_exponent)
+            norm
             for f in (apply_forward(forward, theta) for theta in inputs)
-            for row in f.values
+            for norm in _row_norms(f.values, f.space_weight, f.space_exponent).tolist()
         ]
         radii = [*np.quantile(norms, [0.1, 0.5, 0.8, 0.9, 0.95, 0.99]), 2.0 * max(norms)]
         table = integrability_tail(forward, inputs, radii, q=q)
@@ -594,11 +593,9 @@ class TestTranslationModulus:
         f = problem.truth
         dt = f.grid.dt
         table = translation_modulus([f], [dt])
-        shifted = translate(f, dt)
-        head = BochnerFunction(
-            shifted.grid, f.values[:9], p=f.p, space_weight=f.space_weight
-        )
-        assert table[0, 1] == pytest.approx(bochner_norm(shifted - head), rel=1e-13)
+        tail = BochnerFunction(TimeGrid.from_dt(dt, 9), f.values[1:], p=f.p, space_weight=f.space_weight)
+        head = tail.with_values(f.values[:9])
+        assert table[0, 1] == pytest.approx(bochner_norm(tail - head), rel=1e-13)
 
     def test_sup_over_ensemble(self):
         grid = TimeGrid(1.0, 5)
@@ -694,16 +691,16 @@ def separated_radii(forward, inputs):
     """Radii between the images' node norms, each far from every norm in relative terms,
     so a norm rounded either way lies on the same side of every radius."""
     norms = sorted(
-        spatial_norm(row, f.space_weight, f.space_exponent)
+        norm
         for f in (apply_forward(forward, theta) for theta in inputs)
-        for row in f.values
+        for norm in _row_norms(f.values, f.space_weight, f.space_exponent).tolist()
     )
     between = [0.5 * (a + b) for a, b in zip(norms, norms[1:]) if b - a > 1e-9 * b]
     return [0.5 * norms[0], *between, 2.0 * norms[-1]]
 
 
 class TestNodeNorms:
-    """The probes' node norms: one fused reduction at s = 2, bochner's row norms otherwise."""
+    """The probes' node norms: the solvers' row dot _dot at s = 2, bochner's row norms otherwise."""
 
     @settings(max_examples=150, deadline=None)
     @given(ensembles(), st.data())
@@ -756,6 +753,7 @@ class TestNodeNorms:
     def test_hilbert_norms_repeat_their_bytes_at_an_odd_offset(self, ensemble):
         values, weight = ensemble[0].values, ensemble[0].space_weight
         norms = _node_norms(values, weight, 2.0)
+        assert norms.tobytes() == np.sqrt(weight * _dot(values, values)).tobytes()
         moved = np.empty(values.size + 1)[1:].reshape(values.shape)  # one float past the start
         moved[...] = values
         assert _node_norms(moved, weight, 2.0).tobytes() == norms.tobytes()

@@ -308,11 +308,11 @@ class TestNoPerNodeFallback:
     def exercise(forward: DynamicForward, data) -> None:
         rng = np.random.default_rng(0)
         n_t = forward.time_grid.n_t
-        apply_forward(forward, forward.source_template(rng.standard_normal((n_t, forward.n_source))))
+        apply_forward(forward, forward.source_template(rng.standard_normal((n_t, forward.static.n_in))))
         apply_adjoint(forward, data)
         for sections in (None, 2):
             sub = time_subproblems(forward, data, 0.1, sections=sections)[-1]
-            sub.apply(rng.standard_normal(forward.n_source))
+            sub.apply(rng.standard_normal(forward.static.n_in))
             sub.adjoint(rng.standard_normal(sub.data.shape[0]))
         if forward.kind == POINTWISE:
             tikhonov_temporal(forward, data, 1e-2)

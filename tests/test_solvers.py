@@ -13,7 +13,7 @@ import re
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 from dynreg import (
     ACCUMULATE_THEN_OBSERVE,
@@ -252,10 +252,10 @@ def tally_in_place(sub, names=("apply", "adjoint", "adjoint_rows")) -> dict:
 
 
 @st.composite
-def block_subproblems(draw, nodes=st.integers(1, 9), max_sections: int = 9):
+def block_subproblems(draw, nodes=st.integers(1, 9), max_sections: int = 9, delta=st.just(1e-2)):
     """time_subproblems of a pointwise, accumulate-then-observe or hand-built
     observe-then-accumulate map, per node or in sections, on a built-in row
-    family or a family of per-node matrices built from 1-D callables."""
+    family or a family of per-node matrices built from 1-D callables, at noise level delta."""
     kind = draw(st.sampled_from([POINTWISE, ACCUMULATE_THEN_OBSERVE, OBSERVE_THEN_ACCUMULATE]))
     n_t, n_in = draw(nodes), draw(st.integers(1, 5))
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
@@ -278,7 +278,7 @@ def block_subproblems(draw, nodes=st.integers(1, 9), max_sections: int = 9):
     forward = DynamicForward(kind, family, grid, kernel)
     data = forward.data_template(rng.standard_normal((n_t, family.n_out)))
     sections = draw(st.one_of(st.none(), st.integers(1, min(n_t, max_sections))))
-    subs = time_subproblems(forward, data, 1e-2, sections=sections)
+    subs = time_subproblems(forward, data, draw(delta), sections=sections)
     blocks = np.array_split(np.arange(n_t), n_t if sections is None else sections)
     weight = grid.dt
     stacks = []
@@ -441,7 +441,7 @@ class TestTikhonovTemporal:
             problem.forward, problem.data_clean, 1e-8, truth=problem.truth
         )
         assert isinstance(report, SolveReport)
-        assert len(report.residuals) == 6 and len(report.trace) == 6
+        assert len(report.trace) == 6
         assert report.stop_reason == "tolerance"
         assert report.error == pytest.approx(0.0, abs=1e-7)
         assert all(math.isfinite(row[4]) for row in report.trace)
@@ -890,7 +890,7 @@ class KaczmarzContract:
         report = self.loop([sub], KaczmarzConfig(max_sweeps=0), start)
         np.testing.assert_array_equal(report.reconstruction, start)
         assert report.stop_reason == "max_iter"
-        assert report.iterations == 0 and report.residuals == []
+        assert report.iterations == 0 and report.trace == []
 
     def test_error_uses_weighted_norm(self):
         y = np.array([2.0, 0.0])
@@ -927,8 +927,9 @@ class TestLandweberKaczmarz(KaczmarzContract):
             [sub], KaczmarzConfig(omega=1.0, max_sweeps=10), np.zeros(3)
         )
         np.testing.assert_array_equal(report.reconstruction, y)
-        assert report.residuals[0] == pytest.approx(np.linalg.norm(y))
-        assert report.residuals[1] == 0.0
+        residuals = [row[2] for row in report.trace]
+        assert residuals[0] == pytest.approx(np.linalg.norm(y))
+        assert residuals[1] == 0.0
         assert report.stop_reason == "discrepancy"
         assert report.iterations == 2
 
@@ -972,6 +973,43 @@ class TestLandweberKaczmarz(KaczmarzContract):
         gap = float(np.linalg.norm(report.reconstruction - oracle))
         assert gap <= 2.0 * kappa * eps * y_norm + 1e-12 * float(np.linalg.norm(oracle))
 
+    @settings(max_examples=100, deadline=None)
+    @given(block_subproblems(delta=st.floats(1e-3, 10.0)), st.data())
+    def test_discrepancy_stop_is_the_first_sweep_that_meets_every_bound(self, case, data):
+        """The stop of the sweep loop both methods share, on time_subproblems blocks with
+        drawn tau_i >= 1, noise level, start and max_sweeps: a "discrepancy" stop ends at
+        the first sweep whose N residuals all meet tau_i delta_i, a "max_iter" stop after
+        max_sweeps sweeps with none, and the first residual is block 0's, computed from
+        apply_forward on the embedded start."""
+        forward, subs, blocks, _, _ = case
+        norms = [float(np.linalg.norm(assembled_matrix(sub))) for sub in subs]
+        # a block of rounding noise (mpi's sin(pi) at n_x = 1) takes a 1e31 step and diverges
+        assume(all(norm == 0.0 or norm > 1e-8 * max(norms) for norm in norms))
+        n = len(subs)
+        taus = data.draw(st.lists(st.floats(1.0, 4.0), min_size=n, max_size=n))
+        max_sweeps = data.draw(st.integers(1, 8))  # 0 sweeps: test_max_sweeps_zero_returns_start
+        start = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1))).standard_normal(
+            forward.static.n_in
+        )
+        report = landweber_kaczmarz(subs, KaczmarzConfig(tau=taus, max_sweeps=max_sweeps), start)
+        assert [row[1] for row in report.trace] == [k % n for k in range(n * report.iterations)]
+        residuals = [row[2] for row in report.trace]
+        met = [
+            all(r <= tau * sub.noise_level for r, tau, sub in zip(residuals[k : k + n], taus, subs))
+            for k in range(0, len(residuals), n)
+        ]
+        if report.stop_reason == "discrepancy":
+            assert met.index(True) == len(met) - 1
+        else:
+            assert report.stop_reason == "max_iter"
+            assert len(met) == max_sweeps and not any(met)
+        if residuals:
+            first, end = blocks[0]
+            embedded = forward.source_template(np.tile(start, (forward.time_grid.n_t, 1)))
+            r = apply_forward(forward, embedded).values[first:end].ravel() - subs[0].data
+            expected = math.sqrt(subs[0].data_weight * math.fsum(r * r))
+            assert residuals[0] == pytest.approx(expected, rel=1e-12)
+
     def test_own_step_residual_monotone(self):
         for seed in range(5):
             rng = np.random.default_rng(20 + seed)
@@ -980,7 +1018,8 @@ class TestLandweberKaczmarz(KaczmarzContract):
             sub = matrix_subproblem(m, y, 0.0)
             report = landweber_kaczmarz([sub], KaczmarzConfig(max_sweeps=50), np.zeros(6))
             assert report.stop_reason == "max_iter"
-            for a, b in zip(report.residuals, report.residuals[1:]):
+            residuals = [row[2] for row in report.trace]
+            for a, b in zip(residuals, residuals[1:]):
                 assert b <= a * (1 + 1e-12)
 
     def test_step_past_two_over_norm_squared_diverges(self):
@@ -1240,7 +1279,7 @@ class TestMultiDirection(KaczmarzContract):
         report = kaczmarz_multi_direction(
             [sub], KaczmarzConfig(memory=2, max_sweeps=2), start
         )
-        assert report.residuals[1] <= 1e-9 * report.residuals[0]
+        assert report.trace[1][2] <= 1e-9 * report.trace[0][2]
         np.testing.assert_allclose(report.reconstruction, y, rtol=0, atol=1e-9)
 
     def test_more_memory_never_slower_on_consistent_pair(self):
@@ -1300,7 +1339,7 @@ class TestMultiDirection(KaczmarzContract):
         sub = matrix_subproblem(m, y, 5e-3)
         report = kaczmarz_multi_direction([sub], KaczmarzConfig(memory=3), np.zeros(4))
         assert report.stop_reason == "discrepancy"
-        assert report.residuals[-1] <= 2.0 * 5e-3
+        assert report.trace[-1][2] <= 2.0 * 5e-3
 
 
 class TestAdjointRows:
@@ -1539,6 +1578,22 @@ class TestTimeSubproblems:
         assert shapes == [(256, 16, 256)]
         assert [assembled_matrix(sub) is not None for sub in subs] == [True] * 16 + [False] * 4
 
+    def test_pointwise_assembly_starts_at_the_first_small_block(self, monkeypatch):
+        """dct 23 x 5 in 2 sections of 60 and 55 data rows: only the second is assembled,
+        and a pointwise map's rows need only its own nodes 12-22, so the unit vectors'
+        stack is (5, 11, 5), read from node 12, and the matrix is the oracle's."""
+        forward, data = forward_and_data("dct", 23, 5)
+        calls: list = []
+        original = dynreg.solvers._forward_rows
+        monkeypatch.setattr(
+            dynreg.solvers, "_forward_rows",
+            lambda f, v, *a: calls.append((v.shape, *a)) or original(f, v, *a),
+        )
+        subs = time_subproblems(forward, data, 1e-2, sections=2)
+        assert calls == [((5, 11, 5), 12)]
+        assert assembled_matrix(subs[0]) is None
+        assert assembled_matrix(subs[1]).tobytes() == unit_vector_rows(forward, 12, 23).tobytes()
+
     @settings(max_examples=100, deadline=None)
     @given(block_subproblems(st.integers(1, 9) | st.integers(30, 60), max_sections=2))
     def test_weighted_adjoint_identity_on_both_sides_of_the_switch(self, case):
@@ -1676,9 +1731,10 @@ class TestTimeSubproblems:
         subs = time_subproblems(forward, data, 1e-2)
         snapshots = report.reconstruction.values
         blocks = [sub.residual_norm(sub.residual(x)) for sub, x in zip(subs, snapshots)]
-        np.testing.assert_allclose(report.residuals, blocks, rtol=1e-13)
+        residuals = [row[2] for row in report.trace]
+        np.testing.assert_allclose(residuals, blocks, rtol=1e-13)
         misfit = bochner_norm(apply_forward(forward, report.reconstruction) - data)
-        assert math.fsum(r * r for r in report.residuals) == pytest.approx(misfit**2, rel=1e-14)
+        assert math.fsum(r * r for r in residuals) == pytest.approx(misfit**2, rel=1e-14)
 
     def test_static_identity_recovery(self):
         problem = make_identity_problem(6, 5)

@@ -51,7 +51,6 @@ from dynreg import (
     make_subsample_observer,
     rotating_window_pattern,
     singular_values,
-    spatial_norm,
     temporal_spectrum,
     tikhonov_temporal,
     time_subproblems,
@@ -107,12 +106,6 @@ PARAMETERS = {
     ),
     "BochnerFunction.space_weight": row(
         "(0, inf)", lambda v: BochnerFunction(GRID, VALUES, space_weight=v), "space weight"
-    ),
-    "spatial_norm.weight": row(
-        "(0, inf)", lambda v: spatial_norm(np.zeros(2), v, 2.0), "spatial weight"
-    ),
-    "spatial_norm.exponent": row(
-        "[1, inf)", lambda v: spatial_norm(np.zeros(2), 1.0, v), "spatial exponent"
     ),
     "OperatorFamily.n_in": row((1, INF), lambda v: OperatorFamily(v, 2, trip, trip), "n_in"),
     "OperatorFamily.n_out": row((1, INF), lambda v: OperatorFamily(2, v, trip, trip), "n_out"),
@@ -247,7 +240,6 @@ def array_row(valid, shape: str, call, name, error=DimensionError, nonfinite=Inv
 
 ARRAYS = {
     "BochnerFunction.values": array_row(VALUES, "(4, n)", lambda v: BochnerFunction(GRID, v), "values"),
-    "spatial_norm.v": array_row(np.ones(3), "(n,)", lambda v: spatial_norm(v, 1.0, 2.0), "v"),
     "make_causal_kernel.samples": array_row(
         np.ones(4), "(4,)", lambda v: DynamicForward(ACCUMULATE_THEN_OBSERVE, FORWARD.static, GRID, v),
         "kernel",
@@ -400,7 +392,6 @@ def test_inputs_that_used_to_pass_their_check(call, error):
 @pytest.mark.parametrize(
     "call, error, message",
     [
-        (lambda: spatial_norm([math.nan, 1.0], 1.0, 2.0), InvalidInputError, "v must be finite"),
         (lambda: landweber_kaczmarz([TRIP_SUB], KaczmarzConfig(), np.zeros(2), [math.nan, 1.0]),
          InvalidInputError, "truth must be finite"),
         (lambda: landweber_kaczmarz([TRIP_SUB], KaczmarzConfig(), []), DimensionError, "start must have"),
@@ -419,23 +410,24 @@ def test_inputs_that_used_to_pass_their_check(call, error):
          "noise levels in noise_split must have shape (4,), got ()"),
         (lambda: BochnerFunction(TimeGrid(1.0, 2), [[1.0, 2.0], [3.0]]), InvalidInputError,
          "values must be an array of reals (setting an array element with a sequence"),
-        (lambda: spatial_norm([1j], 1.0, 2.0), InvalidInputError, "v must be an array of reals ("),
-        (lambda: spatial_norm(["a"], 1.0, 2.0), InvalidInputError,
-         "v must be an array of reals (could not convert string to float: 'a')"),
-        (lambda: spatial_norm(np.array([1 + 1j]), 1.0, 2.0), InvalidInputError,
-         "v must be an array of reals (got complex values)"),
+        (lambda: landweber_kaczmarz([TRIP_SUB], KaczmarzConfig(), [1j]), InvalidInputError,
+         "start must be an array of reals ("),
+        (lambda: landweber_kaczmarz([TRIP_SUB], KaczmarzConfig(), ["a"]), InvalidInputError,
+         "start must be an array of reals (could not convert string to float: 'a')"),
+        (lambda: landweber_kaczmarz([TRIP_SUB], KaczmarzConfig(), np.array([1 + 1j])), InvalidInputError,
+         "start must be an array of reals (got complex values)"),
         (lambda: BochnerFunction(TimeGrid(1.0, 2), [np.ones(2, complex)] * 2), InvalidInputError,
          "values must be an array of reals (got complex values)"),
     ],
     ids=[
-        "spatial-norm-nan", "kaczmarz-truth-nan", "kaczmarz-empty-start", "observer-0.5",
+        "kaczmarz-truth-nan", "kaczmarz-empty-start", "observer-0.5",
         "observer-True", "observer-mask", "assemble-1.5", "assemble-True", "empty-data",
         "alpha-nan", "noise-split-nested", "noise-split-scalar", "ragged-values", "complex-v",
         "text-v", "complex-array-v", "complex-rows-values",
     ],
 )
 def test_array_inputs_that_used_to_pass_their_check(call, error, message):
-    """Inputs that once ran (a NaN norm or error, a boolean mask read as indices, node 1 for
+    """Inputs that once ran (a NaN error, a boolean mask read as indices, node 1 for
     True), or failed later with a bare NumPy error or a message naming no input."""
     with pytest.raises(error, match=re.escape(message)):
         call()
