@@ -3,15 +3,17 @@
 Dense matrices appear only here (and in test oracles): frozen-time and
 stacked operators are assembled from batches of unit impulses mapped through
 the row forms, with quadrature weights folded in so plain coordinate inner
-products on the assembled matrix reproduce the weighted ones.  Singular
+products on the assembled matrix reproduce the weighted ones (a pointwise
+map's stacked matrix only as stacks of its frozen-time blocks).  Singular
 values come from LAPACK's SVD of the matrix itself (never of M^T M).  It is
 backward stable: every value carries an absolute error of about
 eps * sigma_max, so values below that level are rounding noise.
 
 The ensemble probes take their Hilbert (s = 2) node norms from bochner._dot,
-one BLAS dot per row, the one exception to bochner's ascending order, which the
-solvers keep for their iteration counts: the probes only report tables, equal
-to bochner_norm's to rounding level.  Other exponents keep bochner's bits.
+one BLAS dot per row (p = s = 2 mixed norms from one sum of them), the one
+exception to bochner's ascending order, which the solvers keep for their
+iteration counts: the probes only report tables, equal to bochner_norm's to
+rounding level.  Other exponents keep bochner's bits.
 """
 
 from __future__ import annotations
@@ -23,7 +25,7 @@ from functools import partial
 
 import numpy as np
 
-from .bochner import BochnerFunction, TimeGrid, bochner_norm
+from .bochner import BochnerFunction, TimeGrid
 from .bochner import _ascending_sum, _dot, _require_geometry, _row_norms
 from .errors import (
     DomainError,
@@ -125,11 +127,10 @@ def singular_values(M) -> np.ndarray:
     return np.linalg.svd(_array(M, "M", (None, None), InvalidInputError), compute_uv=False)
 
 
-def _spectrum_report(index: int | str, M: np.ndarray) -> SpectrumReport:
-    sigmas = singular_values(M)
+def _spectrum_report(index: int | str, sigmas: np.ndarray, shape: tuple) -> SpectrumReport:
     smax = float(sigmas[0])
     smin = float(sigmas[-1])
-    deficient = smax == 0.0 or smin <= max(M.shape) * np.finfo(float).eps * smax
+    deficient = smax == 0.0 or smin <= max(shape) * np.finfo(float).eps * smax
     condition = math.inf if deficient else smax / smin
     sigmas.setflags(write=False)
     return SpectrumReport(index, sigmas, condition, deficient)
@@ -138,17 +139,35 @@ def _spectrum_report(index: int | str, M: np.ndarray) -> SpectrumReport:
 def temporal_spectrum(forward: DynamicForward, time_index: int) -> SpectrumReport:
     """Spectrum of the frozen-time operator of a pointwise forward map."""
     M = assemble_dense(forward, time_index)
-    return _spectrum_report(time_index, M)
+    return _spectrum_report(time_index, singular_values(M), M.shape)
+
+
+def _frozen_stack(forward: DynamicForward, first: int, end: int) -> np.ndarray:
+    """The folded frozen-time matrices sqrt(w_out / w_in) A_i of nodes first .. end - 1,
+    shape (end - first, n_out, n_in), from one apply_rows call over a broadcast identity."""
+    fam = forward.static
+    eye = np.broadcast_to(np.eye(fam.n_in)[:, None], (fam.n_in, end - first, fam.n_in))
+    return math.sqrt(fam.out_weight / fam.in_weight) * np.moveaxis(fam.apply_rows(first, eye), 0, -1)
 
 
 def stacked_spectrum(forward: DynamicForward) -> SpectrumReport:
     """Spectrum of the full space-time operator.
 
-    For pointwise maps the stacked matrix is block diagonal, so this equals
-    the multiset union of all frozen-time spectra.
+    For pointwise maps the stacked matrix is block diagonal, so this is the
+    multiset union of all frozen-time spectra, from one batched SVD per
+    _frozen_stack, at any size; causal kinds assemble the dense matrix.
     """
-    M = assemble_dense(forward)
-    return _spectrum_report("stacked", M)
+    if forward.kind != POINTWISE:
+        M = assemble_dense(forward)
+        return _spectrum_report("stacked", singular_values(M), M.shape)
+    fam, n_t = forward.static, forward.time_grid.n_t
+    step = max(1, _ASSEMBLY_BUDGET // (fam.n_in * max(fam.n_in, fam.n_out)))
+    sigmas = []
+    for first in range(0, n_t, step):
+        stack = _array(_frozen_stack(forward, first, min(first + step, n_t)), "M", (None,) * 3)
+        sigmas += np.linalg.svd(stack, compute_uv=False).ravel().tolist()
+    sigmas.sort(reverse=True)  # np.sort's first call pages in its SIMD code
+    return _spectrum_report("stacked", np.array(sigmas), (n_t * fam.n_out, n_t * fam.n_in))
 
 
 _IMAGES = weakref.WeakKeyDictionary()  # source -> (forward map, its image), while the source lives
@@ -170,6 +189,14 @@ def _node_norms(values: np.ndarray, weight: float, s: float) -> np.ndarray:
     if s == 2.0:
         return np.sqrt(weight * _dot(values, values))
     return _row_norms(values, weight, s)
+
+
+def _probe_norm(values: np.ndarray, dt: float, weight: float, p: float, s: float) -> float:
+    """Mixed norm of a 2-d array's rows: one sum of row dots at p = s = 2, else
+    bochner_norm's sum over _node_norms."""
+    if p == s == 2.0:
+        return math.sqrt(dt * weight * _dot(values, values).sum())
+    return _ascending_sum(dt * _node_norms(values, weight, s) ** p) ** (1.0 / p)
 
 
 def _check_radii(radii) -> list[float]:
@@ -215,7 +242,8 @@ def integrability_tail(
     dt = forward.time_grid.dt
     worst, n = None, 0
     for theta in inputs:
-        if bochner_norm(theta) > 1.0 + 1e-9:
+        geometry = theta.grid.dt, theta.space_weight, theta.p, theta.space_exponent
+        if _probe_norm(theta.values, *geometry) > 1.0 + 1e-9:
             raise InvalidInputError(f"input {n} lies outside the unit ball")
         f = forward_image(forward, theta)
         norms = _node_norms(f.values, f.space_weight, f.space_exponent)
@@ -247,9 +275,9 @@ def translation_modulus(ensemble, shifts) -> np.ndarray:
     ensembles of forward images or reconstructions.  Each modulus is the
     mixed norm of the row difference values[k:] - values[:n_t - k] on the first
     n_t - k nodes, so it equals that difference's bochner_norm to rounding level:
-    for s = 2 the node norms are one BLAS dot per row, not bochner's ascending
-    sum (kept for the solvers' iteration counts); other exponents repeat
-    bochner_norm's bits.
+    for s = 2 the node norms are one BLAS dot per row (one sum of them at
+    p = 2), not bochner's ascending sum (kept for the solvers' iteration
+    counts); other exponents repeat bochner_norm's bits.
     ensemble may be any iterable and is streamed, one member at a time, so
     the memory is one member, whatever the size of the ensemble.
 
@@ -268,10 +296,7 @@ def translation_modulus(ensemble, shifts) -> np.ndarray:
             worst = np.zeros(len(shifts))
         _require_geometry(geometry, f)
         v = f.values
-        moduli = [
-            _ascending_sum(grid.dt * _node_norms(v[k:] - v[: f.n_t - k], weight, s) ** p) ** (1.0 / p)
-            for k in steps
-        ]
+        moduli = [_probe_norm(v[k:] - v[: f.n_t - k], grid.dt, weight, p, s) for k in steps]
         worst = np.maximum(worst, moduli)
         del f, v  # the loop variable would keep the member alive
     if worst is None:

@@ -400,8 +400,9 @@ def _estimate_omegas(
     Below 2 * _POWER_STEPS data rows, ||F_i||^2 = (unknown_weight / data_weight)
     lambda_max(R_i R_i^T) by one eigvalsh per row count, as R_i = (data_weight /
     unknown_weight) F_i; else _POWER_STEPS power-iteration steps on F_i* F_i from a
-    normal vector seeded by i (0 once an iterate maps to zero).  A NaN, inf or
-    subnormal ||F_i||^2 (whose step overflows) raises DivergenceError.
+    normal vector seeded by i (0 once an iterate maps to zero).  As a zero block,
+    rounding noise (||F_i||^2 <= 2^-53 max_j ||F_j||^2) gets the unit step.  A NaN,
+    inf or subnormal ||F_i||^2 (whose step overflows) raises DivergenceError.
     """
     n_sub = len(subproblems)
     rows: list = [None] * n_sub
@@ -432,7 +433,8 @@ def _estimate_omegas(
             top = np.linalg.eigvalsh(np.where(finite[:, None, None], gram, 0.0))[:, -1]
             scale = [subproblems[i].unknown_weight / subproblems[i].data_weight for i in ids]
             lam[ids] = scale * np.where(finite, top, np.trace(gram, axis1=1, axis2=2))
-    omegas = [0.9 / x if x > 0.0 else 1.0 for x in lam.tolist()]
+    noise = lam.max(initial=0.0) * 2.0**-53
+    omegas = [0.9 / x if x > noise else 1.0 for x in lam.tolist()]
     for i, shown in enumerate(np.where(np.isfinite(lam), omegas, lam)):
         if not math.isfinite(shown):
             raise DivergenceError(f"step estimate of sub-problem {i} gave {shown}")

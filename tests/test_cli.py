@@ -5,10 +5,13 @@ written into tmp_path and inspects the emitted artifacts.
 """
 
 import dataclasses
+import hashlib
 import importlib
 import json
 import math
 import os
+import subprocess
+import sys
 import textwrap
 import tracemalloc
 import warnings
@@ -35,6 +38,21 @@ from dynreg.svgplot import line_plot
 
 
 BENCHMARKS = Path(__file__).resolve().parent.parent / "benchmarks"
+SRC = BENCHMARKS.parent / "src"
+THREAD_VARIABLES = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
+WORKLOAD_SCRIPT = """\
+import sys
+from pathlib import Path
+import workloads
+from dynreg.cli import main
+workload, out, seed = sys.argv[1:]
+for call in workloads.WORKLOADS[workload]:
+    config = Path(out, call.name + ".ini")
+    config.parent.mkdir(parents=True, exist_ok=True)
+    config.write_text(call.config_text())
+    argv = ["--config", str(config), "--out", str(Path(out, call.name)), "--seed", seed, "--quiet"]
+    assert main([call.command, *argv]) == 0
+"""
 
 
 def write_config(path, body: str) -> str:
@@ -261,6 +279,28 @@ class TestBenchmarkContract:
             want = stored[str(seed if call.seeded else references["default_seed"])][call.name]
             errors += workloads.compare(workloads.summarize(call, files), want, call.name)
         assert errors == []
+
+    @pytest.mark.parametrize("seed", [0, 1])
+    def test_probe_trees_are_the_same_at_one_and_two_blas_threads(self, tmp_path, seed):
+        """Criterion 12 across BLAS thread counts: the probe workload's two calls, each
+        run in a fresh process under OPENBLAS_NUM_THREADS (and OMP_, MKL_) = 1 and 2,
+        write SHA-256-identical trees, so the batched SVD of the frozen-time stacks and
+        the ensemble probes' row-dot sums do not depend on the thread count."""
+        digests = []
+        for threads in ("1", "2"):
+            out = tmp_path / threads
+            env = {**os.environ, "PYTHONPATH": os.pathsep.join([str(SRC), str(BENCHMARKS)])}
+            env.update(dict.fromkeys(THREAD_VARIABLES, threads))
+            run = subprocess.run(
+                [sys.executable, "-c", WORKLOAD_SCRIPT, "probe", str(out), str(seed)],
+                env=env, capture_output=True, text=True, timeout=300,
+            )
+            assert run.returncode == 0, run.stderr
+            digest = hashlib.sha256()
+            for path in sorted(p for p in out.rglob("*") if p.is_file()):
+                digest.update(f"{path.relative_to(out)}\n".encode() + path.read_bytes())
+            digests.append(digest.hexdigest())
+        assert digests[0] == digests[1]
 
 
 class TestExitCodes:

@@ -17,6 +17,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from dynreg import (
+    BUILTIN_PROBLEMS,
     BochnerFunction,
     DimensionError,
     DomainError,
@@ -191,6 +192,20 @@ def unit_ball_ensemble(forward, size, seed):
     members = [forward.source_template(np.ones(shape))]
     members += [forward.source_template(rng.standard_normal(shape)) for _ in range(size - 1)]
     return [f * (1.0 / bochner_norm(f)) for f in members]
+
+
+@st.composite
+def pointwise_maps(draw):
+    """A pointwise built-in (dct at a drawn window, nonuniform, identity) or a map of
+    random per-node n_out x n_in matrices with weights 0.5 and 2.0, at most 12 x 24."""
+    n_t, n_x = draw(st.integers(1, 12)), draw(st.integers(1, 24))
+    name = draw(st.sampled_from(["dct", "nonuniform", "identity", "matrices"]))
+    if name == "matrices":
+        family = per_node_family(n_t, n_x, draw(st.integers(1, 24)), draw(st.integers(0, 2**32 - 1)))
+        return DynamicForward(POINTWISE, family, TimeGrid(1.0, n_t))
+    if name == "dct":
+        return make_dct_analogue(n_t, n_x, window=draw(st.integers(1, n_x))).forward
+    return BUILTIN_PROBLEMS[name](n_t, n_x).forward
 
 
 class TestAssembleDense:
@@ -439,6 +454,58 @@ class TestStackedSpectrum:
         report = stacked_spectrum(problem.forward)
         oracle = np.linalg.svd(assemble_dense(problem.forward), compute_uv=False)
         np.testing.assert_allclose(report.singular_values, oracle, atol=1e-12 * oracle[0])
+
+    @settings(max_examples=60, deadline=None)
+    @given(pointwise_maps())
+    def test_pointwise_union_matches_lapack_on_the_dense_matrix(self, forward):
+        """The frozen-time stacks' union against LAPACK on the assembled stacked matrix:
+        values within 1e-13 sigma_1, the same rank flag (unless sigma_min lies within
+        that distance of the flag's threshold) and the same condition to rounding."""
+        report = stacked_spectrum(forward)
+        M = assemble_dense(forward)
+        oracle = np.linalg.svd(M, compute_uv=False)
+        band = 1e-13 * oracle[0]
+        assert report.singular_values.shape == oracle.shape
+        np.testing.assert_allclose(report.singular_values, oracle, rtol=0.0, atol=band)
+        threshold = max(M.shape) * np.finfo(float).eps * oracle[0]
+        deficient = oracle[0] == 0.0 or oracle[-1] <= threshold
+        if oracle[0] == 0.0 or abs(oracle[-1] - threshold) > band:
+            assert report.rank_deficient == deficient
+        if not (deficient or report.rank_deficient):
+            # sigma_min carries an absolute error within band: relative band / sigma_min
+            rel = 2.0 * band / oracle[-1]
+            assert report.condition == pytest.approx(oracle[0] / oracle[-1], rel=rel)
+        elif deficient and report.rank_deficient:
+            assert math.isinf(report.condition)
+
+    def test_stack_is_the_frozen_time_assemblies_bytes(self):
+        for forward in (make_dct_analogue(9, 7, window=3).forward,
+                        make_nonuniform_example(5, 6).forward,
+                        DynamicForward(POINTWISE, per_node_family(4, 3, 5, 1), TimeGrid(1.0, 4))):
+            stack = diagnostics._frozen_stack(forward, 1, forward.time_grid.n_t)
+            for k, S in enumerate(stack, start=1):
+                assert S.tobytes() == assemble_dense(forward, k).tobytes()
+
+    def test_past_the_old_size_guard(self):
+        """dct 256 x 64, window 32: 16,384 x 16,384 stacked entries, far past SIZE_GUARD,
+        in 16 stacks of 16 nodes; the union of all 256 frozen-time spectra."""
+        forward = make_dct_analogue(256, 64, window=32).forward
+        with pytest.raises(ResourceLimitError):
+            assemble_dense(forward)
+        report = stacked_spectrum(forward)
+        sigmas = report.singular_values
+        assert sigmas.shape == (16_384,) and np.all(sigmas[:-1] >= sigmas[1:])
+        frozen = np.concatenate([temporal_spectrum(forward, i).singular_values for i in range(256)])
+        union = np.array(sorted(frozen.tolist(), reverse=True))
+        np.testing.assert_allclose(sigmas, union, rtol=0.0, atol=1e-13 * union[0])
+        assert report.rank_deficient and math.isinf(report.condition)  # window 32 of 64
+
+    def test_non_finite_family_is_named(self):
+        grid = TimeGrid(1.0, 3)
+        family = OperatorFamily(2, 2, lambda i, x: x / (i - 1.0), lambda i, y: y / (i - 1.0))
+        with np.errstate(divide="ignore", invalid="ignore"):
+            with pytest.raises(InvalidInputError, match="M must be finite"):
+                stacked_spectrum(DynamicForward(POINTWISE, family, grid))
 
 
 class TestIntegrabilityTail:
@@ -747,6 +814,26 @@ class TestNodeNorms:
             tails.append(_ascending_sum(np.where(norms > above, dt * norms**q, 0.0)))
         table = integrability_tail(forward, inputs, radii, q=q)
         assert table[:, 1].tobytes() == np.max(tails, axis=0).tobytes()
+
+    @settings(max_examples=150, deadline=None)
+    @given(ensembles())
+    def test_probe_norm_is_bochner_norm(self, ensemble):
+        """_probe_norm, the translation moduli's and the unit-ball check's norm: at
+        s = 2 (one sum of row dots at p = 2, a dot per row otherwise) within 1e-13 of
+        bochner_norm; bochner_norm's bytes at every other s."""
+        for f in ensemble:
+            got = diagnostics._probe_norm(f.values, f.grid.dt, f.space_weight, f.p, f.space_exponent)
+            if f.space_exponent == 2.0:
+                assert got == pytest.approx(bochner_norm(f), rel=1e-13, abs=0.0)
+            else:
+                assert np.float64(got).tobytes() == np.float64(bochner_norm(f)).tobytes()
+
+    def test_unit_ball_check_at_the_hilbert_norm(self):
+        forward = make_nonuniform_example(24, 6).forward
+        inputs = unit_ball_ensemble(forward, 6, seed=4)
+        integrability_tail(forward, inputs, [1.0])
+        with pytest.raises(InvalidInputError, match="input 5 lies outside the unit ball"):
+            integrability_tail(forward, inputs[:5] + [inputs[5] * (1.0 + 2e-9)], [1.0])
 
     @settings(max_examples=150, deadline=None)
     @given(ensembles(st.just(2.0)))

@@ -13,7 +13,7 @@ import re
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from dynreg import (
     ACCUMULATE_THEN_OBSERVE,
@@ -136,9 +136,17 @@ def weighted_subproblem(m: np.ndarray, data_weight: float, unknown_weight: float
     )
 
 
-def power_omegas(normals, n_in: int) -> list[float]:
-    """The power iteration of _estimate_omegas on the maps normals[i] = F_i* F_i."""
-    omegas = []
+def unit_step_below_noise(norms) -> list[float]:
+    """The steps 0.9 / ||F_i||^2, and the unit step for a norm at or below
+    u max_j ||F_j||^2 (u = 2^-53: rounding noise of a zero block) or zero."""
+    noise = max(norms, default=0.0) * 2.0**-53
+    return [0.9 / lam if lam > noise else 1.0 for lam in norms]
+
+
+def power_norms(normals, n_in: int) -> list[float]:
+    """The power iteration of _estimate_omegas on the maps normals[i] = F_i* F_i:
+    each Rayleigh quotient after _POWER_STEPS steps (0 once an iterate maps to zero)."""
+    norms = []
     for idx, normal in enumerate(normals):
         v = np.random.default_rng(idx).standard_normal(n_in)
         lam = 0.0
@@ -150,28 +158,28 @@ def power_omegas(normals, n_in: int) -> list[float]:
                 break
             lam = float(w @ v) / float(v @ v)
             v = w / norm
-        omegas.append(0.9 / lam if lam > 0.0 else 1.0)
-    return omegas
+        norms.append(lam)
+    return norms
 
 
 def reference_steps(subs, n_in: int) -> list:
     """Each sub-problem's expected (step, rows) from _estimate_omegas.
 
     Below 2 * _POWER_STEPS data rows: the rows R = [F* e_r] of one 1-D adjoint
-    call per unit data vector, and LAPACK's step 0.9 / ||F||^2 with ||F||^2 =
-    (unknown_weight / data_weight) sigma_max(R)^2.  From there on: no rows, and
-    the power iteration one sub-problem at a time.
+    call per unit data vector, and ||F||^2 = (unknown_weight / data_weight)
+    sigma_max(R)^2 by LAPACK.  From there on: no rows, and the power iteration
+    one sub-problem at a time.  The steps are unit_step_below_noise of those norms.
     """
-    refs = []
-    for sub, power in zip(subs, matrix_free_omegas(subs, n_in)):
+    norms, all_rows = [], []
+    for sub, power in zip(subs, power_norms(subproblem_normals(subs), n_in)):
         n_data = sub.data.shape[0]
-        if n_data >= 2 * _POWER_STEPS:
-            refs.append((power, None))
-            continue
-        rows = np.array([sub.adjoint(e) for e in np.eye(n_data)], dtype=float)
-        lam = sub.unknown_weight / sub.data_weight * np.linalg.svd(rows, compute_uv=False)[0] ** 2
-        refs.append((0.9 / lam if lam > 0.0 else 1.0, rows))
-    return refs
+        rows = None
+        if n_data < 2 * _POWER_STEPS:
+            rows = np.array([sub.adjoint(e) for e in np.eye(n_data)], dtype=float)
+            power = sub.unknown_weight / sub.data_weight * np.linalg.svd(rows, compute_uv=False)[0] ** 2
+        norms.append(power)
+        all_rows.append(rows)
+    return list(zip(unit_step_below_noise(norms), all_rows))
 
 
 def assert_steps(estimate, refs) -> None:
@@ -199,10 +207,14 @@ def rows_subproblem(rows) -> LinearSubproblem:
     )
 
 
+def subproblem_normals(subs) -> list:
+    """The maps F_i* F_i through two sub-problem calls each."""
+    return [lambda v, sub=sub: np.asarray(sub.adjoint(sub.apply(v)), float) for sub in subs]
+
+
 def matrix_free_omegas(subs, n_in: int) -> list[float]:
-    """The power iteration on F_i* F_i through two sub-problem calls per step."""
-    normals = [lambda v, sub=sub: np.asarray(sub.adjoint(sub.apply(v)), float) for sub in subs]
-    return power_omegas(normals, n_in)
+    """The steps of the power iteration on every F_i* F_i."""
+    return unit_step_below_noise(power_norms(subproblem_normals(subs), n_in))
 
 
 def block_adjoint_reference(forward, first: int, end: int, weight: float, r) -> np.ndarray:
@@ -228,6 +240,28 @@ def unit_vector_rows(forward, first: int, end: int) -> np.ndarray:
     n_in, n_t = forward.static.n_in, forward.time_grid.n_t
     columns = [_forward_rows(forward, np.tile(e, (n_t, 1)))[first:end] for e in np.eye(n_in)]
     return np.array([c.reshape(-1) for c in columns]).T
+
+
+def gamma(n: int) -> float:
+    """Higham's gamma_n = n u / (1 - n u), u = 2^-53: the relative rounding bound of a
+    sum of n terms, or of n chained roundings (Accuracy and Stability of Numerical
+    Algorithms, 2nd ed., 3.1 and 4.2)."""
+    return n * 2.0**-53 / (1.0 - n * 2.0**-53)
+
+
+def absolute_rows(forward, first: int, end: int) -> np.ndarray:
+    """unit_vector_rows of the same map on |kernel| and |A_j|: entry (r, j) is the sum of
+    the absolute terms the forward map adds to form F's entry (r, j), so |F| v for v >= 0
+    bounds the terms of F x and F* r at x = |v| or r = |v|, cancellation or not."""
+    fam, n_t = forward.static, forward.time_grid.n_t
+    eye = np.broadcast_to(np.eye(fam.n_in)[:, None], (fam.n_in, n_t, fam.n_in))
+    mats = np.abs(np.moveaxis(fam.apply_rows(0, eye), 0, -1))  # |A_j|, (n_t, n_out, n_in)
+    family = OperatorFamily(
+        fam.n_in, fam.n_out, lambda i, x: mats[i] @ x, lambda i, y: mats[i].T @ y,
+        fam.in_weight, fam.out_weight,
+    )
+    kernel = None if forward.kernel is None else np.abs(forward.kernel)
+    return unit_vector_rows(DynamicForward(forward.kind, family, forward.time_grid, kernel), first, end)
 
 
 def assert_near(got, want, rel: float, size=None) -> None:
@@ -876,9 +910,10 @@ class KaczmarzContract:
 
     def test_divergence_guard(self):
         # a step that solves the badly scaled first equation throws the
-        # second one's residual past 1e6 x the initial worst residual (1)
+        # second one's residual past 1e6 x the initial worst residual (1);
+        # ||F_0||^2 = 1e-14 lies above the rounding-noise level u ||F_1||^2
         subs = [
-            matrix_subproblem(np.array([[1e-8, 0.0]]), np.ones(1), 0.0),
+            matrix_subproblem(np.array([[1e-7, 0.0]]), np.ones(1), 0.0),
             matrix_subproblem(np.array([[1.0, 0.0]]), np.zeros(1), 0.0),
         ]
         with pytest.raises(DivergenceError):
@@ -982,9 +1017,6 @@ class TestLandweberKaczmarz(KaczmarzContract):
         max_sweeps sweeps with none, and the first residual is block 0's, computed from
         apply_forward on the embedded start."""
         forward, subs, blocks, _, _ = case
-        norms = [float(np.linalg.norm(assembled_matrix(sub))) for sub in subs]
-        # a block of rounding noise (mpi's sin(pi) at n_x = 1) takes a 1e31 step and diverges
-        assume(all(norm == 0.0 or norm > 1e-8 * max(norms) for norm in norms))
         n = len(subs)
         taus = data.draw(st.lists(st.floats(1.0, 4.0), min_size=n, max_size=n))
         max_sweeps = data.draw(st.integers(1, 8))  # 0 sweeps: test_max_sweeps_zero_returns_start
@@ -1181,6 +1213,26 @@ class TestStepEstimate:
             sub = weighted_subproblem(np.zeros(shape), 1.0, 1.0)
             assert _estimate_omegas([sub], KaczmarzConfig(), np.zeros(shape[1]))[0] == [1.0]
 
+    def test_rounding_noise_block_gives_unit_step(self):
+        """mpi's sensing family at n_x = 1 on 3 pointwise nodes: F_1 = dx sin(pi) is
+        -8.2e-17, rounding noise of a zero block.  It gets the unit step, not
+        0.9 / F_1^2 = 4.5e31, whose first sweep diverged to a residual of 2.4e14;
+        a block just above u max_j ||F_j||^2 keeps its exact step."""
+        family = make_mpi_analogue(3, 1).forward.static
+        forward = DynamicForward(POINTWISE, family, TimeGrid(1.0, 3), None)
+        data = forward.data_template(np.random.default_rng(0).standard_normal((3, 1)))
+        subs = time_subproblems(forward, data, 1e-2)
+        omegas = _estimate_omegas(subs, KaczmarzConfig(), np.zeros(1))[0]
+        assert omegas[1] == 1.0 and omegas[0] == pytest.approx(3.6, rel=1e-13)
+        report = landweber_kaczmarz(subs, KaczmarzConfig(max_sweeps=50), np.zeros(1))
+        assert report.stop_reason == "max_iter" and np.isfinite(report.reconstruction).all()
+        mats = [np.ones((1, 1)), np.full((1, 1), 2.0**-26.5 * 1.01)]
+        subs = [weighted_subproblem(m, 1.0, 1.0) for m in mats]
+        omegas = _estimate_omegas(subs, KaczmarzConfig(), np.zeros(1))[0]
+        assert omegas[1] == pytest.approx(0.9 / (2.0**-53 * 1.01**2), rel=1e-13)
+        subs[1] = weighted_subproblem(np.full((1, 1), 2.0**-26.5 * 0.99), 1.0, 1.0)
+        assert _estimate_omegas(subs, KaczmarzConfig(), np.zeros(1))[0][1] == 1.0
+
     def test_lock_step_equals_one_sub_problem_at_a_time(self):
         """One call over sections of 13 and 12 rows (mpi 100 x 32 in 8, assembled,
         one eigvalsh per row count), a matrix-free sub-problem of 70 rows, and a
@@ -1240,11 +1292,14 @@ class TestStepEstimate:
 
     def test_subnormal_norm_names_its_sub_problem(self):
         """Rows np.full((4, 3), 1e-160): ||F_1||^2 is about 1.2e-319, subnormal, and
-        0.9 / ||F_1||^2 overflows; the step estimate names sub-problem 1 instead of
-        a residual blaming inf.  (A power iteration never gets there: its iterate's
-        squared norm underflows to 0 first, which gives the unit step.)"""
+        0.9 / ||F_1||^2 overflows; as the largest block the step estimate names
+        sub-problem 1 instead of a residual blaming inf.  Beside a unit block it
+        is rounding noise and steps by 1.  (A power iteration never gets there: its
+        iterate's squared norm underflows to 0 first, which gives the unit step.)"""
         tiny = np.full((4, 3), 1e-160)
-        subs = [rows_subproblem(np.eye(3)), rows_subproblem(tiny), rows_subproblem(np.eye(2, 3))]
+        subs = [rows_subproblem(np.eye(3)), rows_subproblem(tiny)]
+        assert _estimate_omegas(subs, KaczmarzConfig(), np.zeros(3))[0] == [0.9, 1.0]
+        subs = [rows_subproblem(np.zeros((1, 3))), rows_subproblem(tiny), rows_subproblem(tiny[:1])]
         with pytest.raises(DivergenceError, match="step estimate of sub-problem 1 gave inf$"):
             _estimate_omegas(subs, KaczmarzConfig(), np.zeros(3))
         with pytest.raises(DivergenceError, match="step estimate of sub-problem 1 gave inf$"):
@@ -1365,11 +1420,13 @@ class TestAdjointRows:
             assert got.shape == (len(R), n_in) and got.dtype == float
             scale = sub.data_weight / sub.unknown_weight
             assert np.array_equal(got[: 2 * n_data], np.vstack([scale * F, -scale * F]))
-            size = np.abs(R).max(axis=1, initial=0.0) * np.abs(scale * F).sum(axis=0).max()
+            # each side errs by at most gamma_n |R| |scale F|, F's entries by as much again
+            n = forward.time_grid.n_t + n_in + forward.static.n_out + n_data + 4
+            size = 3.0 * gamma(n) * np.abs(R) @ (abs(scale) * absolute_rows(forward, first, end))
             reference = [block_adjoint_reference(forward, first, end, weight, r) for r in R]
             for k, r in enumerate(R):
                 for want in (sub.adjoint(r), reference[k]):
-                    assert np.abs(got[k] - want).max() <= 1e-13 * size[k]
+                    assert np.all(np.abs(got[k] - want) <= size[k])
 
     @staticmethod
     def check_step_estimate(n_in: int, subs) -> list[bool]:
@@ -1599,9 +1656,11 @@ class TestTimeSubproblems:
     def test_weighted_adjoint_identity_on_both_sides_of_the_switch(self, case):
         """Blocks of 1 to 300 data rows of the three kinds, assembled below
         2 * _POWER_STEPS rows and matrix-free from there: data_weight <F x, r> =
-        unknown_weight <x, F* r> within 1e-12, and an assembled block's apply and
-        adjoint are the matrix-free closures' (_block without a matrix) within
-        1e-12 of their largest term."""
+        unknown_weight <x, F* r> within 4 gamma_n data_weight |r| |F| |x|, and an
+        assembled block's apply and adjoint are the matrix-free closures' (_block
+        without a matrix) within 3 gamma_n of |F| |x| and |F*| |r|, entry by entry:
+        |F| the block under |kernel| and |A_j|, n the terms of the longest chain of
+        sums (each side of each comparison errs by at most gamma_n times that)."""
         forward, subs, blocks, _, _ = case
         rng = np.random.default_rng(len(subs))
         for sub, (first, end) in zip(subs, blocks):
@@ -1611,14 +1670,16 @@ class TestTimeSubproblems:
             image, back = sub.apply(x), sub.adjoint(r)
             lhs = sub.data_weight * float(image @ r)
             rhs = sub.unknown_weight * float(x @ back)
-            size = sub.data_weight * np.linalg.norm(image) * np.linalg.norm(r)
-            size += sub.unknown_weight * np.linalg.norm(x) * np.linalg.norm(back)
-            assert abs(lhs - rhs) <= 1e-12 * size
+            terms = absolute_rows(forward, first, end)
+            fam = forward.static
+            g = gamma(forward.time_grid.n_t + fam.n_in + fam.n_out + len(sub.data) + 4)
+            assert abs(lhs - rhs) <= 4.0 * g * sub.data_weight * (np.abs(r) @ terms @ np.abs(x))
             if F is not None:
                 free = _block(forward, first, end, sub.data, 0.0, None)
                 scale = sub.data_weight / sub.unknown_weight
-                assert_near(image, free.apply(x), 1e-12, (np.abs(F) @ np.abs(x)).max())
-                assert_near(back, free.adjoint(r), 1e-12, scale * (np.abs(r) @ np.abs(F)).max())
+                assert np.all(np.abs(image - free.apply(x)) <= 3.0 * g * (terms @ np.abs(x)))
+                bound = 3.0 * g * abs(scale) * (np.abs(r) @ terms)
+                assert np.all(np.abs(back - free.adjoint(r)) <= bound)
 
     @pytest.mark.parametrize("name", ["mpi", "ota"])
     @pytest.mark.parametrize("n_t", [1, 2, 3, 40])
