@@ -18,6 +18,10 @@ result: summing pairwise instead moves the CG count of the benchmark's
 causal-solve Tikhonov solve at seed 17 from 18 to 16.  The one exception:
 diagnostics' ensemble probes take Hilbert (s = 2) node norms from _dot, one
 BLAS dot per row, since they only report tables.
+
+CSV text is %.17g.  From _VECTOR_MIN values on the NumPy kernel _cells writes
+the bytes of '%.17g' % x, which it still calls for the few values it cannot
+round with certainty.
 """
 
 from __future__ import annotations
@@ -258,18 +262,159 @@ def _atomic_write_text(path: str, text: str) -> None:
         raise
 
 
+# '%.17g' % x of a whole table in NumPy steps (dtoa takes about 0.5 us a value).
+# y = s + t = |x| 10^(16 - E) in double-double: Dekker's exact product with hi,
+# plus |x| lo, where hi + lo = 10^(16 - E) to 2^-106; E from log10, moved by one
+# where y is outside [1e16, 1e17).  y is within 2^-47 of exact, so D = round(y)
+# is right unless y is within _TIE of a tie.  Each value fills a NUL-padded
+# 48-byte cell (sign, "0.000", 17 digits each with a '.' slot, exponent,
+# separator) and translate drops the NULs.  Zeros, non-finite values, |x| outside
+# (1e-280, 1e280), near-ties and a decade still off keep '%.17g' % x itself.
+_VECTOR_MIN = 384  # values; below it one % format per row is faster
+_CHUNK = 2048  # values: temporaries stay under 100 kB
+_TIE = 2.0**-40
+_SPLIT = 134217729.0  # 2^27 + 1, Veltkamp's splitting constant
+_GROUPS = np.array([[1], [5], [9], [13]])  # first digit of each 4-digit group
+_TENS = np.zeros((4, 600))  # per decade E at E + 300: hi, its two halves, lo of 10^(16 - E)
+_FORMS = np.zeros((4, 600), np.int64)  # per decade: "0.000" word, exponent word, point, whole
+_TABLES: dict[str, np.ndarray] = {}
+
+
+def _word(text: bytes) -> int:
+    return int.from_bytes(text.ljust(8, b"\0"), "little")
+
+
+def _fill(decades: np.ndarray) -> None:
+    """Fill the _TENS and _FORMS columns of the decades not used before in this process."""
+    for j in set(decades.tolist()):
+        if _TENS[0, j + 300] == 0.0:
+            n = 10 ** abs(16 - j)
+            if j <= 16:
+                hi, lo = float(n), float(n - int(float(n)))  # int -> float rounds correctly
+            else:
+                num, den = (1 / n).as_integer_ratio()  # int / int rounds correctly
+                hi, lo = 1 / n, (den - num * n) / (den * n)
+            if -4 <= j < 0:  # "0.000" up to the first digit; no point after a digit
+                _FORMS[:, j + 300] = _word(b"\0" + b"0.000"[: 1 - j]), 0, 99, 0
+            elif 0 <= j < 17:  # the point after digit j, all j + 1 digits before it
+                _FORMS[:, j + 300] = 0, 0, j, j + 1
+            else:
+                _FORMS[:, j + 300] = 0, _word(b"e%+03d" % j), 0, 0
+            c = _SPLIT * hi
+            _TENS[:, j + 300] = hi, c - (c - hi), hi - (c - (c - hi)), lo  # last: hi marks it filled
+
+
+def _tables() -> dict[str, np.ndarray]:
+    """The digit tables of the kernel, built on first use."""
+    if not _TABLES:
+        g = np.arange(100)
+        ones = g - g // 10 * 10
+        pair = 48 + g // 10 | (48 + ones) << 16  # two digits, '.' slots empty
+        used = (g > 0) * 1 + (ones > 0)  # digits of a pair up to its last nonzero one
+        sig = np.repeat(used, 100)  # the same for the group 100 i + j: i's, or 2 + j's
+        sig.reshape(100, 100)[:, 1:] = 2 + used[1:]
+        sig[0] = -99  # a zero group adds no digit
+        masks = [_word(b"\xff\0" * n) for n in range(5)]
+        keep = [[masks[min(max(n - j, 0), 4)] for j in _GROUPS.ravel().tolist()] for n in range(18)]
+        _TABLES.update(digits=(pair[:, None] | pair << 32).ravel(), sig=sig, keep=np.array(keep))
+    return _TABLES
+
+
+def _scaled(a: np.ndarray, e: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """a * 10^(16 - e) as s + t with |t| <= ulp(s) / 2."""
+    hi, h1, h2, lo = np.take(_TENS, e + 300, axis=1)
+    if not hi.all():
+        _fill(e[hi == 0.0])
+        hi, h1, h2, lo = np.take(_TENS, e + 300, axis=1)
+    p = a * hi
+    c = _SPLIT * a
+    a1 = c - (c - a)
+    a2 = a - a1
+    err = ((a1 * h1 - p) + a1 * h2 + a2 * h1) + a2 * h2 + a * lo
+    s = p + err
+    return s, err - (s - p)
+
+
+def _off_decade(s: np.ndarray, t: np.ndarray) -> np.ndarray:
+    """s + t < 1e16 or >= 1e17, exactly."""
+    return ((s - 1e16) + t < 0.0) | ((s - 1e17) + t >= 0.0)
+
+
+def _cells(v: np.ndarray, cols: int) -> bytes:
+    """'%.17g' % x of each value, joined by ',' with '\n' after every cols-th."""
+    tab, m = _tables(), v.size
+    a = np.abs(v)
+    ok = (a > 1e-280) & (a < 1e280)
+    a = np.where(ok, a, 1.0)
+    e = np.floor(np.log10(a)).astype(np.int64)
+    s, t = _scaled(a, e)
+    off = np.flatnonzero(_off_decade(s, t))
+    if off.size:  # the decade correction: log10 is off by one next to powers of ten
+        e[off] += np.where(s[off] < 3e16, -1, 1)  # y below 1e16, or from 1e17 on
+        s[off], t[off] = _scaled(a[off], e[off])
+        ok[off[_off_decade(s[off], t[off])]] = False
+    t += 0.5
+    r = np.floor(t)
+    ok &= np.abs(t - r - 0.5) <= 0.5 - _TIE
+    d = s.astype(np.int64) + r.astype(np.int64)
+    carry = d == 10**17
+    if carry.any():  # rounded up into the next decade
+        d[carry] = 10**16
+        e += carry
+        _fill(e[carry])
+    groups = np.empty((4, m), np.int64)
+    for j in (3, 2, 1, 0):
+        q = d // 10000
+        groups[j] = d - q * 10000
+        d = q
+    n = (np.take(tab["sig"], groups) + _GROUPS).max(axis=0, initial=1)  # significant digits
+    lead, exp, point, whole = np.take(_FORMS, e + 300, axis=1)
+    buf = bytearray(48 * m)
+    words = np.frombuffer(buf, "<i8").reshape(m, 6)
+    words[:, 0] = lead | (48 + d) << 48 | np.signbit(v) * 45
+    keep = np.take(tab["keep"], np.maximum(n, whole), axis=0)
+    np.bitwise_and(np.take(tab["digits"], groups.T), keep, out=words[:, 1:5])
+    words[:, 5] = exp
+    cells = words.view(np.uint8)
+    dot = np.flatnonzero(n > point + 1)
+    cells.reshape(-1)[48 * dot + 7 + 2 * point[dot]] = 46
+    fall = np.flatnonzero(~ok)
+    for j, x in zip(fall.tolist(), v[fall].tolist()):
+        cells[j, :45] = np.frombuffer(("%.17g" % x).encode().ljust(45, b"\0"), np.uint8)
+    cells[:, 45] = 44
+    cells[cols - 1 :: cols, 45] = 10
+    return buf.translate(None, b"\0")
+
+
+def _csv_text(header: str, rows) -> str:
+    """header and rows (an array, or tuples of numbers) as CSV text, every cell %.17g."""
+    cols = header.count(",") + 1
+    if len(rows) * cols < _VECTOR_MIN:
+        line = ",".join(["%.17g"] * cols)
+        rows = rows.tolist() if isinstance(rows, np.ndarray) else rows
+        return "\n".join([header] + [line % tuple(row) for row in rows]) + "\n"
+    table = np.asarray(rows, dtype=float)
+    step = max(1, _CHUNK // cols)
+    body = b"".join(_cells(table[i : i + step].ravel(), cols) for i in range(0, len(table), step))
+    return header + "\n" + body.decode()
+
+
 def write_csv(u: BochnerFunction, path: str) -> None:
     """Write u as CSV with header t,x_0,...,x_{n-1}, one row per time node.
 
-    Floats are formatted with %.17g, which round-trips doubles exactly, the values
-    of a bitwise constant-in-time u once.  Written atomically (temp file + rename).
+    Floats are formatted with %.17g, which round-trips doubles exactly: by
+    _csv_text (one % format per row, or the NumPy kernel from _VECTOR_MIN
+    values on), the values of a bitwise constant-in-time u into the row format
+    once.  Written atomically (temp file + rename).
     """
     header = "t," + ",".join(f"x_{j}" for j in range(u.n_dim))
-    line = ",".join(["%.17g"] * (u.n_dim + 1))  # one format per row, not one per number
-    table, bits = np.column_stack([u.grid.nodes, u.values]), u.values.view(np.int64)
+    bits = u.values.view(np.int64)
     if (bits == bits[0]).all():  # constant in time: the values go into the row format, once
-        line, table = "%.17g" + line[5:] % tuple(u.values[0].tolist()), table[:, :1]
-    _atomic_write_text(path, "\n".join([header] + [line % tuple(row) for row in table.tolist()]) + "\n")
+        line = "%.17g" + ",%.17g" * u.n_dim % tuple(u.values[0].tolist())
+        text = "\n".join([header] + [line % t for t in u.grid.nodes.tolist()]) + "\n"
+    else:
+        text = _csv_text(header, np.column_stack([u.grid.nodes, u.values]))
+    _atomic_write_text(path, text)
 
 
 def read_csv(

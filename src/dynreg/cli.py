@@ -27,7 +27,7 @@ from dataclasses import MISSING, dataclass, field, fields, replace
 
 import numpy as np
 
-from .bochner import BochnerFunction, TimeGrid, _atomic_write_text, bochner_norm, write_csv
+from .bochner import BochnerFunction, TimeGrid, _atomic_write_text, _csv_text, bochner_norm, write_csv
 from .diagnostics import (
     _check_radii,
     forward_image,
@@ -318,9 +318,8 @@ def _run_solver(
 
 
 def _write_table(path: str, header: str, rows) -> None:
-    """One %.17g format per row, as write_csv: an integer below 2**53 prints as str() does."""
-    line = ",".join(["%.17g"] * (header.count(",") + 1))
-    _atomic_write_text(path, "\n".join([header] + [line % tuple(row) for row in rows]) + "\n")
+    """The rows under header, every cell %.17g as in write_csv."""
+    _atomic_write_text(path, _csv_text(header, rows))
 
 
 def _say(quiet: bool, message: str) -> None:

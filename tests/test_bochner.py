@@ -33,7 +33,7 @@ from dynreg import (
     read_csv,
     write_csv,
 )
-from dynreg.bochner import _ascending_sum, _atomic_write_text, _mixed_norm, _row_norms
+from dynreg.bochner import _VECTOR_MIN, _ascending_sum, _atomic_write_text, _csv_text, _mixed_norm, _row_norms
 
 
 def loop_norm(u):
@@ -446,14 +446,19 @@ EDGE_FLOATS = [0.0, -0.0, 5e-324, -5e-324, 2.2250738585072014e-308, -1e-310, 1.7
 
 @st.composite
 def csv_functions(draw):
-    n_t, n_x = draw(st.integers(1, 6)), draw(st.integers(1, 5))
+    """Tables of n_t rows of 1 + n_x cells, some below _VECTOR_MIN cells (the per-row %
+    format), some at or above it (the NumPy kernel)."""
+    n_x = draw(st.integers(1, 5))
+    above = -(-_VECTOR_MIN // (n_x + 1))  # fewest rows on the kernel's side
+    n_t = draw(st.one_of(st.integers(1, 6), st.integers(above, above + 40)))
     entries = st.one_of(st.sampled_from(EDGE_FLOATS), st.floats(allow_nan=False, allow_infinity=False))
     values = draw(arrays(float, (n_t, n_x), elements=entries))
     return BochnerFunction(TimeGrid(draw(st.floats(1e-3, 1e3)), n_t), values)
 
 
 class TestCsvFormatting:
-    """write_csv formats a whole row at once; the bytes are those of per-number formatting."""
+    """write_csv formats a small table one row at a time and a large one by the NumPy
+    kernel; the bytes are those of per-number formatting."""
 
     @settings(max_examples=200, deadline=None)
     @given(csv_functions())
@@ -475,6 +480,93 @@ class TestCsvFormatting:
         u = types.SimpleNamespace(grid=TimeGrid(1.0, 2), values=values, n_dim=3)
         assert written_bytes(u) == per_element_csv(u.grid.nodes, values)
         assert b"inf,-inf,nan\n" in written_bytes(u)
+        large = np.tile(values, (_VECTOR_MIN, 1))
+        u = types.SimpleNamespace(grid=TimeGrid(1.0, len(large)), values=large, n_dim=3)
+        assert written_bytes(u) == per_element_csv(u.grid.nodes, large)
+
+
+def percent_17g(table: np.ndarray) -> str:
+    """The body of a table, every value formatted alone as '%.17g' % x."""
+    return "".join(",".join("%.17g" % x for x in row) + "\n" for row in table.tolist())
+
+
+def kernel_text(values, cols: int = 7) -> str:
+    """The values as a table of cols columns (padded with 1.0), through _csv_text."""
+    values = np.asarray(values, dtype=float).ravel()
+    table = np.append(values, np.ones(-values.size % cols)).reshape(-1, cols)
+    assert table.size >= _VECTOR_MIN
+    header = ",".join(f"c{j}" for j in range(cols))
+    text = _csv_text(header, table)
+    assert text == header + "\n" + percent_17g(table)
+    return text
+
+
+SPECIAL_BITS = [
+    0,  # +0
+    1 << 63,  # -0
+    1,  # smallest subnormal
+    0x000FFFFFFFFFFFFF,  # largest subnormal
+    0x0010000000000000,  # smallest normal
+    0x7FEFFFFFFFFFFFFF,  # largest finite
+    0x7FF0000000000000,  # inf
+    0x7FF8000000000000,  # nan
+    0x7FF0000000000001,  # signalling nan
+]
+
+
+class TestCsvKernel:
+    """_cells, the NumPy %.17g kernel, against '%.17g' % x on every value: raw bit
+    patterns, and the inputs where digit generation is hardest (powers of ten, exact
+    ties, integers, 17-digit decimals)."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        specials=st.lists(st.sampled_from(SPECIAL_BITS), max_size=24),
+        negate=st.booleans(),
+        cols=st.integers(1, 9),
+        rows=st.integers(0, 20000),
+    )
+    def test_raw_bit_patterns_match_percent_format(self, seed, specials, negate, cols, rows):
+        rng = np.random.default_rng(seed)
+        bits = rng.integers(-(2**63), 2**63, _VECTOR_MIN + rows, dtype=np.int64)
+        spots = rng.choice(bits.size, len(specials), replace=False)
+        values, special = bits.view(float), np.array(specials, np.uint64).view(float)
+        values[spots] = -special if negate else special
+        kernel_text(values, cols)
+
+    def test_powers_of_ten_within_four_ulps(self):
+        tens = 10.0 ** np.arange(-299, 300).astype(float)
+        near = (tens[:, None].view(np.int64) + np.arange(-4, 5)).view(float)
+        kernel_text(near)
+        kernel_text(-near, 13)
+
+    def test_exact_ties_at_the_eighteenth_digit(self):
+        rng = np.random.default_rng(3)
+        m = rng.integers(2**52, 2**53, 20000) | 1  # odd: m / 2**r has r digits after the point
+        r = rng.integers(1, 9, m.size)
+        ties = [int(a) * 5 ** int(b) for a, b in zip(m, r)]  # m / 2**r = this / 10**r exactly
+        assert sum(len(str(t)) == 18 for t in ties) > 1000  # 18 digits ending in 5: a tie at 17
+        kernel_text(m / 2.0**r)
+
+    def test_integers(self):
+        rng = np.random.default_rng(4)
+        ints = [np.arange(1, 3000), rng.integers(1, 2**62, 20000), 2 ** np.arange(63), 10 ** np.arange(19)]
+        values = np.concatenate(ints).astype(float)
+        kernel_text(values)
+        kernel_text(-values, 3)
+
+    def test_seventeen_digit_decimals(self):
+        rng = np.random.default_rng(5)
+        digits = rng.integers(10**16, 10**17, 20000).astype(float)
+        kernel_text(digits * 10.0 ** rng.integers(-56, 41, digits.size).astype(float))
+
+    def test_edge_floats_and_decade_boundaries(self):
+        # log10 puts 9.9999999999999997e-275 in the decade of 1e-274: without the
+        # decade correction it printed as 1e-274.
+        edges = EDGE_FLOATS + [9.9999999999999997e-275, 1e-280, 1e280, 9.9999999999999994e-281, 1e16, 1e17, 1e-5]
+        kernel_text(np.array(edges * 60))
+        assert "9.9999999999999997e-275" in kernel_text(np.full(_VECTOR_MIN, 9.9999999999999997e-275))
 
 
 def row_by_row_csv(nodes, values) -> bytes:

@@ -33,6 +33,7 @@ from dynreg import (
     translation_modulus,
 )
 from dynreg import cli
+from dynreg.bochner import _VECTOR_MIN
 from dynreg.cli import ExperimentConfig, load_config, main
 from dynreg.svgplot import line_plot
 
@@ -280,19 +281,17 @@ class TestBenchmarkContract:
             errors += workloads.compare(workloads.summarize(call, files), want, call.name)
         assert errors == []
 
-    @pytest.mark.parametrize("seed", [0, 1])
-    def test_probe_trees_are_the_same_at_one_and_two_blas_threads(self, tmp_path, seed):
-        """Criterion 12 across BLAS thread counts: the probe workload's two calls, each
-        run in a fresh process under OPENBLAS_NUM_THREADS (and OMP_, MKL_) = 1 and 2,
-        write SHA-256-identical trees, so the batched SVD of the frozen-time stacks and
-        the ensemble probes' row-dot sums do not depend on the thread count."""
+    @staticmethod
+    def blas_thread_digests(tmp_path, workload: str, seed: int) -> list[str]:
+        """SHA-256 of the workload's output tree, its calls run in a fresh process under
+        OPENBLAS_NUM_THREADS (and OMP_, MKL_) = 1 and then 2."""
         digests = []
         for threads in ("1", "2"):
             out = tmp_path / threads
             env = {**os.environ, "PYTHONPATH": os.pathsep.join([str(SRC), str(BENCHMARKS)])}
             env.update(dict.fromkeys(THREAD_VARIABLES, threads))
             run = subprocess.run(
-                [sys.executable, "-c", WORKLOAD_SCRIPT, "probe", str(out), str(seed)],
+                [sys.executable, "-c", WORKLOAD_SCRIPT, workload, str(out), str(seed)],
                 env=env, capture_output=True, text=True, timeout=300,
             )
             assert run.returncode == 0, run.stderr
@@ -300,7 +299,23 @@ class TestBenchmarkContract:
             for path in sorted(p for p in out.rglob("*") if p.is_file()):
                 digest.update(f"{path.relative_to(out)}\n".encode() + path.read_bytes())
             digests.append(digest.hexdigest())
-        assert digests[0] == digests[1]
+        return digests
+
+    @pytest.mark.parametrize("seed", [0, 1])
+    def test_probe_trees_are_the_same_at_one_and_two_blas_threads(self, tmp_path, seed):
+        """Criterion 12 across BLAS thread counts: the probe workload's trees are the
+        same, so the batched SVD of the frozen-time stacks and the ensemble probes'
+        row-dot sums do not depend on the thread count."""
+        first, second = self.blas_thread_digests(tmp_path, "probe", seed)
+        assert first == second
+
+    @pytest.mark.parametrize("seed", [0, 1])
+    def test_causal_solve_trees_are_the_same_at_one_and_two_blas_threads(self, tmp_path, seed):
+        """Criterion 12 across BLAS thread counts for the causal-solve workload: the
+        Tikhonov and Kaczmarz solves, their CG and sweep counts, and the %.17g text of
+        their reconstructions do not depend on the thread count."""
+        first, second = self.blas_thread_digests(tmp_path, "causal-solve", seed)
+        assert first == second
 
 
 class TestExitCodes:
@@ -514,6 +529,28 @@ class TestForward:
         first = read_tree(out)
         assert main(["forward", "--config", path, "--out", str(out), "--quiet"]) == 0
         assert read_tree(out) == first
+
+    def test_large_tables_equal_per_element_formatting(self, tmp_path):
+        """Tables of _VECTOR_MIN values or more are written by the NumPy %.17g kernel;
+        their bytes are those of formatting each value of the instance alone."""
+        path = write_config(tmp_path / "a.ini", """\
+            [problem]
+            kind = dct
+            n_t = 48
+            n_x = 16
+            window = 8
+            """)
+        out = tmp_path / "out"
+        assert main(["forward", "--config", path, "--out", str(out), "--quiet"]) == 0
+        cfg = load_config(path)
+        problem = cli._build_problem(cfg)
+        noisy = add_noise(problem.data_clean, cli._from_config(NoiseSpec, cfg))
+        for name, u in [("truth", problem.truth), ("data_clean", problem.data_clean), ("data_noisy", noisy)]:
+            table = np.column_stack([u.grid.nodes, u.values])
+            assert table.size >= _VECTOR_MIN
+            lines = ["t," + ",".join(f"x_{j}" for j in range(u.n_dim))]
+            lines += [",".join("%.17g" % x for x in row) for row in table.tolist()]
+            assert (out / f"{name}.csv").read_text() == "\n".join(lines) + "\n"
 
     def test_seed_override_changes_draw(self, tmp_path):
         path = write_config(tmp_path / "a.ini", """\
