@@ -1,13 +1,13 @@
 """Ill-posedness probes: dense spectra, integrability tails, translation moduli.
 
-Dense matrices appear only here (and in test oracles): frozen-time and
-stacked operators are assembled from batches of unit impulses mapped through
-the row forms, with quadrature weights folded in so plain coordinate inner
-products on the assembled matrix reproduce the weighted ones (a pointwise
-map's stacked matrix only as stacks of its frozen-time blocks).  Singular
-values come from LAPACK's SVD of the matrix itself (never of M^T M).  It is
-backward stable: every value carries an absolute error of about
-eps * sigma_max, so values below that level are rounding noise.
+Dense matrices appear only here (and in test oracles), as images of batches
+of unit impulses (_impulse_images): frozen-time ones from _frozen_stack, alone
+or stacked over nodes, a causal map's stacked one from _forward_rows.  Weights
+are folded in, so plain coordinate inner products on the assembled matrix
+reproduce the weighted ones.  Singular values come from LAPACK's SVD of the
+matrix itself (never of M^T M), one batched call per stack.  It is backward
+stable: every value carries an absolute error of about eps * sigma_max, so
+values below that level are rounding noise.
 
 The ensemble probes take their Hilbert (s = 2) node norms from bochner._dot,
 one BLAS dot per row (p = s = 2 mixed norms from one sum of them), the one
@@ -21,7 +21,6 @@ from __future__ import annotations
 import math
 import weakref
 from dataclasses import dataclass
-from functools import partial
 
 import numpy as np
 
@@ -41,7 +40,6 @@ from .operators import (
     DynamicForward,
     OperatorFamily,
     POINTWISE,
-    _adjoint_rows,
     _forward_rows,
     apply_forward,
 )
@@ -73,22 +71,17 @@ def _guard(rows: int, cols: int, what: str) -> None:
         )
 
 
-def assemble_dense(
-    op: DynamicForward | OperatorFamily,
-    time_index: int | None = None,
-    adjoint: bool = False,
-) -> np.ndarray:
+def assemble_dense(op: DynamicForward | OperatorFamily, time_index: int | None = None) -> np.ndarray:
     """Dense matrix of a family at one time index, or of a stacked forward map.
 
     Quadrature weights are folded into the entries: the returned M maps and
     measures in orthonormalized coordinates, so euclidean norms of M match
-    weighted norms of the operator and the adjoint assembly equals the
-    transpose of the forward assembly.  For an OperatorFamily, time_index
-    defaults to 0; for a DynamicForward with time_index set, the map must
-    be pointwise.
+    weighted norms of the operator and M^T is the adjoint's matrix.  For an
+    OperatorFamily, time_index defaults to 0; for a DynamicForward with
+    time_index set, the map must be pointwise.
 
-    Column c is the image of the c-th unit impulse (of the adjoint map with
-    adjoint=True); identity blocks of _ASSEMBLY_BUDGET entries map as batches.
+    A frozen-time matrix is the one-node _frozen_stack; column c of a stacked one is
+    _forward_rows of the c-th unit impulse.
     """
     last = math.inf  # a bare family knows no grid
     if isinstance(op, DynamicForward) and time_index is not None:
@@ -98,33 +91,40 @@ def assemble_dense(
             )
         last, op = op.time_grid.n_t - 1, op.static
     if isinstance(op, OperatorFamily):
-        fam, n_t, what = op, 1, "frozen-time assembly"
         node = 0 if time_index is None else time_index
         _count(node, "time index", 0, last, DomainError)
-        columns = partial(fam.adjoint_rows if adjoint else fam.apply_rows, node)
-    else:
-        fam, n_t, what = op.static, op.time_grid.n_t, "stacked assembly"
-        columns = partial(_adjoint_rows if adjoint else _forward_rows, op)
-    n_in, n_out = (fam.n_out, fam.n_in) if adjoint else (fam.n_in, fam.n_out)
-    w_in, w_out = (fam.out_weight, fam.in_weight) if adjoint else (fam.in_weight, fam.out_weight)
-    _guard(n_t * n_out, n_t * n_in, what)
-    fold = math.sqrt(w_out / w_in)
-    M = np.empty((n_t * n_out, n_t * n_in))
-    step = max(1, _ASSEMBLY_BUDGET // (n_t * max(n_in, n_out)))
-    for c0 in range(0, n_t * n_in, step):
-        count = min(step, n_t * n_in - c0)
-        impulses = np.eye(count, n_t * n_in, c0).reshape(count, n_t, n_in)
-        M[:, c0 : c0 + count] = (fold * columns(impulses).reshape(count, -1)).T
+        _guard(op.n_out, op.n_in, "frozen-time assembly")
+        return _frozen_stack(op, node, node + 1)[0]
+    fam, n_t = op.static, op.time_grid.n_t
+    _guard(n_t * fam.n_out, n_t * fam.n_in, "stacked assembly")
+    image = lambda E: _forward_rows(op, E.reshape(len(E), n_t, fam.n_in)).reshape(len(E), -1)
+    return _impulse_images(fam, image, n_t, (n_t * fam.n_out, n_t * fam.n_in))
+
+
+def _impulse_images(fam: OperatorFamily, image, nodes: int, shape: tuple) -> np.ndarray:
+    """[..., c] of shape: sqrt(w_out / w_in) image(e_c) of the unit impulses (nodes rows of
+    fam), image mapping them on axis 0 in batches of _ASSEMBLY_BUDGET entries."""
+    M, n = np.empty(shape), shape[-1]
+    step = max(1, _ASSEMBLY_BUDGET // (nodes * max(fam.n_in, fam.n_out)))
+    for c0 in range(0, n, step):
+        count = min(step, n - c0)
+        images = math.sqrt(fam.out_weight / fam.in_weight) * image(np.eye(count, n, c0))
+        M[..., c0 : c0 + count] = np.moveaxis(images, 0, -1)
     return M
 
 
 def singular_values(M) -> np.ndarray:
-    """All min(m, n) singular values of M, descending, by LAPACK's SVD.
+    """All min(m, n) singular values of an (m, n) matrix M, descending, by LAPACK's SVD
+    (of a (k, m, n) stack: each matrix's, shape (k, min(m, n)), from one batched call).
 
     Backward stable: each value is accurate to about eps * sigma_max in
     absolute terms, so small values are only as accurate as that allows.
     """
-    return np.linalg.svd(_array(M, "M", (None, None), InvalidInputError), compute_uv=False)
+    try:
+        axes = min(max(np.ndim(M), 2), 3)  # (m, n) or (k, m, n)
+    except ValueError:  # ragged nesting: _array names M in its error
+        axes = 2
+    return np.linalg.svd(_array(M, "M", (None,) * axes, InvalidInputError), compute_uv=False)
 
 
 def _spectrum_report(index: int | str, sigmas: np.ndarray, shape: tuple) -> SpectrumReport:
@@ -142,12 +142,12 @@ def temporal_spectrum(forward: DynamicForward, time_index: int) -> SpectrumRepor
     return _spectrum_report(time_index, singular_values(M), M.shape)
 
 
-def _frozen_stack(forward: DynamicForward, first: int, end: int) -> np.ndarray:
+def _frozen_stack(fam: OperatorFamily, first: int, end: int) -> np.ndarray:
     """The folded frozen-time matrices sqrt(w_out / w_in) A_i of nodes first .. end - 1,
-    shape (end - first, n_out, n_in), from one apply_rows call over a broadcast identity."""
-    fam = forward.static
-    eye = np.broadcast_to(np.eye(fam.n_in)[:, None], (fam.n_in, end - first, fam.n_in))
-    return math.sqrt(fam.out_weight / fam.in_weight) * np.moveaxis(fam.apply_rows(first, eye), 0, -1)
+    shape (end - first, n_out, n_in): apply_rows of unit impulses broadcast over the nodes."""
+    nodes = end - first
+    image = lambda E: fam.apply_rows(first, np.broadcast_to(E[:, None], (len(E), nodes, fam.n_in)))
+    return _impulse_images(fam, image, nodes, (nodes, fam.n_out, fam.n_in))
 
 
 def stacked_spectrum(forward: DynamicForward) -> SpectrumReport:
@@ -164,8 +164,7 @@ def stacked_spectrum(forward: DynamicForward) -> SpectrumReport:
     step = max(1, _ASSEMBLY_BUDGET // (fam.n_in * max(fam.n_in, fam.n_out)))
     sigmas = []
     for first in range(0, n_t, step):
-        stack = _array(_frozen_stack(forward, first, min(first + step, n_t)), "M", (None,) * 3)
-        sigmas += np.linalg.svd(stack, compute_uv=False).ravel().tolist()
+        sigmas += singular_values(_frozen_stack(fam, first, min(first + step, n_t))).ravel().tolist()
     sigmas.sort(reverse=True)  # np.sort's first call pages in its SIMD code
     return _spectrum_report("stacked", np.array(sigmas), (n_t * fam.n_out, n_t * fam.n_in))
 

@@ -85,7 +85,7 @@ def _real(value, name: str, interval: str, error=InvalidParameterError) -> None:
 def _array(values, name: str, shape: tuple, error=DimensionError, nonfinite=InvalidInputError):
     """values as a new float array; error unless it has shape, nonfinite unless it is finite.
 
-    A None axis of shape takes any length >= 1; it reads n in the message (m, n for two).
+    A None axis takes any length >= 1; it reads n in the message (m, n for two; k, m, n for three).
     Values that are not reals (ragged nesting, text, complex) raise InvalidInputError:
     "<name> must be an array of reals (<reason>)".
     """
@@ -96,7 +96,7 @@ def _array(values, name: str, shape: tuple, error=DimensionError, nonfinite=Inva
     except (TypeError, ValueError) as exc:
         raise InvalidInputError(f"{name} must be an array of reals ({exc})") from exc
     if not _fits(shape, arr.shape):
-        free = iter("mn" if shape.count(None) > 1 else "n")
+        free = iter("kmn"[-shape.count(None):])
         axes = [next(free) if m is None else str(m) for m in shape]
         axes = ", ".join(axes) + "," * (len(axes) == 1)
         raise error(f"{name} must have shape ({axes}), got {arr.shape}")

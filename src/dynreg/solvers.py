@@ -137,7 +137,7 @@ class LinearSubproblem:
         object.__setattr__(self, "data", data)
 
     def adjoint_rows(self, R: np.ndarray) -> np.ndarray:
-        """Row k is adjoint(R[k]); an assembled time_subproblems block shadows it by one product."""
+        """Row k is adjoint(R[k]); an assembled time_subproblems block shadows it by its adjoint."""
         return np.array([*map(self.adjoint, R)], float)
 
     def residual(self, x: np.ndarray) -> np.ndarray:
@@ -394,27 +394,26 @@ def _estimate_omegas(
     subproblems: Sequence[LinearSubproblem],
     config: KaczmarzConfig,
     start: np.ndarray,
-) -> tuple[list[float], list[Optional[np.ndarray]]]:
-    """Steps 0.9 / ||F_i||^2 and the rows R_i = [F_i* e_r] of each assembled F_i (else None).
+) -> list[float]:
+    """The steps 0.9 / ||F_i||^2.
 
     Below 2 * _POWER_STEPS data rows, ||F_i||^2 = (unknown_weight / data_weight)
-    lambda_max(R_i R_i^T) by one eigvalsh per row count, as R_i = (data_weight /
-    unknown_weight) F_i; else _POWER_STEPS power-iteration steps on F_i* F_i from a
+    lambda_max(R_i R_i^T) of the rows R_i = [F_i* e_r] = (data_weight / unknown_weight) F_i,
+    by one eigvalsh per row count; else _POWER_STEPS power-iteration steps on F_i* F_i from a
     normal vector seeded by i (0 once an iterate maps to zero).  As a zero block,
     rounding noise (||F_i||^2 <= 2^-53 max_j ||F_j||^2) gets the unit step.  A NaN,
     inf or subnormal ||F_i||^2 (whose step overflows) raises DivergenceError.
     """
     n_sub = len(subproblems)
-    rows: list = [None] * n_sub
     if not isinstance(config.omega, str):
-        return [float(config.omega)] * n_sub, rows
+        return [float(config.omega)] * n_sub
     lam = np.zeros(n_sub)
-    shapes: dict = {}
+    shapes: dict = {}  # data rows n -> {i: R_i}
     for i, sub in enumerate(subproblems):
         n = sub.data.shape[0]
         if n < 2 * _POWER_STEPS:
-            rows[i] = _formed(sub.adjoint_rows(np.eye(n)), (n, len(start)), i, "adjoint_rows")
-            shapes.setdefault(n, []).append(i)
+            rows = sub.adjoint_rows(np.eye(n))
+            shapes.setdefault(n, {})[i] = _formed(rows, (n, len(start)), i, "adjoint_rows")
             continue
         v = np.random.default_rng(i).standard_normal(start.shape)
         for k in range(_POWER_STEPS):
@@ -425,8 +424,8 @@ def _estimate_omegas(
             if k == _POWER_STEPS - 1:
                 lam[i] = (w @ v) / (v @ v)
             v = w / norm
-    for ids in shapes.values():
-        R = np.array([rows[i] for i in ids])
+    for block in shapes.values():
+        ids, R = list(block), np.array(list(block.values()))
         with np.errstate(over="ignore", invalid="ignore"):
             gram = R @ R.swapaxes(-1, -2)
             finite = np.isfinite(gram).all(axis=(1, 2))
@@ -438,7 +437,7 @@ def _estimate_omegas(
     for i, shown in enumerate(np.where(np.isfinite(lam), omegas, lam)):
         if not math.isfinite(shown):
             raise DivergenceError(f"step estimate of sub-problem {i} gave {shown}")
-    return omegas, rows
+    return omegas
 
 
 def _kaczmarz(
@@ -513,9 +512,8 @@ def landweber_kaczmarz(
     its update) met ||F_i x - y_i|| <= tau_i delta_i, the loop stops with reason
     "discrepancy"; else after max_sweeps sweeps with "max_iter".  A non-finite
     residual or step, or a residual above 1e6 times the worst initial one, raises
-    DivergenceError.  With omega = "auto", a sub-problem below 60 data rows steps
-    by its assembled rows, F_i* r = R_i^T r; residuals come from apply (for a
-    time_subproblems block, F_i built on the forward map).
+    DivergenceError.  Every step forms F_i* r by the sub-problem's adjoint (for an
+    assembled time_subproblems block, one product with its scaled matrix).
 
     Parameters
     ----------
@@ -527,10 +525,8 @@ def landweber_kaczmarz(
     """
 
     def make_step(x0: np.ndarray) -> Callable[..., np.ndarray]:
-        omegas, rows = _estimate_omegas(subproblems, config, x0)
-        return lambda i, sub, x, r: x - omegas[i] * (
-            _formed(sub.adjoint(r), x.shape, i, "adjoint") if rows[i] is None else r @ rows[i]
-        )
+        omegas = _estimate_omegas(subproblems, config, x0)
+        return lambda i, sub, x, r: x - omegas[i] * _formed(sub.adjoint(r), x.shape, i, "adjoint")
 
     return _kaczmarz(subproblems, config, start, truth, make_step)
 
@@ -632,10 +628,11 @@ def time_subproblems(
 def _block(forward: DynamicForward, first: int, end: int, data, level: float, F):
     """The LinearSubproblem of nodes [first, end), its data rows (they carry dt) and level.
 
-    Given its matrix F: apply(x) = F @ x, adjoint(r) = (data_weight / unknown_weight)
-    r @ F, of a stack too.  Else apply maps the tiled x over the nodes the block reads
-    (its own if pointwise, 0..end-1 if causal) to data rows [first, end); adjoint
-    maps a residual back and sums over the nodes.
+    Given its matrix F: apply(x) = F @ x, adjoint(r) = r @ G with G = (data_weight /
+    unknown_weight) F scaled once, of a stack too, and adjoint_rows is adjoint.  Else
+    apply maps the tiled x over the nodes the block reads (its own if pointwise,
+    0..end-1 if causal) to data rows [first, end); adjoint maps a residual back and
+    sums over the nodes.
     """
     fam, dt = forward.static, forward.time_grid.dt
     nodes = end - (first if forward.kind == POINTWISE else 0)
@@ -649,8 +646,8 @@ def _block(forward: DynamicForward, first: int, end: int, data, level: float, F)
         return dt * _adjoint_rows(forward, rows, first).sum(0)
 
     if F is not None:
-        F, scale = np.ascontiguousarray(F), dt * fam.out_weight / fam.in_weight
-        apply, adjoint = F.__matmul__, lambda r: scale * (r @ F)
+        F = np.ascontiguousarray(F)
+        apply, adjoint = F.__matmul__, (dt * fam.out_weight / fam.in_weight * F).__rmatmul__
     sub = LinearSubproblem(apply, adjoint, data, level, dt * fam.out_weight, fam.in_weight)
     if F is not None:
         object.__setattr__(sub, "adjoint_rows", adjoint)

@@ -54,6 +54,51 @@ for call in workloads.WORKLOADS[workload]:
     argv = ["--config", str(config), "--out", str(Path(out, call.name)), "--seed", seed, "--quiet"]
     assert main([call.command, *argv]) == 0
 """
+# One workload's op at seed 0 untraced, then twice under benchmarks/tracing.py's Tracer;
+# prints the trees' digests, each traced op's call counts, and the tracer's errors.
+TRACED_SCRIPT = """\
+import hashlib, json, sys
+from pathlib import Path
+import workloads
+from tracing import Tracer
+from dynreg import cli
+workload, out = sys.argv[1:]
+def op(tag):
+    digest = hashlib.sha256()
+    for call in workloads.WORKLOADS[workload]:
+        config = Path(out, call.name + ".ini")
+        config.write_text(call.config_text())
+        target = Path(out, tag, call.name)
+        argv = ["--config", str(config), "--out", str(target), "--seed", "0", "--quiet"]
+        assert cli.main([call.command, *argv]) == 0
+        for path in sorted(target.iterdir()):
+            digest.update(f"{call.name}/{path.name}\\n".encode() + path.read_bytes())
+    return digest.hexdigest()
+def counted(tag):
+    before = tracer.snapshot()
+    tracer.active = True
+    digest = op(tag)
+    tracer.active = False
+    after = tracer.snapshot()
+    calls = {f"{k}.{n}": v - before.get((k, n), 0) for (k, n), v in after.items() if k in ("calls", "count")}
+    return digest, calls
+tracer = Tracer()
+tracer.install()
+trees = [op("untraced")]
+counts = []
+for tag in ("traced-1", "traced-2"):
+    digest, calls = counted(tag)
+    trees.append(digest)
+    counts.append(calls)
+problem = tracer.last_problem
+tracer.restore()
+before = tracer.snapshot()
+if problem is not None:  # a family wrapper that outlived tracing, through a restored name
+    cli.apply_forward(problem.forward, problem.truth)
+late = tracer.snapshot() != before
+print(json.dumps({"trees": trees, "counts": counts, "errors": tracer.errors, "late": late}))
+"""
+GATED = [w["name"] for w in json.loads((BENCHMARKS.parent / "BENCHMARK.json").read_text())["workloads"]]
 
 
 def write_config(path, body: str) -> str:
@@ -308,6 +353,28 @@ class TestBenchmarkContract:
         row-dot sums do not depend on the thread count."""
         first, second = self.blas_thread_digests(tmp_path, "probe", seed)
         assert first == second
+
+    @pytest.mark.parametrize("workload", GATED)
+    def test_traced_ops_write_the_untraced_tree(self, tmp_path, monkeypatch, workload):
+        """benchmarks/run.py --trace 1 in little: in a fresh process with BLAS on one
+        thread, an untraced op and two traced ones (tracing.Tracer, wrappers on every
+        traced function, family and sub-problem) write the same tree; the traced ops
+        make the same call counts; the tracer restores every name it replaced, and a
+        call made after tracing ended counts nothing."""
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join([str(SRC), str(BENCHMARKS)])}
+        env.update(dict.fromkeys(THREAD_VARIABLES, "1"))
+        run = subprocess.run(
+            [sys.executable, "-c", TRACED_SCRIPT, workload, str(tmp_path)],
+            env=env, capture_output=True, text=True, timeout=300,
+        )
+        assert run.returncode == 0, run.stderr
+        result = json.loads(run.stdout.splitlines()[-1])
+        assert len(set(result["trees"])) == 1
+        monkeypatch.syspath_prepend(str(BENCHMARKS))
+        first, second = result["counts"]
+        calls = len(importlib.import_module("workloads").WORKLOADS[workload])
+        assert first == second and first["calls.cli.main"] == calls
+        assert result["errors"] == [] and not result["late"]
 
     @pytest.mark.parametrize("seed", [0, 1])
     def test_causal_solve_trees_are_the_same_at_one_and_two_blas_threads(self, tmp_path, seed):

@@ -9,6 +9,7 @@ ensemble probes are checked against their node-by-node definitions, kept
 here as scalar reference loops.
 """
 
+import dataclasses
 import math
 import weakref
 
@@ -52,7 +53,6 @@ from dynreg.operators import (
     ACCUMULATE_THEN_OBSERVE,
     OBSERVE_THEN_ACCUMULATE,
     OperatorFamily,
-    _adjoint_rows,
     _forward_rows,
 )
 from nystrom import gaussian_nystrom_spectrum
@@ -153,28 +153,36 @@ def loop_translation_modulus(ensemble, shifts):
     return table
 
 
-def impulse_assembly(op, time_index=None, adjoint=False):
+def impulse_assembly(op, time_index=None):
     """Dense assembly one unit impulse per column, each mapped alone: the loop
     assemble_dense ran before it mapped batches of impulses."""
     if isinstance(op, DynamicForward) and time_index is not None:
         op = op.static
     if isinstance(op, OperatorFamily):
         fam, n_t = op, 1
-        image = fam.adjoint_rows if adjoint else fam.apply_rows
-        column = lambda impulse: image(time_index or 0, impulse[None])
+        column = lambda impulse: fam.apply_rows(time_index or 0, impulse[None])
     else:
         fam, n_t = op.static, op.time_grid.n_t
-        rows = _adjoint_rows if adjoint else _forward_rows
-        column = lambda impulse: rows(op, impulse.reshape(n_t, -1))
-    n_in, n_out = (fam.n_out, fam.n_in) if adjoint else (fam.n_in, fam.n_out)
-    w_in, w_out = (fam.out_weight, fam.in_weight) if adjoint else (fam.in_weight, fam.out_weight)
-    fold = math.sqrt(w_out / w_in)
-    M = np.empty((n_t * n_out, n_t * n_in))
-    for c in range(n_t * n_in):
-        impulse = np.zeros(n_t * n_in)
+        column = lambda impulse: _forward_rows(op, impulse.reshape(n_t, -1))
+    fold = math.sqrt(fam.out_weight / fam.in_weight)
+    M = np.empty((n_t * fam.n_out, n_t * fam.n_in))
+    for c in range(n_t * fam.n_in):
+        impulse = np.zeros(n_t * fam.n_in)
         impulse[c] = 1.0
         M[:, c] = fold * np.ravel(column(impulse))
     return M
+
+
+def adjoint_family(fam):
+    """The family of the adjoints A_i*: apply and adjoint, sizes and weights swapped."""
+    return OperatorFamily(
+        fam.n_out, fam.n_in, fam.adjoint_apply, fam.apply, fam.out_weight, fam.in_weight
+    )
+
+
+def of_adjoints(forward):
+    """The forward map with its family replaced by adjoint_family's."""
+    return dataclasses.replace(forward, static=adjoint_family(forward.static))
 
 
 def per_node_family(n_t, n_in, n_out, seed):
@@ -229,11 +237,18 @@ class TestAssembleDense:
         np.testing.assert_allclose(m, m.T, rtol=1e-13)
 
     def test_adjoint_assembly_is_transpose(self):
+        """M^T is the adjoint's matrix: the frozen-time matrices of the family of adjoints
+        are the transposes at every node, and so is a pointwise map's stacked one.  (A
+        causal map's stacked adjoint is TestWindowedAdjoint's, in test_row_forms.)"""
         for make in (make_dct_analogue, make_mpi_analogue, make_nonuniform_example):
-            problem = make(4, 5)
-            fwd = assemble_dense(problem.forward)
-            adj = assemble_dense(problem.forward, adjoint=True)
-            np.testing.assert_allclose(adj, fwd.T, rtol=1e-13, atol=1e-16)
+            forward = make(4, 5).forward
+            for i in range(4):
+                fwd = assemble_dense(forward.static, i)
+                adj = assemble_dense(adjoint_family(forward.static), i)
+                np.testing.assert_allclose(adj, fwd.T, rtol=1e-13, atol=1e-16)
+            if forward.kind == POINTWISE:
+                fwd, adj = assemble_dense(forward), assemble_dense(of_adjoints(forward))
+                np.testing.assert_allclose(adj, fwd.T, rtol=1e-13, atol=1e-16)
 
     def test_matvec_matches_apply(self):
         problem = make_mpi_analogue(5, 4)
@@ -269,9 +284,11 @@ class TestAssembleDense:
             profile = np.sin(2.0 * np.pi * (x + t_i))
             expected, op = math.sqrt(1.0 / dx) * dx * profile[None, :], forward.static
         np.testing.assert_allclose(assemble_dense(op, i), expected, rtol=1e-14, atol=1e-300)
-        np.testing.assert_allclose(
-            assemble_dense(op, i, adjoint=True), expected.T, rtol=1e-14, atol=1e-300
-        )
+        # row k is A_i* e_k: folded, the rows are the adjoint's matrix transposed, A_i's
+        fam = forward.static
+        rows = fam.adjoint_rows(i, np.eye(fam.n_out)[:, None])[:, 0]
+        fold = math.sqrt(fam.in_weight / fam.out_weight)
+        np.testing.assert_allclose(fold * rows, expected, rtol=1e-14, atol=1e-300)
 
     @pytest.mark.parametrize("adjoint", [False, True])
     @pytest.mark.parametrize(
@@ -284,15 +301,20 @@ class TestAssembleDense:
         ],
     )
     def test_batched_columns_equal_impulse_loop(self, make, n_t, n_x, adjoint):
+        """Byte for byte, of a built-in map or (adjoint) of its family of adjoints,
+        whose n_in and n_out are swapped (mpi's stacks 32 outputs on one input)."""
         forward = make(n_t, n_x).forward
-        stacked = assemble_dense(forward, adjoint=adjoint)
-        assert stacked.tobytes() == impulse_assembly(forward, adjoint=adjoint).tobytes()
+        if adjoint:
+            forward = of_adjoints(forward)
+        stacked = assemble_dense(forward)
+        assert stacked.tobytes() == impulse_assembly(forward).tobytes()
         if forward.kind == POINTWISE:
             for i in (0, n_t - 1):
-                got = assemble_dense(forward, i, adjoint=adjoint)
-                assert got.tobytes() == impulse_assembly(forward, i, adjoint).tobytes()
-        got = assemble_dense(forward.static, n_t - 1, adjoint=adjoint)
-        assert got.tobytes() == impulse_assembly(forward.static, n_t - 1, adjoint).tobytes()
+                got = assemble_dense(forward, i)
+                assert got.tobytes() == impulse_assembly(forward, i).tobytes()
+        for i in (0, n_t - 1):
+            got = assemble_dense(forward.static, i)
+            assert got.tobytes() == impulse_assembly(forward.static, i).tobytes()
 
     def test_real_budget_splits_the_largest_case(self):
         # mpi 16x32 above: 16 * 32 entries per impulse, so 128 impulses per chunk
@@ -302,14 +324,22 @@ class TestAssembleDense:
     @pytest.mark.parametrize("kind", [POINTWISE, OBSERVE_THEN_ACCUMULATE, ACCUMULATE_THEN_OBSERVE])
     @pytest.mark.parametrize("budget", [1, 7, 10**6])
     def test_per_node_family_in_chunks(self, kind, adjoint, budget, monkeypatch):
+        """3 inputs and 2 outputs a node, or (adjoint) the family of adjoints, 2 and 3.  The
+        frozen-time matrix maps budget // max(n_in, n_out) impulses a call (one at least)."""
         monkeypatch.setattr(diagnostics, "_ASSEMBLY_BUDGET", budget)
         n_t, fam = 5, per_node_family(5, 3, 2, seed=3)
+        if adjoint:
+            fam = adjoint_family(fam)
         kernel = None if kind == POINTWISE else np.exp(-np.arange(n_t) / 3.0)
         forward = DynamicForward(kind, fam, TimeGrid(1.0, n_t), kernel)
-        stacked = assemble_dense(forward, adjoint=adjoint)
-        assert stacked.tobytes() == impulse_assembly(forward, adjoint=adjoint).tobytes()
-        frozen = assemble_dense(fam, 2, adjoint=adjoint)
-        assert frozen.tobytes() == impulse_assembly(fam, 2, adjoint).tobytes()
+        stacked = assemble_dense(forward)
+        assert stacked.tobytes() == impulse_assembly(forward).tobytes()
+        batches, rows = [], fam.apply_rows
+        object.__setattr__(fam, "apply_rows", lambda i, X: batches.append(len(X)) or rows(i, X))
+        frozen = assemble_dense(fam, 2)
+        step = max(1, budget // max(fam.n_in, fam.n_out))
+        assert batches == [min(step, fam.n_in - c0) for c0 in range(0, fam.n_in, step)]
+        assert frozen.tobytes() == impulse_assembly(fam, 2).tobytes()
 
     def test_size_guard(self):
         problem = make_identity_problem(1500, 1500)
@@ -362,6 +392,21 @@ class TestSingularValues:
     def test_rejects_empty_or_1d(self, matrix):
         with pytest.raises(InvalidInputError, match=r"M must have shape \(m, n\), got"):
             singular_values(matrix)
+
+    @pytest.mark.parametrize("shape", [(4, 3, 5), (1, 6, 2), (3, 1, 1)])
+    def test_stack_is_each_matrix_bytes(self, shape):
+        """A (k, m, n) stack gives each matrix's values, byte for byte, in a (k, min(m, n))
+        array; a 1-D or a 4-D input names M and the shape it needs."""
+        stack = np.random.default_rng(sum(shape)).standard_normal(shape)
+        sigmas = singular_values(stack)
+        assert sigmas.shape == (shape[0], min(shape[1:]))
+        for got, matrix in zip(sigmas, stack):
+            assert got.tobytes() == singular_values(matrix).tobytes()
+        with pytest.raises(InvalidInputError, match=r"^M must have shape \(m, n\), got \(4,\)$"):
+            singular_values(np.ones(4))
+        message = rf"^M must have shape \(k, m, n\), got \(1, {shape[0]}, {shape[1]}, {shape[2]}\)$"
+        with pytest.raises(InvalidInputError, match=message):
+            singular_values(stack[None])
 
 
 class TestTemporalSpectrum:
@@ -482,7 +527,7 @@ class TestStackedSpectrum:
         for forward in (make_dct_analogue(9, 7, window=3).forward,
                         make_nonuniform_example(5, 6).forward,
                         DynamicForward(POINTWISE, per_node_family(4, 3, 5, 1), TimeGrid(1.0, 4))):
-            stack = diagnostics._frozen_stack(forward, 1, forward.time_grid.n_t)
+            stack = diagnostics._frozen_stack(forward.static, 1, forward.time_grid.n_t)
             for k, S in enumerate(stack, start=1):
                 assert S.tobytes() == assemble_dense(forward, k).tobytes()
 

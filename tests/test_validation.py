@@ -232,10 +232,11 @@ def test_the_table_names_every_checked_parameter():
     assert {"observation index", "alpha"} <= names
 
 
-def array_row(valid, shape: str, call, name, error=DimensionError, nonfinite=InvalidInputError):
+def array_row(valid, shape: str, call, name, error=DimensionError, nonfinite=InvalidInputError,
+              ndims=()):
     """valid: an accepted value; shape: the shape the message asks for, as it reads;
-    name: the input's name in the message."""
-    return np.asarray(valid, dtype=float), shape, call, error, nonfinite, name
+    name: the input's name in the message; ndims: other numbers of axes it accepts."""
+    return np.asarray(valid, dtype=float), shape, call, error, nonfinite, ndims, name
 
 
 ARRAYS = {
@@ -259,8 +260,8 @@ ARRAYS = {
         np.full(4, 0.1), "(4,)", lambda v: tikhonov_temporal(FORWARD, DATA, v), "alpha",
         nonfinite=InvalidParameterError,
     ),
-    "singular_values.M": array_row(
-        np.ones((2, 3)), "(m, n)", singular_values, "M", error=InvalidInputError
+    "singular_values.M": array_row(  # a (k, m, n) stack is TestSingularValues'
+        np.ones((2, 3)), "(m, n)", singular_values, "M", error=InvalidInputError, ndims=(3,)
     ),
     "time_subproblems.noise_split": array_row(
         np.full(4, 0.1), "(4,)", lambda v: time_subproblems(FORWARD, DATA, 0.1, noise_split=v),
@@ -269,13 +270,13 @@ ARRAYS = {
 }
 
 
-def wrong_shapes(valid: np.ndarray, shape: str) -> list[tuple]:
-    """Every other number of axes (0 to ndim + 1), every fixed axis one shorter and one
-    longer, and every axis empty."""
+def wrong_shapes(valid: np.ndarray, shape: str, ndims=()) -> list[tuple]:
+    """Every other number of axes (0 to ndim + 1) but ndims, every fixed axis one shorter
+    and one longer, and every axis empty."""
     free = [axis.strip() in "mn" for axis in shape.strip("(),").split(",")]
     ndim, shapes = valid.ndim, []
     shapes += [valid.shape[:d] if d < ndim else valid.shape + (1,) * (d - ndim)
-               for d in range(ndim + 2) if d != ndim]
+               for d in range(ndim + 2) if d != ndim and d not in ndims]
     for k, n in enumerate(valid.shape):
         lengths = [0] if free[k] else [n - 1, n + 1, 0]
         shapes += [valid.shape[:k] + (m,) + valid.shape[k + 1 :] for m in dict.fromkeys(lengths)]
@@ -284,8 +285,8 @@ def wrong_shapes(valid: np.ndarray, shape: str) -> list[tuple]:
 
 @pytest.mark.parametrize("site", ARRAYS)
 def test_array_input(site):
-    valid, shape, call, error, nonfinite, name = ARRAYS[site]
-    for bad in wrong_shapes(valid, shape):
+    valid, shape, call, error, nonfinite, ndims, name = ARRAYS[site]
+    for bad in wrong_shapes(valid, shape, ndims):
         with pytest.raises(error) as caught:
             call(np.ones(bad))
         assert str(caught.value) == f"{name} must have shape {shape}, got {bad}", caught.value
