@@ -30,6 +30,7 @@ import numpy as np
 from .bochner import BochnerFunction, TimeGrid, _atomic_write_text, _csv_text, bochner_norm, write_csv
 from .diagnostics import (
     _check_radii,
+    _probe_norm,
     forward_image,
     integrability_tail,
     stacked_spectrum,
@@ -402,10 +403,11 @@ def cmd_sweep(cfg: ExperimentConfig, quiet: bool = False) -> None:
 
 
 def _unit_member(forward, values: np.ndarray) -> BochnerFunction | None:
-    """The source with these values scaled to norm 1, or None for a zero-norm draw."""
-    draw = forward.source_template(values)
-    norm = bochner_norm(draw)
-    return draw * (1.0 / norm) if norm > 0.0 else None
+    """The source with these values scaled to norm 1 by _probe_norm, the norm the probes'
+    unit-ball check reads, and wrapped once; None for a zero-norm draw."""
+    dt, weight = forward.time_grid.dt, forward.static.in_weight
+    norm = _probe_norm(values, dt, weight, forward.source_exponent, forward.source_space_exponent)
+    return forward.source_template(values * (1.0 / norm)) if norm > 0.0 else None
 
 
 def _probe_ensemble(cfg: ExperimentConfig, problem: ProblemInstance) -> Iterator[BochnerFunction]:
@@ -433,15 +435,16 @@ def cmd_probe(cfg: ExperimentConfig, quiet: bool = False) -> None:
     def _table_with_plot(name, header, rows, xlabel, ylabel, logx, logy):
         _write_table(os.path.join(cfg.out_dir, f"{name}.csv"), header, rows)
         written.append(f"{name}.csv")
-        _plot(
+        x, y = [r[0] for r in rows], [r[1] for r in rows]
+        _plot(  # a log axis needs a positive value: an all-zero tail table plots linear
             os.path.join(cfg.out_dir, f"{name}.svg"),
-            [r[0] for r in rows],
-            [r[1] for r in rows],
+            x,
+            y,
             xlabel=xlabel,
             ylabel=ylabel,
             title=f"{problem.label}: {name}",
-            logx=logx,
-            logy=logy,
+            logx=logx and max(x) > 0.0,
+            logy=logy and max(y) > 0.0,
         )
 
     if "temporal_spectrum" in cfg.probes:

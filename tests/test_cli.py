@@ -16,6 +16,7 @@ import textwrap
 import tracemalloc
 import warnings
 from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -36,6 +37,7 @@ from dynreg import cli
 from dynreg.bochner import _VECTOR_MIN
 from dynreg.cli import ExperimentConfig, load_config, main
 from dynreg.svgplot import line_plot
+from test_solvers import gamma
 
 
 BENCHMARKS = Path(__file__).resolve().parent.parent / "benchmarks"
@@ -990,8 +992,10 @@ class TestProbe:
         shape = (24, 6)
         draws = [np.ones(shape)]
         draws += [np.random.default_rng(1000 + k).standard_normal(shape) for k in range(5)]
-        sources = [forward.source_template(d) for d in draws]
-        members = [f * (1.0 / bochner_norm(f)) for f in sources]
+        # each member scaled by its Hilbert norm sqrt(dt w sum_i x_i.x_i), one dot per row
+        dt, w = forward.time_grid.dt, forward.static.in_weight
+        norms = [math.sqrt(dt * w * np.array([np.dot(x, x) for x in d]).sum()) for d in draws]
+        members = [forward.source_template(d * (1.0 / n)) for d, n in zip(draws, norms)]
         images = [apply_forward(forward, f) for f in members]
         shifts = [k * forward.time_grid.dt for k in (1, 2, 4, 8)]
         radii = [0.5, 1.0, 2.0, 4.0]
@@ -1009,6 +1013,26 @@ class TestProbe:
             cli._write_table(str(tmp_path / f"{name}.csv"), header, table)
             written = (out / f"{name}.csv").read_bytes()
             assert written == (tmp_path / f"{name}.csv").read_bytes()
+
+    def test_vanishing_tail_table_gets_its_plot(self, tmp_path, capsys):
+        # mpi 8 x 4 with one member: every image stays below the smallest radius, so
+        # every tail is 0 (a uniformly integrable ensemble); its plot has a linear y axis
+        path = write_config(tmp_path / "a.ini", """\
+            [problem]
+            kind = mpi
+            n_t = 8
+            n_x = 4
+
+            [probe]
+            probes = integrability
+            ensemble = 1
+            """)
+        out = tmp_path / "out"
+        assert main(["probe", "--config", path, "--out", str(out), "--quiet"]) == 0
+        assert capsys.readouterr().err == ""
+        assert [float(row[1]) for row in read_table(out / "integrability.csv")[1:]] == [0.0] * 4
+        svg = (out / "integrability.svg").read_text()
+        assert ">r (log)</text>" in svg and ">tail mass</text>" in svg
 
     def test_ensemble_memory_does_not_grow_with_its_size(self, tmp_path):
         # streamed, 28 more members may cost less than one member's bytes; holding
@@ -1052,6 +1076,52 @@ class TestProbe:
         assert capsys.readouterr().out == ""
         main(["probe", "--config", path, "--out", str(tmp_path / "o2")])
         assert "spectrum_stacked.csv" in capsys.readouterr().out
+
+
+class TestUnitMember:
+    @pytest.mark.parametrize(
+        "kind, n_t, n_x, p",
+        [("nonuniform", 256, 64, 2.0), ("mpi", 24, 6, 2.0), ("dct", 16, 9, 2.0),
+         ("nonuniform", 24, 6, 1.5)],
+        ids=["nonuniform-256x64", "mpi", "dct", "p1.5"],
+    )
+    def test_member_has_unit_bochner_norm(self, kind, n_t, n_x, p):
+        # scaled by the probes' own norm, a member is in the solvers' unit sphere to
+        # 3 gamma_n, n = n_t + n_x + 4: each norm is a sum over n_t nodes of sums of
+        # n_x terms, then a root, a reciprocal and one product per entry
+        forward = cli._build_problem(ExperimentConfig(kind=kind, n_t=n_t, n_x=n_x)).forward
+        forward = dataclasses.replace(forward, source_exponent=p) if p != 2.0 else forward
+        shape = (n_t, forward.static.n_in)
+        for k in range(4):
+            values = np.random.default_rng(k).standard_normal(shape) * 10.0 ** (3 * k - 4)
+            member = cli._unit_member(forward, values)
+            assert member.p == p and member.values.shape == shape
+            assert abs(bochner_norm(member) - 1.0) <= 3.0 * gamma(n_t + shape[1] + 4)
+
+    @pytest.mark.parametrize("p", [2.0, 1.5, 3.0])
+    def test_non_hilbert_member_is_the_bochner_scaling_bytes(self, p):
+        # at s = 3 _probe_norm repeats bochner_norm's bits, so the member is f * (1 / ||f||)
+        forward = make_nonuniform_example(24, 6).forward
+        forward = dataclasses.replace(forward, source_exponent=p, source_space_exponent=3.0)
+        values = np.random.default_rng(1).standard_normal((24, 6))
+        f = forward.source_template(values)
+        member = cli._unit_member(forward, values)
+        assert member._geometry() == f._geometry()
+        assert member.values.tobytes() == (f * (1.0 / bochner_norm(f))).values.tobytes()
+
+    def test_zero_draw_is_no_member(self, monkeypatch):
+        cfg = ExperimentConfig(kind="nonuniform", n_t=8, n_x=3, ensemble=4)
+        problem = cli._build_problem(cfg)
+        assert cli._unit_member(problem.forward, np.zeros((8, 3))) is None
+        full = [f.values.tobytes() for f in cli._probe_ensemble(cfg, problem)]
+        generator = np.random.default_rng
+
+        def zero_second_draw(seed):  # the draw seeded seed + 1000 + 1 is all zeros
+            return SimpleNamespace(standard_normal=np.zeros) if seed == 1001 else generator(seed)
+
+        monkeypatch.setattr(np.random, "default_rng", zero_second_draw)
+        fewer = [f.values.tobytes() for f in cli._probe_ensemble(cfg, problem)]
+        assert len(full) == 4 and fewer == full[:2] + full[3:]
 
 
 class TestConfigDataclass:

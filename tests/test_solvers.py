@@ -261,13 +261,6 @@ def absolute_rows(forward, first: int, end: int) -> np.ndarray:
     return unit_vector_rows(DynamicForward(forward.kind, family, forward.time_grid, kernel), first, end)
 
 
-def assert_near(got, want, rel: float, size=None) -> None:
-    """got within rel * size of want, entry by entry; size defaults to max|want|."""
-    got, want = np.asarray(got), np.asarray(want)
-    size = np.abs(want).max(initial=0.0) if size is None else size
-    assert got.shape == want.shape and np.abs(got - want).max(initial=0.0) <= rel * size
-
-
 def tally_in_place(sub, names=("apply", "adjoint", "adjoint_rows")) -> dict:
     """Count the calls of sub's apply, adjoint and adjoint_rows (or of the
     named methods of a family), in place."""
@@ -1607,16 +1600,21 @@ class TestTimeSubproblems:
     def test_accumulate_apply_is_forward_block(self, name, sections):
         """Blocks of at most 15 data rows, all assembled: column j of a block's
         matrix is its rows of the forward map on the tiled e_j, bit for bit, and
-        apply(x) is its rows on the tiled x within 1e-14."""
+        apply(x) is its rows on the tiled x within 3 gamma_n of |F| |x| entry by
+        entry, the bound of test_weighted_adjoint_identity_on_both_sides_of_the_switch."""
         forward, data = forward_and_data(name, 12, 5)
         x = np.random.default_rng(5).standard_normal(5)
         tiled = apply_forward(forward, forward.source_template(np.tile(x, (12, 1)))).values
         subs = time_subproblems(forward, data, 1e-2, sections=sections)
         blocks = np.array_split(np.arange(12), 12 if sections is None else sections)
+        fam = forward.static
         for sub, nodes in zip(subs, blocks):
-            matrix = unit_vector_rows(forward, nodes[0], nodes[-1] + 1)
+            first, end = nodes[0], nodes[-1] + 1
+            matrix = unit_vector_rows(forward, first, end)
             assert assembled_matrix(sub).tobytes() == matrix.tobytes()
-            assert_near(sub.apply(x), tiled[nodes].reshape(-1), 1e-14)
+            g = gamma(12 + fam.n_in + fam.n_out + len(sub.data) + 4)
+            bound = 3.0 * g * (absolute_rows(forward, first, end) @ np.abs(x))
+            assert np.all(np.abs(sub.apply(x) - tiled[nodes].reshape(-1)) <= bound)
 
     @pytest.mark.parametrize(
         "name, n_t, n_x", [("mpi", 120, 4), ("dct", 24, 5), ("nonuniform", 24, 5), ("ota", 24, 5)]
